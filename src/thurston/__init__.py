@@ -48,7 +48,6 @@ from .mpnum import (
     antiderivative,
     definite_integral,
     poly_from_roots,
-    set_precision,
     solve_monotone,
 )
 from .pullback import (

@@ -40,8 +40,12 @@ def _parse_or_exit(text):
         sys.exit(EXIT_PARSE)
 
 
-def _decimal(ctx: PrecisionContext, value, digits=None) -> str:
-    return ctx.format(value, digits)
+def _run_or_exit(c, options):
+    try:
+        return pullback.run(c, options)
+    except pullback.InvalidCombinatorics as exc:
+        click.echo(f"invalid combinatorics: {exc}", err=True)
+        sys.exit(EXIT_INVALID)
 
 
 def result_document(
@@ -66,14 +70,14 @@ def result_document(
         "degree": result.combinatorics.total_degree(),
         "converged": result.converged,
         "iterations": result.iterations,
-        "fit_error": _decimal(ctx, result.fit) if result.fit is not None else None,
+        "fit_error": ctx.format(result.fit) if result.fit is not None else None,
         "working_digits": result.digits,
         "precision_history": [
             {"step": step, "digits": digits} for step, digits in result.precision_history
         ],
-        "coefficients": [_decimal(ctx, c) for c in result.polynomial.coefficients]
+        "coefficients": [ctx.format(c) for c in result.polynomial.coefficients]
         if result.polynomial else None,
-        "marked_points": [_decimal(ctx, p) for p in result.configuration.points]
+        "marked_points": [ctx.format(p) for p in result.configuration.points]
         if result.configuration else None,
         "combinatorics": comb.render(result.combinatorics),
         "mapping_pattern": comb.mapping_pattern(result.combinatorics).render(),
@@ -92,9 +96,9 @@ def result_document(
             {
                 "step": rec.step,
                 "digits": rec.digits,
-                "fit_error": _decimal(ctx, rec.fit),
-                "coefficients": [_decimal(ctx, c) for c in rec.polynomial.coefficients],
-                "marked_points": [_decimal(ctx, p) for p in rec.configuration.points],
+                "fit_error": ctx.format(rec.fit),
+                "coefficients": [ctx.format(c) for c in rec.polynomial.coefficients],
+                "marked_points": [ctx.format(p) for p in rec.configuration.points],
             }
             for rec in result.trace
         ]
@@ -189,18 +193,11 @@ def validate(combinatorics_text, fmt):
 def run_command(combinatorics_text, tol, max_iter, digits, max_digits, trace, out, fmt):
     """Run the pull-back iteration and emit the result document."""
     c = _parse_or_exit(combinatorics_text)
-    report = comb.validate(c)
-    if not report.passed:
-        click.echo("invalid combinatorics:", err=True)
-        for k, ok in sorted(report.conditions.items()):
-            if not ok:
-                click.echo(f"  condition {k} failed", err=True)
-        sys.exit(EXIT_INVALID)
     options = pullback.RunOptions(
         tol=tol, max_iter=max_iter, start_digits=digits, max_digits=max_digits,
         keep_trace=trace,
     )
-    result = pullback.run(c, options)
+    result = _run_or_exit(c, options)
     doc = result_document(combinatorics_text, result, options, include_trace=trace)
     if fmt == "json":
         _emit(serialize_document(doc), out)
@@ -239,7 +236,7 @@ def plot(combinatorics_text, result_path, tol, max_iter, digits, max_digits, sam
         c = _parse_or_exit(combinatorics_text)
         options = pullback.RunOptions(tol=tol, max_iter=max_iter,
                                       start_digits=digits, max_digits=max_digits)
-        result = pullback.run(c, options)
+        result = _run_or_exit(c, options)
         if not result.converged:
             click.echo("run did not converge; nothing to plot", err=True)
             sys.exit(EXIT_NO_CONVERGENCE)
@@ -258,53 +255,60 @@ def plot(combinatorics_text, result_path, tol, max_iter, digits, max_digits, sam
     lines = ["x,f(x)"]
     for i in range(samples):
         xval = ctx.mp.mpf(i) / (samples - 1)
-        lines.append(f"{_decimal(ctx, xval, PLOT_DIGITS)},{_decimal(ctx, f(xval), PLOT_DIGITS)}")
+        lines.append(f"{ctx.format(xval, PLOT_DIGITS)},{ctx.format(f(xval), PLOT_DIGITS)}")
     lines.append("# marked,j,x,image_index,image_x,local_degree")
     for j, point in enumerate(doc["marked_points"]):
         xj = ctx.mpf(point)
         lines.append(
             "# marked,%d,%s,%d,%s,%d" % (
-                j, _decimal(ctx, xj, PLOT_DIGITS), final.m[j],
-                _decimal(ctx, f(xj), PLOT_DIGITS), final.local_degree[j],
+                j, ctx.format(xj, PLOT_DIGITS), final.m[j],
+                ctx.format(f(xj), PLOT_DIGITS), final.local_degree[j],
             )
         )
     _emit("\n".join(lines), out)
     sys.exit(EXIT_OK)
 
 
-def _run_reference_row(key: str) -> dict:
-    """Worker for one reference row; returns a plain-string dict."""
-    row = next(r for r in ROWS if r.key == key)
+def _row_report(row, result: pullback.RunResult) -> dict:
+    """One reference row against the run of its combinatorics, as plain strings."""
+    ctx = PrecisionContext(result.digits)
+    if row.step is not None:
+        record = next(rec for rec in result.trace if rec.step == row.step)
+        coeffs, fit, iters = record.polynomial.coefficients, record.fit, row.step
+    else:
+        coeffs, fit, iters = result.polynomial.coefficients, result.fit, result.iterations
+    reference = [ctx.mpf(s) for s in row.coefficients]
+    computed = list(coeffs) + [ctx.mp.mpf(0)] * (len(reference) - len(coeffs))
+    deviation = max(abs(a - b) for a, b in zip(computed, reference))
+    return {
+        "key": row.key,
+        "combinatorics": row.combinatorics,
+        "step": row.step,
+        "computed": [ctx.format(c) for c in coeffs],
+        "reference": list(row.coefficients),
+        "max_deviation": ctx.format(deviation, 6),
+        "fit_error": ctx.format(fit, 6),
+        "reference_error": row.error,
+        "iterations": iters,
+        "reference_iterations": row.iterations,
+        "collapse": [ev.after for ev in result.collapse_events],
+        "note": row.note,
+        "ok": True,
+    }
+
+
+def _run_reference_rows(keys: tuple) -> list:
+    """Worker: one run serves every reference row in ``keys``, which share
+    a combinatorics and a tolerance."""
+    rows = [row for row in ROWS if row.key in keys]
     try:
-        c = comb.parse(row.combinatorics)
-        options = pullback.RunOptions(tol=row.run_tol, keep_trace=row.step is not None)
-        result = pullback.run(c, options)
-        ctx = PrecisionContext(result.digits)
-        if row.step is not None:
-            record = next(rec for rec in result.trace if rec.step == row.step)
-            coeffs, fit, iters = record.polynomial.coefficients, record.fit, row.step
-        else:
-            coeffs, fit, iters = result.polynomial.coefficients, result.fit, result.iterations
-        reference = [ctx.mpf(s) for s in row.coefficients]
-        computed = list(coeffs) + [ctx.mp.mpf(0)] * (len(reference) - len(coeffs))
-        deviation = max(abs(a - b) for a, b in zip(computed, reference))
-        return {
-            "key": row.key,
-            "combinatorics": row.combinatorics,
-            "step": row.step,
-            "computed": [ctx.format(c) for c in coeffs],
-            "reference": list(row.coefficients),
-            "max_deviation": ctx.format(deviation, 6),
-            "fit_error": ctx.format(fit, 6),
-            "reference_error": row.error,
-            "iterations": iters,
-            "reference_iterations": row.iterations,
-            "collapse": [ev.after for ev in result.collapse_events],
-            "note": row.note,
-            "ok": True,
-        }
+        c = comb.parse(rows[0].combinatorics)
+        keep_trace = any(row.step is not None for row in rows)
+        result = pullback.run(c, pullback.RunOptions(tol=rows[0].run_tol, keep_trace=keep_trace))
+        return [_row_report(row, result) for row in rows]
     except Exception as exc:  # row failures must not sink the batch
-        return {"key": key, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        return [{"key": row.key, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
+                for row in rows]
 
 
 @main.command()
@@ -315,16 +319,21 @@ def _run_reference_row(key: str) -> dict:
               show_default=True)
 def table(jobs, out, fmt):
     """Recompute all published reference rows and show deviations."""
-    keys = [row.key for row in ROWS]
-    workers = jobs if jobs > 0 else min(len(keys), os.cpu_count() or 1)
+    runs = {}
+    for row in ROWS:
+        runs.setdefault((row.combinatorics, row.run_tol), []).append(row.key)
+    batches = [tuple(keys) for keys in runs.values()]
+    workers = jobs if jobs > 0 else min(len(batches), os.cpu_count() or 1)
     if workers > 1:
         try:
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_reference_row, keys))
+                reports = list(pool.map(_run_reference_rows, batches))
         except (OSError, concurrent.futures.process.BrokenProcessPool):
-            results = [_run_reference_row(k) for k in keys]
+            reports = [_run_reference_rows(b) for b in batches]
     else:
-        results = [_run_reference_row(k) for k in keys]
+        reports = [_run_reference_rows(b) for b in batches]
+    order = {row.key: i for i, row in enumerate(ROWS)}
+    results = sorted((r for batch in reports for r in batch), key=lambda r: order[r["key"]])
 
     if fmt == "json":
         _emit(serialize_document({"schema": "thurston.table.v1", "rows": results}), out)

@@ -62,11 +62,7 @@ class Combinatorics:
 
     def turning_points(self) -> tuple:
         """Interior indices where the PL graph has a local max or min."""
-        m = self.m
-        return tuple(
-            j for j in range(1, self.n)
-            if (m[j] - m[j - 1]) * (m[j + 1] - m[j]) < 0
-        )
+        return _turning_indices(self.m)
 
     def critical_points(self) -> tuple:
         """All indices with local degree above one, in increasing order."""
@@ -85,15 +81,17 @@ class Combinatorics:
         return False
 
 
+def _turning_indices(m) -> tuple:
+    return tuple(
+        j for j in range(1, len(m) - 1)
+        if (m[j] - m[j - 1]) * (m[j + 1] - m[j]) < 0
+    )
+
+
 def default_degrees(m: Sequence[int]) -> tuple:
     """Degree 2 at turning points, 1 everywhere else."""
-    m = tuple(m)
-    n = len(m) - 1
-    turning = {
-        j for j in range(1, n)
-        if (m[j] - m[j - 1]) * (m[j + 1] - m[j]) < 0
-    }
-    return tuple(2 if j in turning else 1 for j in range(n + 1))
+    turning = set(_turning_indices(m))
+    return tuple(2 if j in turning else 1 for j in range(len(m)))
 
 
 def parse(text: str) -> Combinatorics:
@@ -376,31 +374,32 @@ def mapping_pattern(c: Combinatorics) -> MappingPattern:
             continue
         chain = []
         j = start
-        local = {}
-        while j not in visited and j not in local:
-            local[j] = len(chain)
+        while j not in visited and j not in chain:
             chain.append(j)
             j = m[j]
         orbits.append(tuple(chain))
-        if j in local:
-            cycle = chain[local[j]:]
-            k = cycle.index(min(cycle))
-            cycles.append(tuple(cycle[k:] + cycle[:k]))
-        else:
-            # Ran into an earlier orbit; find the cycle it eventually reaches.
-            seen_here = set()
-            while j not in seen_here:
-                seen_here.add(j)
-                j = m[j]
-            cycle = [j]
-            k = m[j]
-            while k != j:
-                cycle.append(k)
-                k = m[k]
-            p = cycle.index(min(cycle))
-            cycles.append(tuple(cycle[p:] + cycle[:p]))
+        # Every orbit of j -> m_j enters its cycle within n + 1 steps, whether
+        # the chain closed on itself or ran into an earlier orbit.
+        k = chain[-1]
+        for _ in range(c.n + 1):
+            k = m[k]
+        cycle = [k]
+        while m[cycle[-1]] != k:
+            cycle.append(m[cycle[-1]])
+        p = cycle.index(min(cycle))
+        cycles.append(tuple(cycle[p:] + cycle[:p]))
         visited.update(chain)
     return MappingPattern(tuple(orbits), tuple(cycles), c.local_degree)
+
+
+def merge_map(n: int, groups) -> list:
+    """New index of each old index 0..n once every group of consecutive
+    indices (sorted and disjoint) fuses into a single point."""
+    fused = {j for g in groups for j in g[1:]}
+    new_index = [0]
+    for j in range(1, n + 1):
+        new_index.append(new_index[-1] + (j not in fused))
+    return new_index
 
 
 def simplify(c: Combinatorics, merge_groups) -> Combinatorics:
@@ -421,29 +420,11 @@ def simplify(c: Combinatorics, merge_groups) -> Combinatorics:
             raise CombinatoricsError("merge groups overlap")
         taken |= set(g)
 
-    n = c.n
-    group_of = {}
-    for gi, g in enumerate(groups):
-        for j in g:
-            group_of[j] = gi
-
-    new_index = {}
-    counter = -1
-    seen_groups = set()
-    for j in range(n + 1):
-        if j in group_of:
-            if group_of[j] not in seen_groups:
-                seen_groups.add(group_of[j])
-                counter += 1
-            new_index[j] = counter
-        else:
-            counter += 1
-            new_index[j] = counter
-
-    new_n = counter
+    new_index = merge_map(c.n, groups)
+    new_n = new_index[-1]
     new_m = [None] * (new_n + 1)
     new_deg = [1] * (new_n + 1)
-    for j in range(n + 1):
+    for j in range(c.n + 1):
         target = new_index[c.m[j]]
         k = new_index[j]
         if new_m[k] is not None and new_m[k] != target:

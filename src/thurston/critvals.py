@@ -19,16 +19,16 @@ The inversion runs damped Newton from a Chebyshev-flavored starting point
 (gap pattern of the critical points of a first-kind Chebyshev polynomial,
 rescaled by homogeneity so the largest value gap is exactly 1).  Should
 Newton ever stall, a path-lifting integrator follows the straight segment
-from the starting values to the requested ones and polishes the endpoint;
-that route only needs the Jacobian to stay invertible, which it does on the
-whole positive orthant.
+from the starting values to the requested ones and polishes the endpoint
+with the same damped Newton; that route only needs the Jacobian to stay
+invertible, which it does on the whole positive orthant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .mpnum import Polynomial, PrecisionContext, antiderivative, divide_linear
+from .mpnum import Polynomial, PrecisionContext, antiderivative, divide_linear, expand_roots
 
 NEWTON_TOL_SHIFT = 6  # residual target is 10**(-digits + shift)
 NEWTON_MAX_ITERATIONS = 200
@@ -91,18 +91,6 @@ def centered_points(problem: PhiProblem) -> tuple:
     return tuple(points)
 
 
-def _monic_from_points(points, mults) -> Polynomial:
-    one = points[0] * 0 + 1
-    coeffs = [one]
-    for point, k in zip(points, mults):
-        for _ in range(k):
-            shifted = [c * (-point) for c in coeffs] + [points[0] * 0]
-            for i, c in enumerate(coeffs):
-                shifted[i + 1] += c
-            coeffs = shifted
-    return Polynomial(tuple(coeffs))
-
-
 def _interval_sign(mults, i) -> int:
     # sign of the monic product between points i and i+1: one flip per root
     # (with multiplicity) lying to the right.
@@ -112,8 +100,8 @@ def _interval_sign(mults, i) -> int:
 def phi(problem: PhiProblem) -> tuple:
     """Value gaps s_i = |integral over [c_i, c_{i+1}] of the monic product|."""
     points = centered_points(problem)
-    g = _monic_from_points(points, problem.multiplicities)
     zero = points[0] * 0
+    g = expand_roots(zero + 1, points, problem.multiplicities)
     G = antiderivative(g, zero, zero)
     values = [G(p) for p in points]
     return tuple(abs(values[i + 1] - values[i]) for i in range(problem.r - 1))
@@ -130,8 +118,8 @@ def phi_jacobian(problem: PhiProblem) -> tuple:
     r = problem.r
     K = sum(mults)
     points = centered_points(problem)
-    g = _monic_from_points(points, mults)
     zero = points[0] * 0
+    g = expand_roots(zero + 1, points, mults)
 
     # d(signed integral over interval i) / d(point m)
     dS = [[None] * r for _ in range(r - 1)]
@@ -191,6 +179,13 @@ def _newton_tolerance(ctx: PrecisionContext):
     return ctx.mp.mpf(10) ** (NEWTON_TOL_SHIFT - ctx.digits)
 
 
+def _checked_targets(s, multiplicities, ctx):
+    s = tuple(ctx.mpf(v) for v in s)
+    if any(not v > 0 for v in s):
+        raise ValueError("value gaps must be positive")
+    return s, tuple(int(k) for k in multiplicities)
+
+
 def _residual(gaps, mults, s):
     values = phi(PhiProblem(gaps, mults))
     res = [v - t for v, t in zip(values, s)]
@@ -207,18 +202,15 @@ def _jacobian_solve(gaps, mults, rhs, ctx):
 
 
 def invert_phi(s, multiplicities, ctx: PrecisionContext, initial=None) -> InversionResult:
-    """Solve Phi(gaps) = s by damped Newton from the Chebyshev start.
+    """Solve Phi(gaps) = s by damped Newton from ``initial`` gaps.
 
-    Steps are halved whenever they would push a gap out of the positive
-    orthant or fail to shrink the max-norm residual; exhausting the damping
-    budget raises :class:`NewtonStalled`, at which point callers fall back
-    to :func:`continuation_invert`.
+    ``initial`` defaults to the Chebyshev start.  Steps are halved whenever
+    they would push a gap out of the positive orthant or fail to shrink the
+    max-norm residual; exhausting the damping budget raises
+    :class:`NewtonStalled`, at which point callers fall back to
+    :func:`continuation_invert`.
     """
-    mults = tuple(int(k) for k in multiplicities)
-    s = tuple(ctx.mpf(v) for v in s)
-    for v in s:
-        if not v > 0:
-            raise ValueError("value gaps must be positive")
+    s, mults = _checked_targets(s, multiplicities, ctx)
     gaps = tuple(initial) if initial is not None else chebyshev_init(len(mults), mults, ctx)
     tol = _newton_tolerance(ctx)
     res, norm = _residual(gaps, mults, s)
@@ -249,14 +241,11 @@ def continuation_invert(s, multiplicities, ctx: PrecisionContext) -> InversionRe
 
     Classical fourth-order Runge-Kutta with fixed steps integrates
     ``dx/dt = Phi'(x)^{-1} (s - Phi(x0))``; if any stage leaves the positive
-    orthant the step size is halved and integration restarts.  An undamped
-    Newton polish finishes to the same residual contract as the Newton route.
+    orthant the step size is halved and integration restarts.  The endpoint
+    is polished by :func:`invert_phi`, so both routes meet one residual
+    contract.
     """
-    mults = tuple(int(k) for k in multiplicities)
-    s = tuple(ctx.mpf(v) for v in s)
-    for v in s:
-        if not v > 0:
-            raise ValueError("value gaps must be positive")
+    s, mults = _checked_targets(s, multiplicities, ctx)
     start = chebyshev_init(len(mults), mults, ctx)
     y0 = phi(PhiProblem(start, mults))
     rhs = [b - a for a, b in zip(y0, s)]
@@ -291,22 +280,7 @@ def continuation_invert(s, multiplicities, ctx: PrecisionContext) -> InversionRe
         break
     else:
         raise NewtonStalled("path lifting kept leaving the positive orthant")
-
-    # Undamped Newton polish.
-    gaps = tuple(x)
-    tol = _newton_tolerance(ctx)
-    res, norm = _residual(gaps, mults, s)
-    trace = [norm]
-    for iteration in range(NEWTON_MAX_ITERATIONS):
-        if norm <= tol:
-            return InversionResult(tuple(gaps), iteration, tuple(trace))
-        step = _jacobian_solve(gaps, mults, res, ctx)
-        gaps = tuple(g - d for g, d in zip(gaps, step))
-        if any(not g > 0 for g in gaps):
-            raise NewtonStalled("polish left the positive orthant")
-        res, norm = _residual(gaps, mults, s)
-        trace.append(norm)
-    raise NewtonStalled("polish failed to reach tolerance")
+    return invert_phi(s, mults, ctx, initial=x)
 
 
 def solve_gaps(s, multiplicities, ctx: PrecisionContext) -> InversionResult:
@@ -331,11 +305,6 @@ class CriticalValueSpec:
     @property
     def r(self) -> int:
         return len(self.values)
-
-    def gaps(self) -> tuple:
-        return tuple(
-            abs(self.values[i + 1] - self.values[i]) for i in range(self.r - 1)
-        )
 
 
 @dataclass(frozen=True)
@@ -387,8 +356,7 @@ def realize_critical_values(
     inversion = solve_gaps([abs(values[i + 1] - values[i]) for i in range(r - 1)], mults, ctx)
     problem = PhiProblem(inversion.gaps, mults)
     points = centered_points(problem)
-    g_monic = _monic_from_points(points, mults)
-    g = Polynomial(tuple(c * sigma for c in g_monic.coefficients))
+    g = expand_roots(points[0] * 0 + sigma, points, mults)
     f = antiderivative(g, points[0], values[0])
 
     check_tol = 100 * _newton_tolerance(ctx)

@@ -72,14 +72,6 @@ class PrecisionContext:
         """Decimal-string form of ``value`` at ``digits`` significant digits."""
         return self.mp.nstr(self.mpf(value), digits or self.digits, strip_zeros=True)
 
-    def sqrt(self, value):
-        return self.mp.sqrt(self.mpf(value))
-
-
-def set_precision(ctx: PrecisionContext, digits: int) -> PrecisionContext:
-    """A fresh context at ``digits``; existing values re-round as they are used."""
-    return PrecisionContext(digits)
-
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -111,6 +103,18 @@ class Polynomial:
         return Polynomial(tuple(c * (i + 1) for i, c in enumerate(self.coefficients[1:])))
 
 
+def expand_roots(lead, roots, multiplicities) -> Polynomial:
+    """Expand ``lead * prod (x - roots[i])**multiplicities[i]``, unchecked."""
+    coeffs = [lead]
+    for root, k in zip(roots, multiplicities):
+        for _ in range(k):
+            shifted = [c * (-root) for c in coeffs] + [coeffs[0] * 0]
+            for i, c in enumerate(coeffs):
+                shifted[i + 1] += c
+            coeffs = shifted
+    return Polynomial(tuple(coeffs))
+
+
 def poly_from_roots(roots, multiplicities, sign, ctx: PrecisionContext) -> Polynomial:
     """Expand ``sign * prod (x - roots[i])**multiplicities[i]``.
 
@@ -124,14 +128,7 @@ def poly_from_roots(roots, multiplicities, sign, ctx: PrecisionContext) -> Polyn
     for a, b in zip(roots, roots[1:]):
         if not a < b:
             raise ValueError("roots must be strictly increasing")
-    coeffs = [ctx.mpf(sign)]
-    for root, k in zip(roots, multiplicities):
-        for _ in range(k):
-            shifted = [c * (-root) for c in coeffs] + [coeffs[0] * 0]
-            for i, c in enumerate(coeffs):
-                shifted[i + 1] += c
-            coeffs = shifted
-    return Polynomial(tuple(coeffs))
+    return expand_roots(ctx.mpf(sign), roots, multiplicities)
 
 
 def antiderivative(p: Polynomial, base_point, base_value) -> Polynomial:

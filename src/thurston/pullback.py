@@ -252,26 +252,21 @@ def detect_collapse(x: MarkedConfiguration, threshold) -> tuple:
 
 
 def _merged_configuration(x: MarkedConfiguration, groups, ctx: PrecisionContext) -> MarkedConfiguration:
-    group_of = {}
-    for gi, g in enumerate(groups):
-        for j in g:
-            group_of[j] = gi
-    points = []
-    seen = set()
-    for j in range(x.n + 1):
-        if j in group_of:
-            if group_of[j] in seen:
-                continue
-            seen.add(group_of[j])
-            g = groups[group_of[j]]
-            points.append(sum(x.points[k] for k in g) / len(g))
-        else:
-            points.append(x.points[j])
+    merged = {}
+    for j, k in enumerate(comb.merge_map(x.n, groups)):
+        merged.setdefault(k, []).append(x.points[j])
+    points = [sum(ps) / len(ps) for ps in merged.values()]
     lo, hi = points[0], points[-1]
     span = hi - lo
     pts = [(p - lo) / span for p in points]
     pts[0], pts[-1] = ctx.mp.mpf(0), ctx.mp.mpf(1)
     return MarkedConfiguration(tuple(pts), step=x.step)
+
+
+def _collapse_threshold(options: RunOptions, ctx: PrecisionContext, n: int):
+    if options.collapse_threshold is not None:
+        return ctx.mpf(options.collapse_threshold)
+    return ctx.mpf("1e-8") / n
 
 
 def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
@@ -293,10 +288,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
     original = c
     ctx = PrecisionContext(options.start_digits)
     tol = ctx.mpf(options.tol)
-    explicit_thr = options.collapse_threshold
-    threshold = (
-        ctx.mpf(explicit_thr) if explicit_thr is not None else ctx.mpf("1e-8") / c.n
-    )
+    threshold = _collapse_threshold(options, ctx, c.n)
     expansive = report.expansive_edges
 
     x = init_configuration(c, ctx)
@@ -308,6 +300,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
     gap_streak = {}
     f = None
     eps = None
+    converged = False
 
     step = 0
     while step < options.max_iter:
@@ -317,8 +310,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
             realized = mapmake(c, values, ctx)
             normalized = normalize(c, realized, ctx)
             new_x = pullback_step(c, normalized, x, ctx)
-        except (critvals.NewtonStalled, critvals.SingularJacobian,
-                critvals.RealizationError, PullbackError, ArithmeticError) as exc:
+        except (PullbackError, ArithmeticError) as exc:
             raise PullbackError(f"step {step} ({comb.render(c)}): {exc}") from exc
         f = normalized.polynomial
         eps = fit_error(c, f, new_x, ctx)
@@ -366,22 +358,15 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
             x = _merged_configuration(new_x, groups, ctx)
             c = simplified
             expansive = sub_report.expansive_edges
-            if explicit_thr is None:
-                threshold = ctx.mpf("1e-8") / c.n
+            threshold = _collapse_threshold(options, ctx, c.n)
             gap_streak = {}
             window = []
             continue
 
-        if eps <= tol:
-            return RunResult(
-                combinatorics=c, original=original, polynomial=f,
-                configuration=new_x, iterations=step, fit=eps, converged=True,
-                digits=ctx.digits, precision_history=tuple(precision_history),
-                collapse_events=tuple(collapse_events),
-                residuals=tuple(residuals), trace=tuple(trace),
-            )
-
         x = new_x
+        if eps <= tol:
+            converged = True
+            break
         if (
             len(window) > STALL_WINDOW
             and window[-1] > window[-1 - STALL_WINDOW] * STALL_FACTOR
@@ -390,9 +375,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
             new_digits = min(2 * ctx.digits, options.max_digits)
             ctx = PrecisionContext(new_digits)
             tol = ctx.mpf(options.tol)
-            threshold = (
-                ctx.mpf(explicit_thr) if explicit_thr is not None else ctx.mpf("1e-8") / c.n
-            )
+            threshold = _collapse_threshold(options, ctx, c.n)
             interior = tuple(ctx.mpf(p) for p in x.points[1:-1])
             x = MarkedConfiguration(
                 (ctx.mp.mpf(0),) + interior + (ctx.mp.mpf(1),), step=x.step
@@ -402,7 +385,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
 
     return RunResult(
         combinatorics=c, original=original, polynomial=f, configuration=x,
-        iterations=step, fit=eps, converged=False, digits=ctx.digits,
+        iterations=step, fit=eps, converged=converged, digits=ctx.digits,
         precision_history=tuple(precision_history),
         collapse_events=tuple(collapse_events), residuals=tuple(residuals),
         trace=tuple(trace),

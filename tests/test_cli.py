@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from thurston import cli
@@ -74,8 +75,12 @@ def test_run_reports_collapse():
     assert doc["combinatorics"] == "0,3,2,1,2,0"
 
 
-def test_run_invalid_exit_code():
-    assert invoke("run", "1,2,0").exit_code == 2
+@pytest.mark.parametrize("command", ["run", "plot"])
+def test_run_invalid_exit_code(command):
+    result = invoke(command, "1,2,0")
+    assert result.exit_code == 2
+    # stderr names the failed condition: endpoints must map to endpoints
+    assert "invalid combinatorics" in result.output and "3" in result.output
 
 
 def test_run_non_convergence_exit_code():

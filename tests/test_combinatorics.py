@@ -250,6 +250,13 @@ def test_mapping_pattern_boundary_critical():
     assert "x2^3" in pattern.render()
 
 
+def test_mapping_pattern_orbit_runs_into_earlier_orbit():
+    # x5 -> x1 -> x2 lands on the first orbit, so its cycle is that orbit's
+    pattern = comb.mapping_pattern(comb.parse("0,2,6^2,4,3^3,1^2,4,7"))
+    assert pattern.orbits == ((2, 6, 4, 3), (5, 1))
+    assert pattern.cycles == ((3, 4), (3, 4))
+
+
 def test_mapping_pattern_fixed_critical():
     pattern = comb.mapping_pattern(comb.parse("0,1,0"))
     assert pattern.orbits == ((1,),)

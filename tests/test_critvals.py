@@ -189,6 +189,19 @@ def test_invert_phi_residual_trace_decreases():
     assert res.residuals[0] >= res.residuals[-1]
 
 
+def test_invert_phi_from_initial_gaps():
+    ctx = ctx40()
+    s, mults = [Fraction(1, 7), Fraction(2, 11)], (1, 2, 1)
+    cold = critvals.invert_phi(s, mults, ctx)
+    solved = critvals.invert_phi(s, mults, ctx, initial=cold.gaps)
+    assert solved.iterations == 0 and solved.gaps == cold.gaps
+    nudged = tuple(g * (1 + ctx.mpf("1e-3")) for g in cold.gaps)
+    warm = critvals.invert_phi(s, mults, ctx, initial=nudged)
+    assert warm.iterations > 0
+    for got, want in zip(warm.gaps, cold.gaps):
+        assert abs(got - want) <= ctx.mpf("1e-30")
+
+
 def test_continuation_agrees_with_newton():
     ctx = ctx40()
     newton = critvals.invert_phi([Fraction(1, 6)], (1, 1), ctx)

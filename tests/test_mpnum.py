@@ -46,9 +46,9 @@ def test_format_and_equal():
     assert not ctx.equal(1, 1 + ctx.mp.mpf("1e-20"))
 
 
-def test_set_precision_returns_fresh_context():
+def test_fresh_context_coerces_foreign_values():
     ctx = ctx40()
-    finer = mpnum.set_precision(ctx, 80)
+    finer = mpnum.PrecisionContext(80)
     assert finer.digits == 80 and ctx.digits == 40
     # values from the old context participate in the new one
     assert finer.mpf(ctx.mp.mpf(1) / 4) == finer.mp.mpf(1) / 4
