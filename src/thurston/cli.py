@@ -6,8 +6,9 @@ samples of a converged map for external plotting), and ``table`` (batch
 rerun of the published reference rows with per-row deviations).
 
 Exit codes: 0 success, 2 invalid combinatorics, 3 parse error,
-4 non-convergence.  All numbers in structured output are decimal strings;
-no binary floats cross the tool boundary.
+4 non-convergence or a run that failed with a ``PullbackError`` (reported
+on stderr as ``run failed: <message>``).  All numbers in structured output
+are decimal strings; no binary floats cross the tool boundary.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ def _run_or_exit(c, options):
     except pullback.InvalidCombinatorics as exc:
         click.echo(f"invalid combinatorics: {exc}", err=True)
         sys.exit(EXIT_INVALID)
+    except pullback.PullbackError as exc:
+        click.echo(f"run failed: {exc}", err=True)
+        sys.exit(EXIT_NO_CONVERGENCE)
 
 
 def result_document(

@@ -17,16 +17,25 @@ root-finding problem.
 
 The inversion runs damped Newton from a Chebyshev-flavored starting point
 (gap pattern of the critical points of a first-kind Chebyshev polynomial,
-rescaled by homogeneity so the largest value gap is exactly 1).  Should
-Newton ever stall, a path-lifting integrator follows the straight segment
-from the starting values to the requested ones and polishes the endpoint
-with the same damped Newton; that route only needs the Jacobian to stay
-invertible, which it does on the whole positive orthant.
+rescaled by homogeneity so the largest value gap is exactly 1).  When the
+caller holds the inversion of a nearby problem with the same multiplicities,
+as the pull-back iteration does from one step to the next, Newton starts
+instead from those gaps rescaled by homogeneity: scaling the gaps by t
+scales Phi by t**(1 + sum(k_i)), so t is chosen to match the sum of the
+value gaps.  Such a warm start always takes at least one Newton correction,
+whose full step is accepted once its residual meets the tolerance, even at
+the rounding floor.  Should Newton ever stall, a path-lifting integrator
+follows the straight segment from the Chebyshev start's values to the
+requested ones and polishes the endpoint with the same damped Newton; that
+route only needs the Jacobian to stay invertible, which it does on the
+whole positive orthant.  The Newton systems are only (r-1) x (r-1), so they
+are solved by Gaussian elimination on plain lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .mpnum import Polynomial, PrecisionContext, antiderivative, divide_linear, expand_roots
 
@@ -173,6 +182,7 @@ class InversionResult:
     gaps: tuple
     iterations: int
     residuals: tuple  # max-norm residual after each accepted step
+    targets: tuple = ()  # the value gaps solved for
 
 
 def _newton_tolerance(ctx: PrecisionContext):
@@ -192,23 +202,50 @@ def _residual(gaps, mults, s):
     return res, max(abs(x) for x in res)
 
 
+def solve_linear(rows, rhs, ctx: PrecisionContext) -> list:
+    """Solve ``rows @ x = rhs`` by Gaussian elimination with partial pivoting.
+
+    A pivot no larger than ``||rows||_1 * eps`` (mpmath's own test for a
+    numerically singular matrix) raises :class:`SingularJacobian`.
+    """
+    n = len(rhs)
+    a = [list(row) + [b] for row, b in zip(rows, rhs)]
+    tol = max(sum(abs(a[i][j]) for i in range(n)) for j in range(n)) * ctx.mp.eps
+    for j in range(n):
+        p = max(range(j, n), key=lambda i: abs(a[i][j]))
+        if abs(a[p][j]) <= tol:
+            raise SingularJacobian("matrix is numerically singular")
+        a[j], a[p] = a[p], a[j]
+        for i in range(j + 1, n):
+            factor = a[i][j] / a[j][j]
+            for k in range(j + 1, n + 1):
+                a[i][k] -= factor * a[j][k]
+    x = [None] * n
+    for i in reversed(range(n)):
+        acc = a[i][n]
+        for k in range(i + 1, n):
+            acc -= a[i][k] * x[k]
+        x[i] = acc / a[i][i]
+    return x
+
+
 def _jacobian_solve(gaps, mults, rhs, ctx):
-    J = phi_jacobian(PhiProblem(gaps, mults))
-    try:
-        sol = ctx.mp.lu_solve(ctx.mp.matrix([list(row) for row in J]), ctx.mp.matrix(list(rhs)))
-    except ZeroDivisionError as exc:
-        raise SingularJacobian(str(exc)) from None
-    return [sol[i] for i in range(len(rhs))]
+    return solve_linear(phi_jacobian(PhiProblem(gaps, mults)), rhs, ctx)
 
 
-def invert_phi(s, multiplicities, ctx: PrecisionContext, initial=None) -> InversionResult:
+def invert_phi(
+    s, multiplicities, ctx: PrecisionContext, initial=None, min_iterations=0
+) -> InversionResult:
     """Solve Phi(gaps) = s by damped Newton from ``initial`` gaps.
 
     ``initial`` defaults to the Chebyshev start.  Steps are halved whenever
     they would push a gap out of the positive orthant or fail to shrink the
     max-norm residual; exhausting the damping budget raises
     :class:`NewtonStalled`, at which point callers fall back to
-    :func:`continuation_invert`.
+    :func:`continuation_invert`.  The first ``min_iterations`` steps are
+    taken even when the residual already meets the tolerance; a step that
+    meets it is then accepted without having to shrink the residual, which
+    at the rounding floor it may not.
     """
     s, mults = _checked_targets(s, multiplicities, ctx)
     gaps = tuple(initial) if initial is not None else chebyshev_init(len(mults), mults, ctx)
@@ -216,8 +253,8 @@ def invert_phi(s, multiplicities, ctx: PrecisionContext, initial=None) -> Invers
     res, norm = _residual(gaps, mults, s)
     trace = [norm]
     for iteration in range(NEWTON_MAX_ITERATIONS):
-        if norm <= tol:
-            return InversionResult(tuple(gaps), iteration, tuple(trace))
+        if norm <= tol and iteration >= min_iterations:
+            return InversionResult(tuple(gaps), iteration, tuple(trace), s)
         step = _jacobian_solve(gaps, mults, res, ctx)
         damping = ctx.mp.mpf(1)
         for _ in range(NEWTON_MAX_HALVINGS):
@@ -226,7 +263,7 @@ def invert_phi(s, multiplicities, ctx: PrecisionContext, initial=None) -> Invers
                 damping /= 2
                 continue
             cres, cnorm = _residual(candidate, mults, s)
-            if cnorm < norm:
+            if cnorm < norm or cnorm <= tol:
                 gaps, res, norm = candidate, cres, cnorm
                 trace.append(norm)
                 break
@@ -283,10 +320,32 @@ def continuation_invert(s, multiplicities, ctx: PrecisionContext) -> InversionRe
     return invert_phi(s, mults, ctx, initial=x)
 
 
-def solve_gaps(s, multiplicities, ctx: PrecisionContext) -> InversionResult:
-    """Newton inversion with the continuation fallback."""
+def rescaled_start(previous: InversionResult, s, multiplicities, ctx: PrecisionContext) -> tuple:
+    """``previous.gaps`` scaled by t, with t**(1 + sum(k)) = sum(s) / sum(previous.targets).
+
+    By homogeneity the scaled gaps solve the scaled targets exactly, so
+    they are close to the solution for s when s is close to a multiple of
+    ``previous.targets``.  The gaps are coerced into ``ctx``, which may
+    hold more digits than the context they were found in.
+    """
+    ratio = sum(ctx.mpf(v) for v in s) / sum(ctx.mpf(v) for v in previous.targets)
+    t = ratio ** (ctx.mp.mpf(1) / (1 + sum(multiplicities)))
+    return tuple(t * ctx.mpf(g) for g in previous.gaps)
+
+
+def solve_gaps(s, multiplicities, ctx: PrecisionContext, previous=None) -> InversionResult:
+    """Newton inversion with the continuation fallback.
+
+    ``previous`` is the inversion of nearby value gaps for the same
+    multiplicities; when given, Newton starts from its rescaled gaps and
+    takes at least one correction, instead of starting from the Chebyshev
+    point.
+    """
     try:
-        return invert_phi(s, multiplicities, ctx)
+        if previous is None:
+            return invert_phi(s, multiplicities, ctx)
+        start = rescaled_start(previous, s, multiplicities, ctx)
+        return invert_phi(s, multiplicities, ctx, initial=start, min_iterations=1)
     except NewtonStalled:
         return continuation_invert(s, multiplicities, ctx)
 
@@ -322,13 +381,16 @@ def realize_critical_values(
     multiplicities,
     last_lap_orientation: int,
     ctx: PrecisionContext,
+    previous: Optional[InversionResult] = None,
 ) -> RealizedMap:
     """The polynomial (unique up to affine precomposition) with these values.
 
     The derivative is ``sigma * prod (x - c_i)**k_i`` with sigma the
     orientation of the final lap; the value differences must alternate
     consistently with the lap orientations that sigma and the multiplicity
-    parities dictate.
+    parities dictate.  ``previous``, the inversion behind a map with the
+    same multiplicities and nearby values, warm-starts the gap inversion
+    (see :func:`solve_gaps`).
     """
     mults = tuple(int(k) for k in multiplicities)
     values = tuple(ctx.mpf(v) for v in spec.values)
@@ -353,7 +415,9 @@ def realize_critical_values(
                 "critical value differences are inconsistent with the lap orientations"
             )
 
-    inversion = solve_gaps([abs(values[i + 1] - values[i]) for i in range(r - 1)], mults, ctx)
+    inversion = solve_gaps(
+        [abs(values[i + 1] - values[i]) for i in range(r - 1)], mults, ctx, previous
+    )
     problem = PhiProblem(inversion.gaps, mults)
     points = centered_points(problem)
     g = expand_roots(points[0] * 0 + sigma, points, mults)

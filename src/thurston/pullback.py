@@ -4,7 +4,8 @@ One step, given marked points x_0..x_n and the combinatorics m:
 
   1. mapmake:   build the polynomial whose j-th critical value is x_{m_j}
                 (one value per distinct critical index, via the gap map
-                inversion in :mod:`thurston.critvals`);
+                inversion in :mod:`thurston.critvals`, warm-started from
+                the previous step's gaps);
   2. normalize: find the framing preimages A and B of the interval
                 endpoints in the unbounded first/last laps and precompose
                 with the increasing affine map sending 0 to A and 1 to B,
@@ -149,16 +150,24 @@ def mapmake(
     c: comb.Combinatorics,
     values: critvals.CriticalValueSpec,
     ctx: PrecisionContext,
+    lap_list: Optional[comb.LapStructure] = None,
+    previous: Optional[critvals.InversionResult] = None,
 ) -> critvals.RealizedMap:
-    """A polynomial with these critical values; critical points not yet framed."""
-    sigma = comb.laps(c).last_orientation()
-    return critvals.realize_critical_values(values, _multiplicities(c), sigma, ctx)
+    """A polynomial with these critical values; critical points not yet framed.
+
+    ``lap_list`` is ``comb.laps(c)``, computed here when not given.
+    ``previous`` is the previous step's inversion for the same
+    combinatorics, which warm-starts this one.
+    """
+    sigma = (comb.laps(c) if lap_list is None else lap_list).last_orientation()
+    return critvals.realize_critical_values(values, _multiplicities(c), sigma, ctx, previous)
 
 
 def normalize(
     c: comb.Combinatorics,
     realized: critvals.RealizedMap,
     ctx: PrecisionContext,
+    lap_list: Optional[comb.LapStructure] = None,
 ) -> NormalizedMap:
     """Precompose with the affine map that frames the unit interval.
 
@@ -170,7 +179,7 @@ def normalize(
     """
     n = c.n
     f_raw = realized.polynomial
-    lap_list = comb.laps(c)
+    lap_list = comb.laps(c) if lap_list is None else lap_list
     turning = set(c.turning_points())
     crit = c.critical_points()
     turning_pts = [p for j, p in zip(crit, realized.critical_points) if j in turning]
@@ -193,6 +202,7 @@ def pullback_step(
     normalized: NormalizedMap,
     prev: MarkedConfiguration,
     ctx: PrecisionContext,
+    lap_list: Optional[comb.LapStructure] = None,
 ) -> MarkedConfiguration:
     """Pull every marked point back through its lap.
 
@@ -202,7 +212,7 @@ def pullback_step(
     """
     n = c.n
     f = normalized.polynomial
-    lap_list = comb.laps(c)
+    lap_list = comb.laps(c) if lap_list is None else lap_list
     zero, one = ctx.mp.mpf(0), ctx.mp.mpf(1)
     crit_at = dict(zip(c.critical_points(), normalized.critical_points))
     turning_at = {j: crit_at[j] for j in c.turning_points()}
@@ -290,6 +300,8 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
     tol = ctx.mpf(options.tol)
     threshold = _collapse_threshold(options, ctx, c.n)
     expansive = report.expansive_edges
+    lap_list = comb.laps(c)
+    inversion = None  # the previous step's, while the combinatorics holds
 
     x = init_configuration(c, ctx)
     residuals = []
@@ -307,11 +319,12 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
         step += 1
         try:
             values = critical_value_vector(c, x)
-            realized = mapmake(c, values, ctx)
-            normalized = normalize(c, realized, ctx)
-            new_x = pullback_step(c, normalized, x, ctx)
+            realized = mapmake(c, values, ctx, lap_list, inversion)
+            normalized = normalize(c, realized, ctx, lap_list)
+            new_x = pullback_step(c, normalized, x, ctx, lap_list)
         except (PullbackError, ArithmeticError) as exc:
             raise PullbackError(f"step {step} ({comb.render(c)}): {exc}") from exc
+        inversion = realized.inversion
         f = normalized.polynomial
         eps = fit_error(c, f, new_x, ctx)
         residuals.append(eps)
@@ -357,6 +370,8 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
             ))
             x = _merged_configuration(new_x, groups, ctx)
             c = simplified
+            lap_list = comb.laps(c)
+            inversion = None
             expansive = sub_report.expansive_edges
             threshold = _collapse_threshold(options, ctx, c.n)
             gap_streak = {}

@@ -83,6 +83,14 @@ def test_run_invalid_exit_code(command):
     assert "invalid combinatorics" in result.output and "3" in result.output
 
 
+@pytest.mark.parametrize("command", ["run", "plot"])
+def test_run_failure_exit_code(command):
+    # collapses onto a combinatorics that fails validation
+    result = invoke(command, "0,1,2,0,1,0")
+    assert result.exit_code == 4
+    assert "run failed: step 24: merged combinatorics 0,1,0^2,0^2,0 is invalid" in result.output
+
+
 def test_run_non_convergence_exit_code():
     result = invoke("run", "0,4,3,1,2,5", "--max-iter", "2")
     assert result.exit_code == 4

@@ -202,6 +202,80 @@ def test_invert_phi_from_initial_gaps():
         assert abs(got - want) <= ctx.mpf("1e-30")
 
 
+@pytest.mark.parametrize("digits", [40, 80])
+def test_solve_linear_matches_lu_solve(digits):
+    ctx = mpnum.PrecisionContext(digits)
+    rng = random.Random(digits)
+    tol = ctx.mpf(10) ** (6 - digits)
+    for n in range(1, 6):
+        # diagonally dominant, hence well conditioned; a zero leading entry
+        # forces a row swap
+        rows = [[ctx.mpf(rng.uniform(-1, 1)) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            rows[i][i] += n + 1
+        if n > 1:
+            rows[0][0] = ctx.mp.mpf(0)
+        rhs = [ctx.mpf(rng.uniform(-1, 1)) for _ in range(n)]
+        got = critvals.solve_linear(rows, rhs, ctx)
+        want = ctx.mp.lu_solve(ctx.mp.matrix(rows), ctx.mp.matrix(rhs))
+        assert all(abs(got[i] - want[i]) <= tol for i in range(n))
+
+
+@pytest.mark.parametrize("rows", [
+    [[0]],
+    [[1, 2], [2, 4]],
+    [[1, 0], ["1e-50", 0]],
+    [[1, 0], [0, "1e-50"]],  # negligible against the matrix norm at 40 digits
+    [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+])
+def test_solve_linear_rejects_singular(rows):
+    ctx = ctx40()
+    rows = [[ctx.mpf(v) for v in row] for row in rows]
+    with pytest.raises(critvals.SingularJacobian):
+        critvals.solve_linear(rows, [ctx.mp.mpf(1)] * len(rows), ctx)
+
+
+def test_warm_start_takes_at_least_one_correction():
+    ctx = ctx40()
+    s, mults = [Fraction(1, 7), Fraction(2, 11)], (1, 2, 1)
+    cold = critvals.solve_gaps(s, mults, ctx)
+    again = critvals.solve_gaps(s, mults, ctx, previous=cold)
+    assert again.iterations == 1
+    assert again.residuals[-1] <= ctx.mpf(10) ** (6 - ctx.digits)
+
+
+def test_forced_correction_is_accepted_at_the_rounding_floor():
+    # Phi(1, 1) = (1/4, 1/4) exactly, so the residual is already 0 and no
+    # step can shrink it; the forced step must still be accepted
+    ctx = ctx40()
+    one = ctx.mp.mpf(1)
+    res = critvals.invert_phi([Fraction(1, 4)] * 2, (1, 1, 1), ctx, initial=(one, one),
+                              min_iterations=1)
+    assert res.residuals == (0, 0) and res.iterations == 1 and res.gaps == (one, one)
+
+
+def test_rescaled_start_solves_scaled_targets():
+    # Phi is homogeneous of degree 1 + sum(k) = 5, so scaling every value gap
+    # by 32 doubles every gap
+    ctx = ctx40()
+    s, mults = [Fraction(1, 7), Fraction(2, 11)], (1, 2, 1)
+    cold = critvals.invert_phi(s, mults, ctx)
+    start = critvals.rescaled_start(cold, [32 * ctx.mpf(v) for v in s], mults, ctx)
+    for got, want in zip(start, cold.gaps):
+        assert abs(got - 2 * want) <= ctx.mpf("1e-35")
+
+
+def test_rescaled_start_coerces_into_a_finer_context():
+    coarse, fine = ctx40(), mpnum.PrecisionContext(80)
+    s, mults = [Fraction(1, 7), Fraction(2, 11)], (1, 2, 1)
+    cold = critvals.invert_phi(s, mults, coarse)
+    warm = critvals.invert_phi(
+        s, mults, fine, initial=critvals.rescaled_start(cold, s, mults, fine), min_iterations=1
+    )
+    assert warm.residuals[-1] <= fine.mpf(10) ** (6 - fine.digits)
+    assert all(g.context is fine.mp for g in warm.gaps)
+
+
 def test_continuation_agrees_with_newton():
     ctx = ctx40()
     newton = critvals.invert_phi([Fraction(1, 6)], (1, 1), ctx)
@@ -247,6 +321,28 @@ def test_realize_recovers_known_cubic():
     pulled = mpnum.affine_substitute(realized.polynomial, b, a)
     for got, want in zip(pulled.coefficients, f.coefficients):
         assert abs(got - want) <= ctx.mpf("1e-30")
+
+
+def test_realize_warm_start_matches_cold():
+    # the next pull-back step's values move a little; warm-started from the
+    # previous inversion, the same map comes out in at most three steps
+    ctx = ctx40()
+    mults = (1, 2, 1)
+    before = tuple(ctx.mpf(v) for v in ("0.8", "0.45", "0.15"))
+    after = tuple(ctx.mpf(v) for v in ("0.8000007", "0.4499995", "0.1500002"))
+    previous = critvals.realize_critical_values(
+        critvals.CriticalValueSpec(before), mults, 1, ctx
+    ).inversion
+    spec = critvals.CriticalValueSpec(after)
+    cold = critvals.realize_critical_values(spec, mults, 1, ctx)
+    warm = critvals.realize_critical_values(spec, mults, 1, ctx, previous=previous)
+    assert 1 <= warm.inversion.iterations <= 3 < cold.inversion.iterations
+    tol = ctx.mpf(10) ** (6 - ctx.digits)
+    assert warm.inversion.residuals[-1] <= tol
+    for got, want in zip(warm.gaps, cold.gaps):
+        assert abs(got - want) <= tol
+    for got, want in zip(warm.polynomial.coefficients, cold.polynomial.coefficients):
+        assert abs(got - want) <= tol
 
 
 def test_realize_single_critical_point():

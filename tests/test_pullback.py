@@ -6,6 +6,7 @@ import pytest
 
 from thurston import combinatorics as comb
 from thurston import critvals, mpnum, pullback
+from thurston._table import ROWS
 
 
 def ctx40():
@@ -338,3 +339,29 @@ def test_one_extra_step_is_idempotent_at_the_limit():
     moved = pullback.pullback_step(c, normalized, x, ctx)
     drift = max(abs(a - b) for a, b in zip(moved.points, x.points))
     assert drift < 10 * result.fit
+
+
+@pytest.mark.parametrize("text,tol,steps", [
+    ("0,4,3,1,2,5", "1e-9", 24),
+    ("0,2,6^2,4,3^3,1^2,4,7", "1e-9", 16),
+    ("0,3,2,1,4", "1e-13", 15),
+    ("0,3^4,2^3,1,4", "1e-9", 13),
+    ("6,2^4,3,4,5,1,0", "0.0021", 3),
+    ("0,2,1,3,5,3^3,0", "1e-9", 19),
+    ("0,4,3,2,1,2,0", "1e-10", 45),
+    ("0,1,5,0,2,1,7,1,0", "1e-10", 10),
+])
+def test_reference_run_outer_steps(text, tol, steps):
+    # the eight distinct runs behind the published reference rows, at their
+    # run_tol; a change to the inner solver must not move the outer iteration
+    runs = {(row.combinatorics, row.run_tol) for row in ROWS}
+    assert (text, tol) in runs and len(runs) == 8
+    result = pullback.run(comb.parse(text), pullback.RunOptions(tol=tol))
+    assert result.converged and result.iterations == steps
+
+
+def test_warm_started_run_converges_deep():
+    # accepting a rescaled start without a Newton correction roughly doubles
+    # this run (158 steps); with one it takes about 80
+    result = pullback.run(comb.parse("0,3,2,1,4"), pullback.RunOptions(tol="1e-60", max_iter=1000))
+    assert result.converged and result.iterations <= 90
