@@ -5,10 +5,12 @@ full iteration, emitting a structured result document), ``plot`` (CSV
 samples of a converged map for external plotting), and ``table`` (batch
 rerun of the published reference rows with per-row deviations).
 
-Exit codes: 0 success, 2 invalid combinatorics, 3 parse error,
-4 non-convergence or a run that failed with a ``PullbackError`` (reported
-on stderr as ``run failed: <message>``).  All numbers in structured output
-are decimal strings; no binary floats cross the tool boundary.
+Exit codes: 0 success, 2 invalid combinatorics or a usage error (such as
+``--digits`` below 15 or a ``--tol`` that is not a positive number),
+3 parse error, 4 non-convergence or a run that failed with a
+``PullbackError`` (reported on stderr as ``run failed: <message>``).
+All numbers in structured output are decimal strings; no binary floats
+cross the tool boundary.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import click
 from . import combinatorics as comb
 from . import pullback
 from ._table import ROWS
-from .mpnum import PrecisionContext
+from .mpnum import MIN_DIGITS, PrecisionContext
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -146,10 +148,24 @@ def main():
     """Critically finite real polynomial maps from combinatorics."""
 
 
+def _positive_tolerance(click_ctx, param, value):
+    """Reject a fit tolerance that is not a finite number above 0."""
+    ctx = PrecisionContext(MIN_DIGITS)
+    try:
+        tol = ctx.mpf(value)
+    except ValueError:
+        tol = None
+    if tol is None or not 0 < tol < ctx.mp.inf:
+        raise click.BadParameter(f"{value!r} is not a positive number")
+    return value
+
+
 _run_options = [
-    click.option("--tol", default="1e-10", show_default=True, help="Fit tolerance."),
+    click.option("--tol", default="1e-10", show_default=True, callback=_positive_tolerance,
+                 help="Fit tolerance."),
     click.option("--max-iter", default=100, show_default=True, help="Iteration cap."),
     click.option("--digits", default=40, show_default=True, envvar="THURSTON_DIGITS",
+                 type=click.IntRange(min=MIN_DIGITS),
                  help="Starting working precision (decimal digits)."),
     click.option("--max-digits", default=640, show_default=True,
                  help="Precision ceiling for automatic escalation."),

@@ -9,19 +9,26 @@ running several computations concurrently never touches shared state.
 Polynomials are dense coefficient vectors in the monomial basis, ascending
 powers.  Degrees in this problem domain stay small (around twelve), so the
 monomial basis with generous precision is preferable to fancier bases.
+Evaluation runs Horner's rule on mpmath's raw ``_mpf_`` tuples, with the
+same rounding as the mpf object arithmetic, so results are bit-identical.
 The one nontrivial numerical primitive is :func:`solve_monotone`: a bracketed
 bisection/Newton hybrid that inverts a polynomial on a single monotone lap,
 with outward bracket doubling for laps that extend to infinity.  Bracketing
 is mandatory here because targets may sit arbitrarily close to critical
 values, where the derivative underflows and bare Newton crawls or escapes.
+Newton may be warm-started from a point inside the lap, such as a marked
+point's position one pull-back earlier; a warm start takes at least one
+correction unless it solves the equation exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import mpf_add, mpf_mul
 
 GUARD_DIGITS = 3
 MIN_DIGITS = 15
@@ -53,7 +60,7 @@ class PrecisionContext:
         mp.dps = self.digits
         object.__setattr__(self, "mp", mp)
 
-    @property
+    @cached_property
     def tau(self):
         return self.mp.mpf(10) ** (GUARD_DIGITS - self.digits)
 
@@ -92,12 +99,43 @@ class Polynomial:
         return len(self.coefficients) - 1
 
     def __call__(self, x):
+        raw = self._raw_horner
+        if raw is not None and type(x) is raw[0]:
+            kind, acc, rest = raw
+            prec, rounding = kind.context._prec_rounding
+            xv = x._mpf_
+            for c in rest:
+                acc = mpf_add(mpf_mul(acc, xv, prec, rounding), c, prec, rounding)
+            out = object.__new__(kind)
+            out._mpf_ = acc
+            return out
         acc = self.coefficients[-1]
         for c in reversed(self.coefficients[:-1]):
             acc = acc * x + c
         return acc
 
+    @cached_property
+    def _raw_horner(self):
+        # Horner on the raw mpf tuples rounds exactly as ``acc * x + c`` does
+        # on mpf objects (mpmath rounds at the left operand's context, here
+        # always the leading coefficient's) without building an object per
+        # operation.  Only when every coefficient and x are mpfs of one
+        # context; anything else takes the object loop.
+        kind = type(self.coefficients[-1])
+        context = getattr(kind, "context", None)
+        if not isinstance(context, MPContext) or kind is not context.mpf:
+            return None
+        if any(type(c) is not kind for c in self.coefficients):
+            return None
+        lead, *rest = reversed(self.coefficients)
+        return kind, lead._mpf_, tuple(c._mpf_ for c in rest)
+
     def derivative(self) -> "Polynomial":
+        """The derivative, built once per polynomial."""
+        return self._derivative
+
+    @cached_property
+    def _derivative(self) -> "Polynomial":
         if self.degree == 0:
             return Polynomial((self.coefficients[0] * 0,))
         return Polynomial(tuple(c * (i + 1) for i, c in enumerate(self.coefficients[1:])))
@@ -172,7 +210,7 @@ def affine_substitute(p: Polynomial, offset, scale) -> Polynomial:
     return Polynomial(tuple(out))
 
 
-def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionContext):
+def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionContext, start=None):
     """Solve p(x) = target on a monotone lap [lo, hi].
 
     ``lo``/``hi`` may be None for laps extending to -inf/+inf; the bracket is
@@ -180,6 +218,13 @@ def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionCon
     is +1 for increasing laps, -1 for decreasing.  The lap may contain
     isolated points of vanishing derivative (higher-order tangencies); the
     result satisfies ``|p(x) - target| <= 10 * tau * max(1, |target|)``.
+
+    Newton starts from ``start`` when it lies strictly inside the bracket
+    (a warm start, such as the point's position one pull-back earlier) and
+    from the bracket's midpoint otherwise.  A warm start is returned
+    unchanged only if its residual is exactly 0; otherwise it takes at
+    least one correction even when it already meets the tolerance, so that
+    a point which moves less than the tolerance per step still moves.
     """
     target = ctx.mpf(target)
     one = ctx.mp.mpf(1)
@@ -197,7 +242,8 @@ def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionCon
         step = one
         lo = anchor - step
         for _ in range(BRACKET_DOUBLINGS):
-            if past_low(p(lo)):
+            plo = p(lo)
+            if past_low(plo):
                 break
             step *= 2
             lo = anchor - step
@@ -205,12 +251,14 @@ def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionCon
             raise RootBracketError("bracket expansion cap reached below the lap")
     else:
         lo = ctx.mpf(lo)
+        plo = p(lo)
     if hi is None:
         anchor = lo
         step = one
         hi = anchor + step
         for _ in range(BRACKET_DOUBLINGS):
-            if past_high(p(hi)):
+            phi = p(hi)
+            if past_high(phi):
                 break
             step *= 2
             hi = anchor + step
@@ -218,10 +266,11 @@ def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionCon
             raise RootBracketError("bracket expansion cap reached above the lap")
     else:
         hi = ctx.mpf(hi)
+        phi = p(hi)
 
     value_tol = 10 * ctx.tau * max(one, abs(target))
-    flo = p(lo) - target
-    fhi = p(hi) - target
+    flo = plo - target
+    fhi = phi - target
     if abs(flo) <= value_tol:
         return lo
     if abs(fhi) <= value_tol:
@@ -229,15 +278,21 @@ def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionCon
     if (flo > 0) == (fhi > 0):
         raise RootBracketError(
             f"target {ctx.format(target, 8)} outside lap range "
-            f"[{ctx.format(p(lo), 8)}, {ctx.format(p(hi), 8)}]"
+            f"[{ctx.format(plo, 8)}, {ctx.format(phi, 8)}]"
         )
 
     dp = p.derivative()
     x = (lo + hi) / 2
+    correct = False  # whether x must be corrected before it may be returned
+    if start is not None:
+        start = ctx.mpf(start)
+        if lo < start < hi:
+            x, correct = start, True
     for _ in range(300 + 4 * ctx.digits):
         fx = p(x) - target
-        if abs(fx) <= value_tol:
+        if fx == 0 or (abs(fx) <= value_tol and not correct):
             return x
+        correct = False
         if (fx > 0) == (fhi > 0):
             hi, fhi = x, fx
         else:

@@ -12,7 +12,8 @@ One step, given marked points x_0..x_n and the combinatorics m:
                 so the map fixes the unit-interval framing;
   3. pullback:  move every marked point to the unique preimage of its
                 image point inside its own lap (critical indices go to the
-                matching critical points directly);
+                matching critical points directly), starting Newton from
+                the point's previous position;
   4. fit:       root-mean-square mismatch eps = sqrt(sum (f(x_j) -
                 x_{m_j})**2) / n at the new points.
 
@@ -208,7 +209,8 @@ def pullback_step(
 
     Critical indices take the corresponding critical points of f; the
     endpoints are pinned at 0 and 1 by the framing; every other index k
-    solves f(x'_k) = prev[m_k] inside the lap that contains k.
+    solves f(x'_k) = prev[m_k] inside the lap that contains k, with Newton
+    warm-started from prev[k].
     """
     n = c.n
     f = normalized.polynomial
@@ -227,7 +229,7 @@ def pullback_step(
         lo = zero if lap.left is None else turning_at[lap.left]
         hi = one if lap.right is None else turning_at[lap.right]
         target = prev.points[c.m[j]]
-        new[j] = solve_monotone(f, target, lo, hi, lap.orientation, ctx)
+        new[j] = solve_monotone(f, target, lo, hi, lap.orientation, ctx, start=prev.points[j])
 
     for a, b in zip(new, new[1:]):
         if b < a:

@@ -91,6 +91,20 @@ def test_run_failure_exit_code(command):
     assert "run failed: step 24: merged combinatorics 0,1,0^2,0^2,0 is invalid" in result.output
 
 
+@pytest.mark.parametrize("command", ["run", "plot"])
+@pytest.mark.parametrize("args, env, option", [
+    (["--digits", "10"], None, "--digits"),
+    ([], {"THURSTON_DIGITS": "10"}, "--digits"),
+    (["--tol", "abc"], None, "--tol"),
+    (["--tol", "-1"], None, "--tol"),
+    (["--tol", "0"], None, "--tol"),
+])
+def test_run_options_out_of_range_are_usage_errors(command, args, env, option):
+    result = invoke(command, "0,3,2,1,4", *args, env=env)
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}'" in result.output
+
+
 def test_run_non_convergence_exit_code():
     result = invoke("run", "0,4,3,1,2,5", "--max-iter", "2")
     assert result.exit_code == 4

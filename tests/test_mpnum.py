@@ -61,6 +61,57 @@ def test_fraction_coercion():
 
 # ---------------------------------------------------------------- polynomials
 
+def horner_objects(coefficients, x):
+    """Horner's rule on mpf objects: the reference for Polynomial.__call__."""
+    acc = coefficients[-1]
+    for c in reversed(coefficients[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+@given(st.sampled_from([40, 80]),
+       st.lists(st.fractions(-1000, 1000, max_denominator=10**6), min_size=1, max_size=8),
+       st.fractions(-50, 50, max_denominator=10**6))
+@settings(max_examples=200, deadline=None)
+def test_evaluation_is_bit_identical_to_object_horner(digits, coeffs, x):
+    ctx = mpnum.PrecisionContext(digits)
+    p = mpnum.Polynomial(tuple(ctx.mpf(c) for c in coeffs))
+    assert p._raw_horner is not None  # the raw-tuple path runs
+    for point in (ctx.mpf(x), ctx.mp.mpf(1) / 3, -ctx.mp.mpf(0), ctx.mpf("1e-30")):
+        got, want = p(point), horner_objects(p.coefficients, point)
+        assert type(got) is type(want) and got._mpf_ == want._mpf_
+
+
+def test_evaluation_of_other_types_takes_the_object_loop():
+    ctx, finer = ctx40(), mpnum.PrecisionContext(80)
+    assert mpnum.Polynomial((1, 2, 3))(2) == 17
+    half = Fraction(1, 2)
+    got = mpnum.Polynomial((Fraction(1, 3), 0, half))(half)
+    assert got == Fraction(11, 24) and isinstance(got, Fraction)
+    p = mpnum.Polynomial((ctx.mp.mpf(1) / 3, ctx.mp.mpf(2) / 7, ctx.mp.mpf(-5) / 11))
+    for x in (finer.mp.mpf(1) / 9, 3, 0.25):
+        got, want = p(x), horner_objects(p.coefficients, x)
+        assert type(got) is type(want) is type(ctx.mp.mpf(0)) and got._mpf_ == want._mpf_
+    # mpf coefficients from two contexts: the object loop
+    mixed = mpnum.Polynomial((finer.mp.mpf(1) / 3, ctx.mp.mpf(1)))
+    assert mixed._raw_horner is None
+    assert mixed(ctx.mp.mpf(2)) == horner_objects(mixed.coefficients, ctx.mp.mpf(2))
+
+
+def test_caches_leave_equality_hash_and_repr_alone():
+    ctx = ctx40()
+    coeffs = (ctx.mp.mpf(1) / 3, ctx.mp.mpf(2), ctx.mp.mpf(-5))
+    p, fresh = mpnum.Polynomial(coeffs), mpnum.Polynomial(coeffs)
+    before = (repr(p), hash(p))
+    p(ctx.mp.mpf(2))
+    assert p.derivative() is p.derivative()
+    assert p == fresh and (repr(p), hash(p)) == before == (repr(fresh), hash(fresh))
+    other = mpnum.PrecisionContext(40)
+    before = (repr(ctx), hash(ctx))
+    assert ctx.tau is ctx.tau
+    assert ctx == other and (repr(ctx), hash(ctx)) == before == (repr(other), hash(other))
+
+
 def test_from_roots_simple():
     ctx = ctx40()
     p = mpnum.poly_from_roots((0, 1), (1, 1), 1, ctx)
@@ -195,16 +246,69 @@ def test_solve_reports_unbracketable_target():
         mpnum.solve_monotone(p, ctx.mp.mpf(2), 0, 1, 1, ctx)
 
 
-@given(st.integers(-40, 0), st.integers(1, 40), st.fractions(0, 1))
-@settings(max_examples=60, deadline=None)
-def test_solve_residual_contract(a10, b10, t):
+@given(st.integers(-40, 0), st.integers(1, 40), st.fractions(0, 1),
+       st.one_of(st.none(), st.fractions(0, 1)))
+@settings(max_examples=100, deadline=None)
+def test_solve_residual_contract(a10, b10, t, s):
     # p increasing before a and after b, decreasing in between; solve on the
-    # decreasing lap for a target interpolated between the lap's values.
+    # decreasing lap for a target interpolated between the lap's values,
+    # cold or from a start anywhere in the lap, its ends included.
     ctx = ctx40()
     a, b = ctx.mpf(Fraction(a10, 10)), ctx.mpf(Fraction(b10, 10))
     dp = mpnum.poly_from_roots((Fraction(a10, 10), Fraction(b10, 10)), (1, 1), 1, ctx)
     p = mpnum.antiderivative(dp, ctx.mp.mpf(0), ctx.mp.mpf(0))
     target = p(b) + ctx.mpf(t) * (p(a) - p(b))
-    root = mpnum.solve_monotone(p, target, a, b, -1, ctx)
+    start = None if s is None else a + ctx.mpf(s) * (b - a)
+    root = mpnum.solve_monotone(p, target, a, b, -1, ctx, start=start)
     assert a <= root <= b
     assert abs(p(root) - target) <= 10 * ctx.tau * max(1, abs(target))
+
+
+def square(ctx):
+    return mpnum.Polynomial((ctx.mp.mpf(0), ctx.mp.mpf(0), ctx.mp.mpf(1)))
+
+
+def count_evaluations(monkeypatch):
+    """Points at which any Polynomial is evaluated from now on."""
+    points = []
+    call = mpnum.Polynomial.__call__
+
+    def counted(poly, x):
+        points.append(x)
+        return call(poly, x)
+
+    monkeypatch.setattr(mpnum.Polynomial, "__call__", counted)
+    return points
+
+
+@pytest.mark.parametrize("start", [None, 0, 2, -1, 3, 7])
+def test_solve_start_outside_lap_is_cold(start):
+    # x^2 = 1/3 on [0, 2]: a start that is not strictly inside the lap is
+    # ignored, and the result is bit-identical to the cold solve
+    ctx = ctx40()
+    target = ctx.mp.mpf(1) / 3
+    cold = mpnum.solve_monotone(square(ctx), target, 0, 2, 1, ctx)
+    got = mpnum.solve_monotone(square(ctx), target, 0, 2, 1, ctx, start=start)
+    assert got._mpf_ == cold._mpf_
+
+
+def test_solve_warm_start_takes_a_correction(monkeypatch):
+    # 1/2 + 1e-39 already meets the residual tolerance for x^2 = 1/4, but a
+    # warm start must still be corrected: one Newton step lands on 1/2
+    ctx = ctx40()
+    start = ctx.mpf(Fraction(1, 2)) + ctx.mpf("1e-39")
+    p = square(ctx)
+    assert abs(p(start) - ctx.mpf(Fraction(1, 4))) <= 10 * ctx.tau
+    points = count_evaluations(monkeypatch)
+    root = mpnum.solve_monotone(p, ctx.mpf(Fraction(1, 4)), 0, 2, 1, ctx, start=start)
+    assert root == ctx.mpf(Fraction(1, 2)) and root != start
+    assert len(points) > 3  # both lap ends, the start, then the correction
+
+
+def test_solve_exact_warm_start_is_returned(monkeypatch):
+    ctx = ctx40()
+    points = count_evaluations(monkeypatch)
+    start = ctx.mpf(Fraction(1, 2))
+    root = mpnum.solve_monotone(square(ctx), ctx.mpf(Fraction(1, 4)), 0, 2, 1, ctx, start=start)
+    assert root == start
+    assert points[2:] == [start]  # after the lap ends, only the start
