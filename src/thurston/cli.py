@@ -6,7 +6,8 @@ samples of a converged map for external plotting), and ``table`` (batch
 rerun of the published reference rows with per-row deviations).
 
 Exit codes: 0 success, 2 invalid combinatorics or a usage error (such as
-``--digits`` below 15 or a ``--tol`` that is not a positive number),
+``--digits`` below 15, a ``--tol`` that is not a positive number,
+``--max-iter`` below 1, or ``--max-digits`` below the starting digits),
 3 parse error, 4 non-convergence or a run that failed with a
 ``PullbackError`` (reported on stderr as ``run failed: <message>``).
 All numbers in structured output are decimal strings; no binary floats
@@ -160,14 +161,25 @@ def _positive_tolerance(click_ctx, param, value):
     return value
 
 
+def _ceiling_not_below_start(click_ctx, param, value):
+    """Reject a precision ceiling below the starting precision."""
+    digits = click_ctx.params["digits"]
+    if value < digits:
+        raise click.BadParameter(f"{value} is below the starting precision of {digits} digits")
+    return value
+
+
 _run_options = [
     click.option("--tol", default="1e-10", show_default=True, callback=_positive_tolerance,
                  help="Fit tolerance."),
-    click.option("--max-iter", default=100, show_default=True, help="Iteration cap."),
+    click.option("--max-iter", default=100, show_default=True, type=click.IntRange(min=1),
+                 help="Iteration cap."),
+    # Eager, so that --max-digits can be checked against it.
     click.option("--digits", default=40, show_default=True, envvar="THURSTON_DIGITS",
-                 type=click.IntRange(min=MIN_DIGITS),
+                 type=click.IntRange(min=MIN_DIGITS), is_eager=True,
                  help="Starting working precision (decimal digits)."),
     click.option("--max-digits", default=640, show_default=True,
+                 callback=_ceiling_not_below_start,
                  help="Precision ceiling for automatic escalation."),
 ]
 

@@ -30,14 +30,32 @@ requested ones and polishes the endpoint with the same damped Newton; that
 route only needs the Jacobian to stay invertible, which it does on the
 whole positive orthant.  The Newton systems are only (r-1) x (r-1), so they
 are solved by Gaussian elimination on plain lists.
+
+Phi, its Jacobian and the elimination run on mpmath's raw ``_mpf_`` tuples:
+the centered points, the monic product (expanded once per
+:class:`PhiProblem` and shared by Phi and the Jacobian at the same gaps),
+the synthetic divisions, integrals and Horner evaluations, and every
+pivot and elimination step.  They do the object arithmetic's operations in
+the same order at the same precision and rounding, so every value is
+bit-identical to it, and only the results are boxed back into mpfs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
-from .mpnum import Polynomial, PrecisionContext, antiderivative, divide_linear, expand_roots
+from mpmath.ctx_mp import MPContext
+from mpmath.libmp import (
+    fone, fzero, from_int, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_mul, mpf_mul_int,
+    mpf_neg, mpf_sub
+)
+
+from .mpnum import (
+    Polynomial, PrecisionContext, antiderivative, expand_roots, raw_divide_linear,
+    raw_expand_roots, raw_horner, raw_integral, unboxed
+)
 
 NEWTON_TOL_SHIFT = 6  # residual target is 10**(-digits + shift)
 NEWTON_MAX_ITERATIONS = 200
@@ -85,19 +103,38 @@ class PhiProblem:
     def total_degree(self) -> int:
         return 1 + sum(self.multiplicities)
 
+    @cached_property
+    def _centered(self):
+        """The first gap's mpf context, its precision and rounding, and the
+        centered points as raw tuples; other gaps are coerced into it."""
+        kind = type(self.gaps[0])
+        context = getattr(kind, "context", None)
+        if not isinstance(context, MPContext) or kind is not context.mpf:
+            raise TypeError("gaps must be mpf values")
+        prec, rounding = context._prec_rounding
+        gaps = unboxed(kind, self.gaps)
+        mults = self.multiplicities
+        first = fzero
+        for i, gap in enumerate(gaps):
+            weight = mpf_mul_int(gap, sum(mults[i + 1:]), prec, rounding)
+            first = mpf_sub(first, weight, prec, rounding)
+        points = [mpf_div(first, from_int(sum(mults)), prec, rounding)]
+        for gap in gaps:
+            points.append(mpf_add(points[-1], gap, prec, rounding))
+        return context, prec, rounding, points
+
+    @cached_property
+    def _monic(self) -> list:
+        """Raw ascending coefficients of g, the monic product over the points;
+        Phi and its Jacobian at the same gaps share it."""
+        _, prec, rounding, points = self._centered
+        return raw_expand_roots(fone, points, self.multiplicities, prec, rounding)
+
 
 def centered_points(problem: PhiProblem) -> tuple:
     """Critical points with the prescribed gaps and sum k_i c_i = 0."""
-    mults = problem.multiplicities
-    K = sum(mults)
-    first = problem.gaps[0] * 0
-    for i, gap in enumerate(problem.gaps):
-        first -= gap * sum(mults[i + 1:])
-    first /= K
-    points = [first]
-    for gap in problem.gaps:
-        points.append(points[-1] + gap)
-    return tuple(points)
+    context, _, _, points = problem._centered
+    return tuple(map(context.make_mpf, points))
 
 
 def _interval_sign(mults, i) -> int:
@@ -106,14 +143,20 @@ def _interval_sign(mults, i) -> int:
     return 1 if sum(mults[i + 1:]) % 2 == 0 else -1
 
 
+def _integrals(q, points, prec, rounding) -> list:
+    """Values at ``points`` of the antiderivative of ``q`` vanishing at 0."""
+    descending = raw_integral(q, prec, rounding)[::-1]
+    return [raw_horner(descending, p, prec, rounding) for p in points]
+
+
 def phi(problem: PhiProblem) -> tuple:
     """Value gaps s_i = |integral over [c_i, c_{i+1}] of the monic product|."""
-    points = centered_points(problem)
-    zero = points[0] * 0
-    g = expand_roots(zero + 1, points, problem.multiplicities)
-    G = antiderivative(g, zero, zero)
-    values = [G(p) for p in points]
-    return tuple(abs(values[i + 1] - values[i]) for i in range(problem.r - 1))
+    context, prec, rounding, points = problem._centered
+    values = _integrals(problem._monic, points, prec, rounding)
+    return tuple(
+        context.make_mpf(mpf_abs(mpf_sub(b, a, prec, rounding), prec, rounding))
+        for a, b in zip(values, values[1:])
+    )
 
 
 def phi_jacobian(problem: PhiProblem) -> tuple:
@@ -126,32 +169,34 @@ def phi_jacobian(problem: PhiProblem) -> tuple:
     mults = problem.multiplicities
     r = problem.r
     K = sum(mults)
-    points = centered_points(problem)
-    zero = points[0] * 0
-    g = expand_roots(zero + 1, points, mults)
+    context, prec, rounding, points = problem._centered
+    g = problem._monic
 
     # d(signed integral over interval i) / d(point m)
     dS = [[None] * r for _ in range(r - 1)]
     for mi in range(r):
-        q = divide_linear(g, points[mi])
-        Q = antiderivative(q, zero, zero)
-        ends = [Q(p) for p in points]
+        q = raw_divide_linear(g, points[mi], prec, rounding)
+        ends = _integrals(q, points, prec, rounding)
         for i in range(r - 1):
-            dS[i][mi] = -mults[mi] * (ends[i + 1] - ends[i])
+            diff = mpf_sub(ends[i + 1], ends[i], prec, rounding)
+            dS[i][mi] = mpf_mul_int(diff, -mults[mi], prec, rounding)
 
     # d(point m) / d(gap j): gaps move every point right of them, and the
     # centering constraint shifts the whole configuration back.
+    dc = []
+    for j in range(r - 1):
+        shift = mpf_div(from_int(sum(mults[j + 1:])), from_int(K), prec, rounding)
+        right, left = mpf_sub(fone, shift, prec, rounding), mpf_neg(shift, prec, rounding)
+        dc.append([right if mi > j else left for mi in range(r)])
     rows = []
     for i in range(r - 1):
         sign = _interval_sign(mults, i)
         row = []
         for j in range(r - 1):
-            shift = (zero + sum(mults[j + 1:])) / K
-            acc = zero
+            acc = fzero
             for mi in range(r):
-                dc = (1 - shift) if mi > j else -shift
-                acc = acc + dS[i][mi] * dc
-            row.append(sign * acc)
+                acc = mpf_add(acc, mpf_mul(dS[i][mi], dc[j][mi], prec, rounding), prec, rounding)
+            row.append(context.make_mpf(mpf_mul_int(acc, sign, prec, rounding)))
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -196,8 +241,8 @@ def _checked_targets(s, multiplicities, ctx):
     return s, tuple(int(k) for k in multiplicities)
 
 
-def _residual(gaps, mults, s):
-    values = phi(PhiProblem(gaps, mults))
+def _residual(problem, s):
+    values = phi(problem)
     res = [v - t for v, t in zip(values, s)]
     return res, max(abs(x) for x in res)
 
@@ -208,29 +253,44 @@ def solve_linear(rows, rhs, ctx: PrecisionContext) -> list:
     A pivot no larger than ``||rows||_1 * eps`` (mpmath's own test for a
     numerically singular matrix) raises :class:`SingularJacobian`.
     """
+    mp = ctx.mp
+    prec, rounding = mp._prec_rounding
     n = len(rhs)
-    a = [list(row) + [b] for row, b in zip(rows, rhs)]
-    tol = max(sum(abs(a[i][j]) for i in range(n)) for j in range(n)) * ctx.mp.eps
+    a = [unboxed(mp.mpf, list(row) + [b]) for row, b in zip(rows, rhs)]
+    norm = None
     for j in range(n):
-        p = max(range(j, n), key=lambda i: abs(a[i][j]))
-        if abs(a[p][j]) <= tol:
+        column = mpf_abs(a[0][j], prec, rounding)
+        for i in range(1, n):
+            column = mpf_add(column, mpf_abs(a[i][j], prec, rounding), prec, rounding)
+        if norm is None or mpf_gt(column, norm):
+            norm = column
+    tol = mpf_mul(norm, mp.eps._mpf_, prec, rounding)
+    for j in range(n):
+        p, pivot = j, mpf_abs(a[j][j], prec, rounding)
+        for i in range(j + 1, n):
+            size = mpf_abs(a[i][j], prec, rounding)
+            if mpf_gt(size, pivot):
+                p, pivot = i, size
+        if mpf_le(pivot, tol):
             raise SingularJacobian("matrix is numerically singular")
         a[j], a[p] = a[p], a[j]
+        top = a[j]
         for i in range(j + 1, n):
-            factor = a[i][j] / a[j][j]
+            row = a[i]
+            factor = mpf_div(row[j], top[j], prec, rounding)
             for k in range(j + 1, n + 1):
-                a[i][k] -= factor * a[j][k]
+                row[k] = mpf_sub(row[k], mpf_mul(factor, top[k], prec, rounding), prec, rounding)
     x = [None] * n
     for i in reversed(range(n)):
         acc = a[i][n]
         for k in range(i + 1, n):
-            acc -= a[i][k] * x[k]
-        x[i] = acc / a[i][i]
-    return x
+            acc = mpf_sub(acc, mpf_mul(a[i][k], x[k], prec, rounding), prec, rounding)
+        x[i] = mpf_div(acc, a[i][i], prec, rounding)
+    return [mp.make_mpf(v) for v in x]
 
 
-def _jacobian_solve(gaps, mults, rhs, ctx):
-    return solve_linear(phi_jacobian(PhiProblem(gaps, mults)), rhs, ctx)
+def _jacobian_solve(problem, rhs, ctx):
+    return solve_linear(phi_jacobian(problem), rhs, ctx)
 
 
 def invert_phi(
@@ -248,23 +308,28 @@ def invert_phi(
     at the rounding floor it may not.
     """
     s, mults = _checked_targets(s, multiplicities, ctx)
-    gaps = tuple(initial) if initial is not None else chebyshev_init(len(mults), mults, ctx)
+    if initial is None:
+        gaps = chebyshev_init(len(mults), mults, ctx)
+    else:
+        gaps = tuple(ctx.mpf(g) for g in initial)
     tol = _newton_tolerance(ctx)
-    res, norm = _residual(gaps, mults, s)
+    problem = PhiProblem(gaps, mults)
+    res, norm = _residual(problem, s)
     trace = [norm]
     for iteration in range(NEWTON_MAX_ITERATIONS):
         if norm <= tol and iteration >= min_iterations:
             return InversionResult(tuple(gaps), iteration, tuple(trace), s)
-        step = _jacobian_solve(gaps, mults, res, ctx)
+        step = _jacobian_solve(problem, res, ctx)
         damping = ctx.mp.mpf(1)
         for _ in range(NEWTON_MAX_HALVINGS):
             candidate = tuple(g - damping * d for g, d in zip(gaps, step))
             if any(not g > 0 for g in candidate):
                 damping /= 2
                 continue
-            cres, cnorm = _residual(candidate, mults, s)
+            trial = PhiProblem(candidate, mults)
+            cres, cnorm = _residual(trial, s)
             if cnorm < norm or cnorm <= tol:
-                gaps, res, norm = candidate, cres, cnorm
+                gaps, problem, res, norm = candidate, trial, cres, cnorm
                 trace.append(norm)
                 break
             damping /= 2
@@ -293,7 +358,7 @@ def continuation_invert(s, multiplicities, ctx: PrecisionContext) -> InversionRe
     def field(x):
         if any(not g > 0 for g in x):
             raise _LeftOrthant
-        return _jacobian_solve(tuple(x), mults, rhs, ctx)
+        return _jacobian_solve(PhiProblem(tuple(x), mults), rhs, ctx)
 
     steps = CONTINUATION_STEPS
     for _ in range(CONTINUATION_MAX_REFINEMENTS + 1):

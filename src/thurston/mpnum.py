@@ -9,8 +9,17 @@ running several computations concurrently never touches shared state.
 Polynomials are dense coefficient vectors in the monomial basis, ascending
 powers.  Degrees in this problem domain stay small (around twelve), so the
 monomial basis with generous precision is preferable to fancier bases.
-Evaluation runs Horner's rule on mpmath's raw ``_mpf_`` tuples, with the
-same rounding as the mpf object arithmetic, so results are bit-identical.
+The inner loops run on mpmath's raw ``_mpf_`` tuples through
+``mpmath.libmp`` rather than on mpf objects: Horner's rule (:func:`raw_horner`,
+behind ``Polynomial.__call__``), root-product expansion, synthetic division
+and monomial integration (the ``raw_*`` kernels, which the gap map in
+:mod:`thurston.critvals` builds on), and the bracket growth, tolerance
+tests and Newton/bisection loop of :func:`solve_monotone`.  Each kernel does
+the operations of the object code in the same order with the same
+precision and rounding mode (mpmath rounds ``a op b`` at the left
+operand's context, and ``int * mpf`` is ``mpf_mul_int``), so every result
+is bit-identical to the object arithmetic; values are boxed back into mpfs
+only where they leave a function.
 The one nontrivial numerical primitive is :func:`solve_monotone`: a bracketed
 bisection/Newton hybrid that inverts a polynomial on a single monotone lap,
 with outward bracket doubling for laps that extend to infinity.  Bracketing
@@ -28,7 +37,10 @@ from fractions import Fraction
 from functools import cached_property
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import mpf_add, mpf_mul
+from mpmath.libmp import (
+    fone, fzero, from_int, mpf_abs, mpf_add, mpf_div, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_mul,
+    mpf_mul_int, mpf_neg, mpf_sub
+)
 
 GUARD_DIGITS = 3
 MIN_DIGITS = 15
@@ -101,13 +113,9 @@ class Polynomial:
     def __call__(self, x):
         raw = self._raw_horner
         if raw is not None and type(x) is raw[0]:
-            kind, acc, rest = raw
-            prec, rounding = kind.context._prec_rounding
-            xv = x._mpf_
-            for c in rest:
-                acc = mpf_add(mpf_mul(acc, xv, prec, rounding), c, prec, rounding)
+            kind, descending = raw
             out = object.__new__(kind)
-            out._mpf_ = acc
+            out._mpf_ = raw_horner(descending, x._mpf_, *kind.context._prec_rounding)
             return out
         acc = self.coefficients[-1]
         for c in reversed(self.coefficients[:-1]):
@@ -127,8 +135,7 @@ class Polynomial:
             return None
         if any(type(c) is not kind for c in self.coefficients):
             return None
-        lead, *rest = reversed(self.coefficients)
-        return kind, lead._mpf_, tuple(c._mpf_ for c in rest)
+        return kind, tuple(c._mpf_ for c in reversed(self.coefficients))
 
     def derivative(self) -> "Polynomial":
         """The derivative, built once per polynomial."""
@@ -141,16 +148,66 @@ class Polynomial:
         return Polynomial(tuple(c * (i + 1) for i, c in enumerate(self.coefficients[1:])))
 
 
-def expand_roots(lead, roots, multiplicities) -> Polynomial:
-    """Expand ``lead * prod (x - roots[i])**multiplicities[i]``, unchecked."""
+def raw_horner(descending, x, prec, rounding):
+    """Horner's rule on raw tuples, leading coefficient first.
+
+    Rounds each ``acc * x + c`` as mpf objects of precision ``prec`` do.
+    """
+    terms = iter(descending)
+    acc = next(terms)
+    for c in terms:
+        acc = mpf_add(mpf_mul(acc, x, prec, rounding), c, prec, rounding)
+    return acc
+
+
+def raw_expand_roots(lead, roots, multiplicities, prec, rounding) -> list:
+    """Ascending raw coefficients of ``lead * prod (x - roots[i])**multiplicities[i]``."""
     coeffs = [lead]
     for root, k in zip(roots, multiplicities):
+        negated = mpf_neg(root, prec, rounding)
         for _ in range(k):
-            shifted = [c * (-root) for c in coeffs] + [coeffs[0] * 0]
+            shifted = [mpf_mul(c, negated, prec, rounding) for c in coeffs] + [fzero]
             for i, c in enumerate(coeffs):
-                shifted[i + 1] += c
+                shifted[i + 1] = mpf_add(shifted[i + 1], c, prec, rounding)
             coeffs = shifted
-    return Polynomial(tuple(coeffs))
+    return coeffs
+
+
+def raw_divide_linear(coefficients, root, prec, rounding) -> list:
+    """Synthetic division of ascending raw coefficients by (x - root).
+
+    ``root`` must actually be a root; the remainder is dropped.
+    """
+    out = [None] * (len(coefficients) - 1)
+    acc = coefficients[-1]
+    for i in range(len(coefficients) - 2, -1, -1):
+        out[i] = acc
+        acc = mpf_add(coefficients[i], mpf_mul(acc, root, prec, rounding), prec, rounding)
+    return out
+
+
+def raw_integral(coefficients, prec, rounding) -> list:
+    """Ascending raw coefficients of the antiderivative vanishing at 0."""
+    return [fzero] + [
+        mpf_div(c, from_int(i + 1), prec, rounding) for i, c in enumerate(coefficients)
+    ]
+
+
+def unboxed(kind, values) -> list:
+    """Raw tuples of ``values``, coercing any that are not of type ``kind``."""
+    return [v._mpf_ if type(v) is kind else kind(v)._mpf_ for v in values]
+
+
+def expand_roots(lead, roots, multiplicities) -> Polynomial:
+    """Expand ``lead * prod (x - roots[i])**multiplicities[i]``, unchecked.
+
+    ``lead`` is an mpf; the roots are coerced into its context.
+    """
+    context = lead.context
+    raw = raw_expand_roots(
+        lead._mpf_, unboxed(type(lead), roots), multiplicities, *context._prec_rounding
+    )
+    return Polynomial(tuple(map(context.make_mpf, raw)))
 
 
 def poly_from_roots(roots, multiplicities, sign, ctx: PrecisionContext) -> Polynomial:
@@ -170,9 +227,14 @@ def poly_from_roots(roots, multiplicities, sign, ctx: PrecisionContext) -> Polyn
 
 
 def antiderivative(p: Polynomial, base_point, base_value) -> Polynomial:
-    """The antiderivative P of p with P(base_point) = base_value."""
-    zero = p.coefficients[0] * 0
-    coeffs = [zero] + [c / (i + 1) for i, c in enumerate(p.coefficients)]
+    """The antiderivative P of p with P(base_point) = base_value.
+
+    p has mpf coefficients; they are coerced into its constant term's context.
+    """
+    kind = type(p.coefficients[0])
+    context = kind.context
+    integral = raw_integral(unboxed(kind, p.coefficients), *context._prec_rounding)
+    coeffs = [context.make_mpf(c) for c in integral]
     raw = Polynomial(tuple(coeffs))
     constant = base_value - raw(base_point)
     return Polynomial((coeffs[0] + constant,) + tuple(coeffs[1:]))
@@ -183,17 +245,6 @@ def definite_integral(p: Polynomial, a, b):
     zero = p.coefficients[0] * 0
     P = antiderivative(p, zero, zero)
     return P(b) - P(a)
-
-
-def divide_linear(p: Polynomial, root) -> Polynomial:
-    """Synthetic division by (x - root); root must actually be a root."""
-    coeffs = p.coefficients
-    out = [None] * (len(coeffs) - 1)
-    acc = coeffs[-1]
-    for i in range(len(coeffs) - 2, -1, -1):
-        out[i] = acc
-        acc = coeffs[i] + acc * root
-    return Polynomial(tuple(out))
 
 
 def affine_substitute(p: Polynomial, offset, scale) -> Polynomial:
@@ -226,84 +277,94 @@ def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionCon
     least one correction even when it already meets the tolerance, so that
     a point which moves less than the tolerance per step still moves.
     """
-    target = ctx.mpf(target)
-    one = ctx.mp.mpf(1)
     if lo is None and hi is None:
         raise ValueError("at least one lap end must be finite")
+    mp = ctx.mp
+    prec, rounding = mp._prec_rounding
+    box = mp.make_mpf
 
-    def past_low(v):
-        return v <= target if orientation > 0 else v >= target
+    def value(q, x):
+        # p and p' are evaluated through Polynomial.__call__ on a boxed x.
+        return q(box(x))._mpf_
 
-    def past_high(v):
-        return v >= target if orientation > 0 else v <= target
+    target = ctx.mpf(target)._mpf_
+    past_low, past_high = (mpf_le, mpf_ge) if orientation > 0 else (mpf_ge, mpf_le)
 
     if lo is None:
-        anchor = ctx.mpf(hi)
-        step = one
-        lo = anchor - step
+        anchor = ctx.mpf(hi)._mpf_
+        step = fone
+        lo = mpf_sub(anchor, step, prec, rounding)
         for _ in range(BRACKET_DOUBLINGS):
-            plo = p(lo)
-            if past_low(plo):
+            plo = value(p, lo)
+            if past_low(plo, target):
                 break
-            step *= 2
-            lo = anchor - step
+            step = mpf_mul_int(step, 2, prec, rounding)
+            lo = mpf_sub(anchor, step, prec, rounding)
         else:
             raise RootBracketError("bracket expansion cap reached below the lap")
     else:
-        lo = ctx.mpf(lo)
-        plo = p(lo)
+        lo = ctx.mpf(lo)._mpf_
+        plo = value(p, lo)
     if hi is None:
         anchor = lo
-        step = one
-        hi = anchor + step
+        step = fone
+        hi = mpf_add(anchor, step, prec, rounding)
         for _ in range(BRACKET_DOUBLINGS):
-            phi = p(hi)
-            if past_high(phi):
+            phi = value(p, hi)
+            if past_high(phi, target):
                 break
-            step *= 2
-            hi = anchor + step
+            step = mpf_mul_int(step, 2, prec, rounding)
+            hi = mpf_add(anchor, step, prec, rounding)
         else:
             raise RootBracketError("bracket expansion cap reached above the lap")
     else:
-        hi = ctx.mpf(hi)
-        phi = p(hi)
+        hi = ctx.mpf(hi)._mpf_
+        phi = value(p, hi)
 
-    value_tol = 10 * ctx.tau * max(one, abs(target))
-    flo = plo - target
-    fhi = phi - target
-    if abs(flo) <= value_tol:
-        return lo
-    if abs(fhi) <= value_tol:
-        return hi
-    if (flo > 0) == (fhi > 0):
+    size = mpf_abs(target, prec, rounding)
+    value_tol = mpf_mul(
+        mpf_mul_int(ctx.tau._mpf_, 10, prec, rounding),
+        size if mpf_gt(size, fone) else fone,
+        prec,
+        rounding,
+    )
+    flo = mpf_sub(plo, target, prec, rounding)
+    fhi = mpf_sub(phi, target, prec, rounding)
+    if mpf_le(mpf_abs(flo, prec, rounding), value_tol):
+        return box(lo)
+    if mpf_le(mpf_abs(fhi, prec, rounding), value_tol):
+        return box(hi)
+    high_positive = mpf_gt(fhi, fzero)
+    if mpf_gt(flo, fzero) == high_positive:
         raise RootBracketError(
-            f"target {ctx.format(target, 8)} outside lap range "
-            f"[{ctx.format(plo, 8)}, {ctx.format(phi, 8)}]"
+            f"target {ctx.format(box(target), 8)} outside lap range "
+            f"[{ctx.format(box(plo), 8)}, {ctx.format(box(phi), 8)}]"
         )
 
     dp = p.derivative()
-    x = (lo + hi) / 2
+    two = from_int(2)
+    x = mpf_div(mpf_add(lo, hi, prec, rounding), two, prec, rounding)
     correct = False  # whether x must be corrected before it may be returned
     if start is not None:
-        start = ctx.mpf(start)
-        if lo < start < hi:
+        start = ctx.mpf(start)._mpf_
+        if mpf_lt(lo, start) and mpf_lt(start, hi):
             x, correct = start, True
     for _ in range(300 + 4 * ctx.digits):
-        fx = p(x) - target
-        if fx == 0 or (abs(fx) <= value_tol and not correct):
-            return x
+        fx = mpf_sub(value(p, x), target, prec, rounding)
+        if fx == fzero or (mpf_le(mpf_abs(fx, prec, rounding), value_tol) and not correct):
+            return box(x)
         correct = False
-        if (fx > 0) == (fhi > 0):
-            hi, fhi = x, fx
+        if mpf_gt(fx, fzero) == high_positive:
+            hi = x
         else:
-            lo, flo = x, fx
-        slope = dp(x)
+            lo = x
+        slope = value(dp, x)
         stepped = False
-        if slope != 0:
-            candidate = x - fx / slope
-            if lo < candidate < hi:
+        if slope != fzero:
+            candidate = mpf_sub(x, mpf_div(fx, slope, prec, rounding), prec, rounding)
+            if mpf_lt(lo, candidate) and mpf_lt(candidate, hi):
                 x = candidate
                 stepped = True
         if not stepped:
-            x = (lo + hi) / 2
+            x = mpf_div(mpf_add(lo, hi, prec, rounding), two, prec, rounding)
     raise RootBracketError("root refinement failed to meet tolerance")

@@ -105,6 +105,27 @@ def test_run_options_out_of_range_are_usage_errors(command, args, env, option):
     assert f"Invalid value for '{option}'" in result.output
 
 
+@pytest.mark.parametrize("command", ["run", "plot"])
+@pytest.mark.parametrize("args, env, option", [
+    (["--max-iter", "0"], None, "--max-iter"),
+    (["--max-iter", "-3"], None, "--max-iter"),
+    (["--max-digits", "5"], None, "--max-digits"),
+    (["--max-digits", "25", "--digits", "30"], None, "--max-digits"),
+    (["--digits", "30", "--max-digits", "25"], None, "--max-digits"),
+    (["--max-digits", "30"], {"THURSTON_DIGITS": "35"}, "--max-digits"),
+])
+def test_run_iteration_and_precision_caps_are_range_checked(command, args, env, option):
+    result = invoke(command, "0,3,2,1,4", *args, env=env)
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}'" in result.output
+
+
+@pytest.mark.parametrize("command", ["run", "plot"])
+def test_run_precision_ceiling_may_equal_the_start(command):
+    result = invoke(command, "0,1,0", "--digits", "30", "--max-digits", "30", "--max-iter", "1")
+    assert result.exit_code == 0
+
+
 def test_run_non_convergence_exit_code():
     result = invoke("run", "0,4,3,1,2,5", "--max-iter", "2")
     assert result.exit_code == 4
