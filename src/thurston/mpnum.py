@@ -11,19 +11,24 @@ powers.  Degrees in this problem domain stay small (around twelve), so the
 monomial basis with generous precision is preferable to fancier bases.
 The inner loops run on mpmath's raw ``_mpf_`` tuples through
 ``mpmath.libmp`` rather than on mpf objects: Horner's rule (:func:`raw_horner`,
-behind ``Polynomial.__call__``), root-product expansion, synthetic division
-and monomial integration (the ``raw_*`` kernels, which the gap map in
-:mod:`thurston.critvals` builds on), and the bracket growth, tolerance
-tests and Newton/bisection loop of :func:`solve_monotone`.  Each kernel does
+behind ``Polynomial.__call__``), root-product expansion, synthetic division,
+monomial integration and affine substitution (the ``raw_*`` kernels, which
+the gap map in :mod:`thurston.critvals` builds on, and
+:func:`affine_substitute`), and the bracket growth, tolerance tests and
+Newton/bisection loop of :func:`solve_monotone`.  Each kernel does
 the operations of the object code in the same order with the same
 precision and rounding mode (mpmath rounds ``a op b`` at the left
 operand's context, and ``int * mpf`` is ``mpf_mul_int``), so every result
 is bit-identical to the object arithmetic; values are boxed back into mpfs
 only where they leave a function.
-The one nontrivial numerical primitive is :func:`solve_monotone`: a bracketed
-bisection/Newton hybrid that inverts a polynomial on a single monotone lap,
-with outward bracket doubling for laps that extend to infinity.  Bracketing
-is mandatory here because targets may sit arbitrarily close to critical
+
+Two solvers invert a polynomial on a single monotone lap, both to the
+residual ``10 * tau * max(1, |target|)``.  A map with one critical point c
+is exactly ``p(c) + a (x - c)**d``, and :func:`solve_power` inverts it in
+closed form with one n-th root.  Maps with two or more critical points go
+through :func:`solve_monotone`: a bracketed bisection/Newton hybrid with
+outward bracket doubling for laps that extend to infinity.  Bracketing
+is mandatory there because targets may sit arbitrarily close to critical
 values, where the derivative underflows and bare Newton crawls or escapes.
 Newton may be warm-started from a point inside the lap, such as a marked
 point's position one pull-back earlier; a warm start takes at least one
@@ -39,7 +44,7 @@ from functools import cached_property
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
     fone, fzero, from_int, mpf_abs, mpf_add, mpf_div, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_mul,
-    mpf_mul_int, mpf_neg, mpf_sub
+    mpf_mul_int, mpf_neg, mpf_nthroot, mpf_sqrt, mpf_sub
 )
 
 GUARD_DIGITS = 3
@@ -248,17 +253,37 @@ def definite_integral(p: Polynomial, a, b):
 
 
 def affine_substitute(p: Polynomial, offset, scale) -> Polynomial:
-    """The polynomial x |-> p(offset + scale * x), expanded."""
-    zero = p.coefficients[0] * 0
-    out = [p.coefficients[-1]]
-    for c in reversed(p.coefficients[:-1]):
-        nxt = [zero] * (len(out) + 1)
+    """The polynomial x |-> p(offset + scale * x), expanded.
+
+    p has mpf coefficients; they, ``offset`` and ``scale`` are coerced into
+    its constant term's context.
+    """
+    kind = type(p.coefficients[0])
+    context = kind.context
+    prec, rounding = context._prec_rounding
+    offset, scale = unboxed(kind, (offset, scale))
+    coeffs = unboxed(kind, p.coefficients)
+    out = [coeffs[-1]]
+    for c in reversed(coeffs[:-1]):
+        nxt = [fzero] * (len(out) + 1)
         for i, v in enumerate(out):
-            nxt[i] += v * offset
-            nxt[i + 1] += v * scale
-        nxt[0] += c
+            nxt[i] = mpf_add(nxt[i], mpf_mul(v, offset, prec, rounding), prec, rounding)
+            nxt[i + 1] = mpf_add(nxt[i + 1], mpf_mul(v, scale, prec, rounding), prec, rounding)
+        nxt[0] = mpf_add(nxt[0], c, prec, rounding)
         out = nxt
-    return Polynomial(tuple(out))
+    return Polynomial(tuple(map(context.make_mpf, out)))
+
+
+def _value_tolerance(target, ctx: PrecisionContext):
+    """The lap solvers' residual bound ``10 * tau * max(1, |target|)``, raw."""
+    prec, rounding = ctx.mp._prec_rounding
+    size = mpf_abs(target, prec, rounding)
+    return mpf_mul(
+        mpf_mul_int(ctx.tau._mpf_, 10, prec, rounding),
+        size if mpf_gt(size, fone) else fone,
+        prec,
+        rounding,
+    )
 
 
 def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionContext, start=None):
@@ -321,13 +346,7 @@ def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionCon
         hi = ctx.mpf(hi)._mpf_
         phi = value(p, hi)
 
-    size = mpf_abs(target, prec, rounding)
-    value_tol = mpf_mul(
-        mpf_mul_int(ctx.tau._mpf_, 10, prec, rounding),
-        size if mpf_gt(size, fone) else fone,
-        prec,
-        rounding,
-    )
+    value_tol = _value_tolerance(target, ctx)
     flo = mpf_sub(plo, target, prec, rounding)
     fhi = mpf_sub(phi, target, prec, rounding)
     if mpf_le(mpf_abs(flo, prec, rounding), value_tol):
@@ -368,3 +387,59 @@ def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionCon
         if not stepped:
             x = mpf_div(mpf_add(lo, hi, prec, rounding), two, prec, rounding)
     raise RootBracketError("root refinement failed to meet tolerance")
+
+
+def solve_power(
+    p: Polynomial, target, center, value, side, ctx: PrecisionContext, lo=None, hi=None
+):
+    """Solve p(x) = target on one side of p's only critical point, in closed form.
+
+    p must be ``value + lead * (x - center)**d`` up to the rounding of its
+    coefficients, with d = deg p even, ``lead`` its leading coefficient and
+    ``value = p(center)``, which the caller computes once per map.  The
+    root is then x = center + side * ((target - value) / lead)**(1/d), one
+    n-th root in place of :func:`solve_monotone`'s search; ``side`` is -1
+    on the lap left of ``center`` and +1 on the lap right of it.  ``lo`` and
+    ``hi``, where given, bound the lap.
+
+    The residual contract is :func:`solve_monotone`'s,
+    ``|p(x) - target| <= 10 * tau * max(1, |target|)``.  A target within
+    that tolerance of ``value`` returns ``center``; a root beyond ``lo`` or
+    ``hi`` returns that end if the end meets the tolerance.  Any other
+    target outside the lap's range, on the wrong side of ``value`` or past
+    a lap end, raises :class:`RootBracketError`.
+    """
+    if p.degree % 2:
+        raise ValueError(f"closed-form lap inversion needs an even degree, got {p.degree}")
+    mp = ctx.mp
+    prec, rounding = mp._prec_rounding
+    box = mp.make_mpf
+    target, center, value, lead = unboxed(mp.mpf, (target, center, value, p.coefficients[-1]))
+    value_tol = _value_tolerance(target, ctx)
+    rise = mpf_sub(target, value, prec, rounding)
+    if mpf_le(mpf_abs(rise, prec, rounding), value_tol):
+        return box(center)
+    ratio = mpf_div(rise, lead, prec, rounding)
+    if mpf_lt(ratio, fzero):
+        raise RootBracketError(
+            f"target {ctx.format(box(target), 8)} lies beyond the critical value "
+            f"{ctx.format(box(value), 8)}"
+        )
+    if p.degree == 2:
+        step = mpf_sqrt(ratio, prec, rounding)  # the common case, 2-3x faster
+    else:
+        step = mpf_nthroot(ratio, p.degree, prec, rounding)
+    x = (mpf_add if side > 0 else mpf_sub)(center, step, prec, rounding)
+    for end, outside in ((lo, mpf_lt), (hi, mpf_gt)):
+        if end is None:
+            continue
+        (end,) = unboxed(mp.mpf, (end,))
+        if outside(x, end):
+            miss = mpf_sub(p(box(end))._mpf_, target, prec, rounding)
+            if mpf_le(mpf_abs(miss, prec, rounding), value_tol):
+                return box(end)
+            raise RootBracketError(
+                f"target {ctx.format(box(target), 8)} outside lap range: its root "
+                f"{ctx.format(box(x), 8)} lies beyond the lap end {ctx.format(box(end), 8)}"
+            )
+    return box(x)

@@ -12,10 +12,16 @@ One step, given marked points x_0..x_n and the combinatorics m:
                 so the map fixes the unit-interval framing;
   3. pullback:  move every marked point to the unique preimage of its
                 image point inside its own lap (critical indices go to the
-                matching critical points directly), starting Newton from
-                the point's previous position;
+                matching critical points directly);
   4. fit:       root-mean-square mismatch eps = sqrt(sum (f(x_j) -
                 x_{m_j})**2) / n at the new points.
+
+The lap preimages of steps 2 and 3 depend on the number of critical
+points.  With one critical point c the map is exactly f(c) + a (x - c)**d,
+so each preimage is the closed-form root c -+ ((t - f(c)) / a)**(1/d)
+(:func:`~thurston.mpnum.solve_power`).  With two or more, each is the
+bracketed Newton search of :func:`~thurston.mpnum.solve_monotone`, which
+step 3 starts from the point's previous position.
 
 Iterating contracts toward the unique polynomial realizing the
 combinatorics.  Two failure modes are handled along the way: when eps stops
@@ -32,7 +38,7 @@ from typing import Optional
 
 from . import combinatorics as comb
 from . import critvals
-from .mpnum import Polynomial, PrecisionContext, affine_substitute, solve_monotone
+from .mpnum import Polynomial, PrecisionContext, affine_substitute, solve_monotone, solve_power
 
 STALL_WINDOW = 4
 STALL_FACTOR = 0.5
@@ -176,7 +182,7 @@ def normalize(
     in the first lap and B in the last lap, both extended to infinity: the
     framing preimage may sit at (or numerically on either side of) a
     boundary critical point of odd degree, so the solve must not be fenced
-    in by it.
+    in by it.  With one critical point each is a closed-form root.
     """
     n = c.n
     f_raw = realized.polynomial
@@ -187,8 +193,18 @@ def normalize(
     target_low = ctx.mp.mpf(0 if c.m[0] == 0 else 1)
     target_high = ctx.mp.mpf(0 if c.m[n] == 0 else 1)
 
-    A = solve_monotone(f_raw, target_low, None, turning_pts[0], lap_list.laps[0].orientation, ctx)
-    B = solve_monotone(f_raw, target_high, turning_pts[-1], None, lap_list.last_orientation(), ctx)
+    if len(crit) == 1:  # f_raw = v + a (x - c)**d: each framing point is one root
+        center = realized.critical_points[0]
+        value = f_raw(center)
+        A = solve_power(f_raw, target_low, center, value, -1, ctx)
+        B = solve_power(f_raw, target_high, center, value, 1, ctx)
+    else:
+        A = solve_monotone(
+            f_raw, target_low, None, turning_pts[0], lap_list.laps[0].orientation, ctx
+        )
+        B = solve_monotone(
+            f_raw, target_high, turning_pts[-1], None, lap_list.last_orientation(), ctx
+        )
     if not B > A:
         raise PullbackError("framing points came out in the wrong order")
 
@@ -209,7 +225,8 @@ def pullback_step(
 
     Critical indices take the corresponding critical points of f; the
     endpoints are pinned at 0 and 1 by the framing; every other index k
-    solves f(x'_k) = prev[m_k] inside the lap that contains k, with Newton
+    solves f(x'_k) = prev[m_k] inside the lap that contains k: in closed
+    form when f has one critical point, and otherwise with Newton
     warm-started from prev[k].
     """
     n = c.n
@@ -218,6 +235,10 @@ def pullback_step(
     zero, one = ctx.mp.mpf(0), ctx.mp.mpf(1)
     crit_at = dict(zip(c.critical_points(), normalized.critical_points))
     turning_at = {j: crit_at[j] for j in c.turning_points()}
+    power = None  # (c, f(c)) when f = f(c) + a (x - c)**d has one critical point
+    if len(crit_at) == 1:
+        (center,) = crit_at.values()
+        power = (center, f(center))
 
     new = [None] * (n + 1)
     new[0], new[n] = zero, one
@@ -229,7 +250,11 @@ def pullback_step(
         lo = zero if lap.left is None else turning_at[lap.left]
         hi = one if lap.right is None else turning_at[lap.right]
         target = prev.points[c.m[j]]
-        new[j] = solve_monotone(f, target, lo, hi, lap.orientation, ctx, start=prev.points[j])
+        if power is None:
+            new[j] = solve_monotone(f, target, lo, hi, lap.orientation, ctx, start=prev.points[j])
+        else:
+            side = -1 if lap.left is None else 1
+            new[j] = solve_power(f, target, *power, side, ctx, lo, hi)
 
     for a, b in zip(new, new[1:]):
         if b < a:

@@ -1,4 +1,4 @@
-"""Precision contexts, polynomial algebra, and the bracketed monotone solver."""
+"""Precision contexts, polynomial algebra, and the lap solvers."""
 
 from fractions import Fraction
 
@@ -312,3 +312,95 @@ def test_solve_exact_warm_start_is_returned(monkeypatch):
     root = mpnum.solve_monotone(square(ctx), ctx.mpf(Fraction(1, 4)), 0, 2, 1, ctx, start=start)
     assert root == start
     assert points[2:] == [start]  # after the lap ends, only the start
+
+
+# ---------------------------------------------------------------- closed-form laps
+
+
+@st.composite
+def power_maps(draw):
+    """p = v + a (x - c)**d expanded, with d even, a of either sign over
+    several decades, a side of c and a root offset r > 0 on it."""
+    ctx = mpnum.PrecisionContext(draw(st.sampled_from([40, 80])))
+    d = draw(st.sampled_from([2, 4, 6]))
+    a = draw(st.sampled_from([-1, 1])) * ctx.mpf(draw(st.fractions(1, 10))) * (
+        ctx.mp.mpf(10) ** draw(st.integers(-3, 3)))
+    c = ctx.mpf(draw(st.fractions(-1, 1, max_denominator=1000)))
+    v = ctx.mpf(draw(st.fractions(-1, 1, max_denominator=1000)))
+    base = mpnum.expand_roots(a, (c,), (d,))
+    p = mpnum.Polynomial((base.coefficients[0] + v,) + base.coefficients[1:])
+    side = draw(st.sampled_from([-1, 1]))
+    r = ctx.mpf(draw(st.fractions(0, 2, max_denominator=1000).filter(bool)))
+    return ctx, p, c, side, r
+
+
+def residual_bound(ctx, target):
+    return 10 * ctx.tau * max(1, abs(target))
+
+
+@given(power_maps())
+@settings(max_examples=200, deadline=None)
+def test_closed_form_root_meets_the_contract_and_agrees_with_the_search(case):
+    ctx, p, c, side, r = case
+    value, lead = p(c), p.coefficients[-1]
+    target = p(c + side * r)
+    root = mpnum.solve_power(p, target, c, value, side, ctx)
+    bound = residual_bound(ctx, target)
+    assert abs(p(root) - target) <= bound
+    assert (root - c) * side >= 0
+    # the same lap searched by solve_monotone, unbounded away from c
+    orientation = side * (1 if lead > 0 else -1)
+    lo, hi = (c, None) if side > 0 else (None, c)
+    searched = mpnum.solve_monotone(p, target, lo, hi, orientation, ctx)
+    # |p(x) - p(y)| >= |lead| |x - y|**d for x, y on one side of c
+    assert abs(p(root) - p(searched)) <= 2 * bound
+    assert abs(root - searched) <= (4 * bound / abs(lead)) ** (ctx.mp.mpf(1) / p.degree)
+
+
+@given(power_maps())
+@settings(max_examples=100, deadline=None)
+def test_closed_form_root_rejects_targets_outside_the_lap(case):
+    ctx, p, c, side, r = case
+    value = p(c)
+    # beyond the critical value: no preimage on either side
+    beyond = value - (p(c + r) - value)
+    with pytest.raises(mpnum.RootBracketError):
+        mpnum.solve_power(p, beyond, c, value, side, ctx)
+    # a bounded lap that stops halfway to the root
+    target = p(c + side * r)
+    lo, hi = (c, c + r / 2) if side > 0 else (c - r / 2, c)
+    if abs(p(c + side * r / 2) - target) > residual_bound(ctx, target):
+        with pytest.raises(mpnum.RootBracketError):
+            mpnum.solve_power(p, target, c, value, side, ctx, lo, hi)
+    # ... but a lap that contains it does not stop it
+    lo, hi = (c, c + 2 * r) if side > 0 else (c - 2 * r, c)
+    root = mpnum.solve_power(p, target, c, value, side, ctx, lo, hi)
+    assert lo <= root <= hi
+
+
+@given(power_maps())
+@settings(max_examples=50, deadline=None)
+def test_closed_form_root_of_the_critical_value_is_the_critical_point(case):
+    # t = v, or t within the residual bound of v on either side
+    ctx, p, c, side, _ = case
+    value = p(c)
+    for shift in (0, 1, -1):
+        target = value + shift * residual_bound(ctx, value) / 2
+        root = mpnum.solve_power(p, target, c, value, side, ctx)
+        assert root._mpf_ == c._mpf_
+
+
+def test_closed_form_root_returns_a_lap_end_within_tolerance():
+    # x^2 = 1 + 1e-39 on [0, 1]: the root lies past 1, but 1 meets the tolerance
+    ctx = ctx40()
+    target = 1 + ctx.mpf("1e-39")
+    root = mpnum.solve_power(square(ctx), target, 0, 0, 1, ctx, 0, 1)
+    assert root == 1
+    assert mpnum.solve_power(square(ctx), ctx.mpf(Fraction(1, 4)), 0, 0, -1, ctx) == -0.5
+
+
+def test_closed_form_root_needs_an_even_degree():
+    ctx = ctx40()
+    cube = mpnum.Polynomial((ctx.mp.mpf(0),) * 3 + (ctx.mp.mpf(1),))
+    with pytest.raises(ValueError):
+        mpnum.solve_power(cube, 1, 0, 0, 1, ctx)

@@ -360,6 +360,37 @@ def test_reference_run_outer_steps(text, tol, steps):
     assert result.converged and result.iterations == steps
 
 
+@pytest.mark.parametrize("text,steps,final", [
+    ("6,5,4,3,1,4,6", 35, None),
+    ("6,5,4,3,2,3,6", 91, None),
+    ("0,1,2,0", 30, "0,1,0"),
+    ("0,1,3,0", 17, "0,2,0"),
+    ("6,5,4,3,4,5,6", 30, "2,1,2"),
+    ("6,5,4,3,2,1,6", 91, "4,3,2,1,4"),
+])
+def test_unimodal_run_outer_steps(text, steps, final):
+    # one critical point, so every lap preimage and framing point is a
+    # closed-form root; the outer iteration must take the steps and reach the
+    # combinatorics that the bracketed search did
+    result = pullback.run(comb.parse(text))
+    assert result.converged and result.iterations == steps
+    assert result.collapsed == (final is not None)
+    assert comb.render(result.combinatorics) == (final or text)
+
+
+def test_explicit_degree_unimodal_run():
+    # a degree-4 turning point: the closed-form root is a fourth root
+    c = comb.parse("0,2^4,1,0")
+    result = pullback.run(c)
+    assert result.converged and result.iterations == 11 and not result.collapsed
+    ctx = mpnum.PrecisionContext(result.digits)
+    f, x = result.polynomial, result.configuration.points
+    assert f.degree == 4
+    assert abs(f(ctx.mp.mpf(0))) <= ctx.mpf("1e-30")
+    assert abs(f(ctx.mp.mpf(1))) <= ctx.mpf("1e-30")
+    assert abs(f.derivative()(x[1])) <= ctx.mpf("1e-30")
+
+
 def test_warm_started_run_converges_deep():
     # accepting a rescaled start without a Newton correction roughly doubles
     # this run (158 steps); with one it takes about 80

@@ -1,8 +1,8 @@
 """The raw-tuple kernels against the object arithmetic they replace.
 
 The oracles below are the mpf-object versions of ``solve_monotone``,
-``centered_points``, ``phi``, ``phi_jacobian`` and ``solve_linear``, with the
-object polynomial helpers they relied on.  The raw kernels must do the same
+``centered_points``, ``phi``, ``phi_jacobian``, ``solve_linear`` and
+``affine_substitute``, with the object polynomial helpers they relied on.  The raw kernels must do the same
 operations in the same order with the same rounding, so every output must
 have the same ``_mpf_`` tuple, and every failure the same exception type and
 message.
@@ -207,6 +207,19 @@ def solve_monotone(p, target, lo, hi, orientation, ctx, start=None):
     raise mpnum.RootBracketError("root refinement failed to meet tolerance")
 
 
+def affine_substitute(coefficients, offset, scale):
+    zero = coefficients[0] * 0
+    out = [coefficients[-1]]
+    for c in reversed(coefficients[:-1]):
+        nxt = [zero] * (len(out) + 1)
+        for i, v in enumerate(out):
+            nxt[i] += v * offset
+            nxt[i + 1] += v * scale
+        nxt[0] += c
+        out = nxt
+    return out
+
+
 # ---------------------------------------------------------------- helpers
 
 
@@ -369,3 +382,19 @@ def test_unbracketable_targets_raise_the_same_error():
         got = outcome(mpnum.solve_monotone, square, target, lo, hi, orientation, ctx)
         assert got[0] == "raised"
         assert_same_outcome(got, outcome(solve_monotone, square, target, lo, hi, orientation, ctx))
+
+
+# ---------------------------------------------------------------- affine substitution
+
+
+@given(digits, st.integers(0, 7), st.data())
+@settings(max_examples=150, deadline=None)
+def test_affine_substitution_is_bit_identical(digit_count, degree, data):
+    ctx = mpnum.PrecisionContext(digit_count)
+    coeffs = [ctx.mpf(data.draw(entry)) for _ in range(degree)]
+    coeffs.append(ctx.mpf(data.draw(entry.filter(bool))))
+    offset, scale = ctx.mpf(data.draw(entry)), ctx.mpf(data.draw(entry.filter(bool)))
+    got = mpnum.affine_substitute(mpnum.Polynomial(tuple(coeffs)), offset, scale)
+    want = affine_substitute(coeffs, offset, scale)
+    assert got.degree == degree
+    assert same(got.coefficients, want)
