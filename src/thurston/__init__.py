@@ -1,8 +1,8 @@
 """Critically finite real polynomial maps with prescribed combinatorics.
 
 Given an integer sequence recording how critical and postcritical points
-permute (with optional local degrees), this package validates the data,
-builds the piecewise-linear model, and runs the Thurston pull-back
+permute (with optional local degrees), this package validates the data
+against its piecewise-linear model and runs the Thurston pull-back
 iteration in multiprecision arithmetic to produce the unique real
 polynomial in unit-interval normal form realizing the combinatorics,
 detecting and simplifying the degenerate (non-expansive) cases along the
@@ -20,7 +20,6 @@ from .combinatorics import (
     laps,
     mapping_pattern,
     parse,
-    pl_eval,
     render,
     simplify,
     validate,
@@ -46,8 +45,6 @@ from .mpnum import (
     PrecisionContext,
     RootBracketError,
     antiderivative,
-    definite_integral,
-    poly_from_roots,
     solve_monotone,
 )
 from .pullback import (

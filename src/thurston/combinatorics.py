@@ -7,9 +7,10 @@ degree ``d_j >= 1`` at every marked point.  Text form: comma-separated image
 indices, with a ``^degree`` suffix wherever the degree is not the default
 (2 at turning points, 1 elsewhere), e.g. ``"0,2,6^2,4,3^3,1^2,4,7"``.
 
-This module parses and validates such sequences, builds the piecewise-linear
-model map, classifies edges as expansive or not, extracts the lap structure
-(maximal monotone pieces, bounded by turning points only), and performs the
+This module parses and validates such sequences, classifies the edges of
+the piecewise-linear model map as expansive or not from the edges each
+edge's image covers, extracts the lap structure (maximal monotone pieces,
+bounded by turning points only), and performs the
 point-merging simplification that describes what a non-expansive sequence
 degenerates to.
 """
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 _ITEM_RE = re.compile(r"^(-?\d+)(?:\^(-?\d+))?$")
@@ -178,23 +178,6 @@ def laps(c: Combinatorics) -> LapStructure:
         orientation = 1 if c.m[start + 1] > c.m[start] else -1
         out.append(Lap(left, right, orientation))
     return LapStructure(tuple(out))
-
-
-def pl_eval(c: Combinatorics, x) -> Fraction:
-    """The rescaled PL model at x: interpolate m linearly, divided by n.
-
-    Exact rational arithmetic, so grid points evaluate exactly.
-    """
-    x = Fraction(x)
-    if x < 0 or x > 1:
-        raise ValueError(f"PL model is defined on [0,1], got {x}")
-    n = c.n
-    t = n * x
-    j = int(t)
-    if j == n:
-        return Fraction(c.m[n], n)
-    frac = t - j
-    return Fraction(c.m[j], n) + frac * Fraction(c.m[j + 1] - c.m[j], n)
 
 
 def edge_images(c: Combinatorics) -> list:

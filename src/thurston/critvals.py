@@ -323,10 +323,11 @@ def invert_phi(
         damping = ctx.mp.mpf(1)
         for _ in range(NEWTON_MAX_HALVINGS):
             candidate = tuple(g - damping * d for g, d in zip(gaps, step))
-            if any(not g > 0 for g in candidate):
+            try:
+                trial = PhiProblem(candidate, mults)
+            except ValueError:  # a gap left the positive orthant
                 damping /= 2
                 continue
-            trial = PhiProblem(candidate, mults)
             cres, cnorm = _residual(trial, s)
             if cnorm < norm or cnorm <= tol:
                 gaps, problem, res, norm = candidate, trial, cres, cnorm

@@ -9,13 +9,15 @@ running several computations concurrently never touches shared state.
 Polynomials are dense coefficient vectors in the monomial basis, ascending
 powers.  Degrees in this problem domain stay small (around twelve), so the
 monomial basis with generous precision is preferable to fancier bases.
-The inner loops run on mpmath's raw ``_mpf_`` tuples through
-``mpmath.libmp`` rather than on mpf objects: Horner's rule (:func:`raw_horner`,
-behind ``Polynomial.__call__``), root-product expansion, synthetic division,
-monomial integration and affine substitution (the ``raw_*`` kernels, which
-the gap map in :mod:`thurston.critvals` builds on, and
-:func:`affine_substitute`), and the bracket growth, tolerance tests and
-Newton/bisection loop of :func:`solve_monotone`.  Each kernel does
+The coefficients are mpfs of one context, and evaluation coerces its
+argument into it.  The inner loops run on mpmath's raw ``_mpf_`` tuples
+through ``mpmath.libmp`` rather than on mpf objects: Horner's rule
+(:func:`raw_horner`, the one path behind ``Polynomial.__call__``),
+root-product expansion, synthetic division, monomial integration and
+affine substitution (the ``raw_*`` kernels, which the gap map in
+:mod:`thurston.critvals` builds on, and :func:`affine_substitute`), and the
+bracket growth, tolerance tests and Newton/bisection loop of
+:func:`solve_monotone`.  Each kernel does
 the operations of the object code in the same order with the same
 precision and rounding mode (mpmath rounds ``a op b`` at the left
 operand's context, and ``int * mpf`` is ``mpf_mul_int``), so every result
@@ -99,7 +101,8 @@ class PrecisionContext:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Dense real polynomial; ``coefficients[i]`` multiplies ``x**i``."""
+    """Dense real polynomial; ``coefficients[i]`` multiplies ``x**i``.  The
+    leading one must be an mpf, and the others are coerced into its context."""
 
     coefficients: tuple
 
@@ -109,6 +112,12 @@ class Polynomial:
             raise ValueError("a polynomial needs at least one coefficient")
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
+        kind = type(coeffs[-1])
+        context = getattr(kind, "context", None)
+        if not isinstance(context, MPContext) or kind is not context.mpf:
+            raise TypeError("polynomial coefficients must be mpf values")
+        if len(set(map(type, coeffs))) > 1:
+            coeffs = [c if type(c) is kind else kind(c) for c in coeffs]
         object.__setattr__(self, "coefficients", tuple(coeffs))
 
     @property
@@ -116,30 +125,19 @@ class Polynomial:
         return len(self.coefficients) - 1
 
     def __call__(self, x):
-        raw = self._raw_horner
-        if raw is not None and type(x) is raw[0]:
-            kind, descending = raw
-            out = object.__new__(kind)
-            out._mpf_ = raw_horner(descending, x._mpf_, *kind.context._prec_rounding)
-            return out
-        acc = self.coefficients[-1]
-        for c in reversed(self.coefficients[:-1]):
-            acc = acc * x + c
-        return acc
+        kind, descending = self._raw_horner
+        if type(x) is not kind:
+            x = kind(x)
+        out = object.__new__(kind)
+        out._mpf_ = raw_horner(descending, x._mpf_, *kind.context._prec_rounding)
+        return out
 
     @cached_property
     def _raw_horner(self):
         # Horner on the raw mpf tuples rounds exactly as ``acc * x + c`` does
         # on mpf objects (mpmath rounds at the left operand's context, here
-        # always the leading coefficient's) without building an object per
-        # operation.  Only when every coefficient and x are mpfs of one
-        # context; anything else takes the object loop.
+        # the coefficients') without building an object per operation.
         kind = type(self.coefficients[-1])
-        context = getattr(kind, "context", None)
-        if not isinstance(context, MPContext) or kind is not context.mpf:
-            return None
-        if any(type(c) is not kind for c in self.coefficients):
-            return None
         return kind, tuple(c._mpf_ for c in reversed(self.coefficients))
 
     def derivative(self) -> "Polynomial":
@@ -215,54 +213,26 @@ def expand_roots(lead, roots, multiplicities) -> Polynomial:
     return Polynomial(tuple(map(context.make_mpf, raw)))
 
 
-def poly_from_roots(roots, multiplicities, sign, ctx: PrecisionContext) -> Polynomial:
-    """Expand ``sign * prod (x - roots[i])**multiplicities[i]``.
-
-    Roots must be strictly increasing; multiplicities are positive integers.
-    """
-    roots = [ctx.mpf(r) for r in roots]
-    if len(roots) != len(multiplicities):
-        raise ValueError("roots and multiplicities differ in length")
-    if any(k < 1 for k in multiplicities):
-        raise ValueError("multiplicities must be positive")
-    for a, b in zip(roots, roots[1:]):
-        if not a < b:
-            raise ValueError("roots must be strictly increasing")
-    return expand_roots(ctx.mpf(sign), roots, multiplicities)
-
-
 def antiderivative(p: Polynomial, base_point, base_value) -> Polynomial:
-    """The antiderivative P of p with P(base_point) = base_value.
-
-    p has mpf coefficients; they are coerced into its constant term's context.
-    """
-    kind = type(p.coefficients[0])
-    context = kind.context
-    integral = raw_integral(unboxed(kind, p.coefficients), *context._prec_rounding)
+    """The antiderivative P of p with P(base_point) = base_value, in p's context."""
+    context = p.coefficients[0].context
+    integral = raw_integral([c._mpf_ for c in p.coefficients], *context._prec_rounding)
     coeffs = [context.make_mpf(c) for c in integral]
     raw = Polynomial(tuple(coeffs))
     constant = base_value - raw(base_point)
     return Polynomial((coeffs[0] + constant,) + tuple(coeffs[1:]))
 
 
-def definite_integral(p: Polynomial, a, b):
-    """Integral of p over [a, b] via the exact antiderivative."""
-    zero = p.coefficients[0] * 0
-    P = antiderivative(p, zero, zero)
-    return P(b) - P(a)
-
-
 def affine_substitute(p: Polynomial, offset, scale) -> Polynomial:
     """The polynomial x |-> p(offset + scale * x), expanded.
 
-    p has mpf coefficients; they, ``offset`` and ``scale`` are coerced into
-    its constant term's context.
+    ``offset`` and ``scale`` are coerced into the context of p's coefficients.
     """
     kind = type(p.coefficients[0])
     context = kind.context
     prec, rounding = context._prec_rounding
     offset, scale = unboxed(kind, (offset, scale))
-    coeffs = unboxed(kind, p.coefficients)
+    coeffs = [c._mpf_ for c in p.coefficients]
     out = [coeffs[-1]]
     for c in reversed(coeffs[:-1]):
         nxt = [fzero] * (len(out) + 1)

@@ -16,12 +16,12 @@ One step, given marked points x_0..x_n and the combinatorics m:
   4. fit:       root-mean-square mismatch eps = sqrt(sum (f(x_j) -
                 x_{m_j})**2) / n at the new points.
 
-The lap preimages of steps 2 and 3 depend on the number of critical
-points.  With one critical point c the map is exactly f(c) + a (x - c)**d,
-so each preimage is the closed-form root c -+ ((t - f(c)) / a)**(1/d)
-(:func:`~thurston.mpnum.solve_power`).  With two or more, each is the
-bracketed Newton search of :func:`~thurston.mpnum.solve_monotone`, which
-step 3 starts from the point's previous position.
+Steps 2 and 3 invert f on its laps with the solver :func:`_lap_solver`
+picks once per map: with one critical point c, f = f(c) + a (x - c)**d and
+each preimage is the closed-form root c -+ ((t - f(c)) / a)**(1/d)
+(:func:`~thurston.mpnum.solve_power`); with two or more, the bracketed
+Newton search of :func:`~thurston.mpnum.solve_monotone`, which step 3
+starts from the point's previous position.
 
 Iterating contracts toward the unique polynomial realizing the
 combinatorics.  Two failure modes are handled along the way: when eps stops
@@ -42,6 +42,9 @@ from .mpnum import Polynomial, PrecisionContext, affine_substitute, solve_monoto
 
 STALL_WINDOW = 4
 STALL_FACTOR = 0.5
+# Gaps below COLLAPSE_THRESHOLD / n for COLLAPSE_PERSISTENCE steps merge their points.
+COLLAPSE_THRESHOLD = "1e-8"
+COLLAPSE_PERSISTENCE = 3
 
 
 class PullbackError(RuntimeError):
@@ -112,8 +115,6 @@ class RunOptions:
     max_iter: int = 100
     start_digits: int = 40
     max_digits: int = 640
-    collapse_threshold: Optional[str] = None  # default: 1e-8 / n
-    collapse_persistence: int = 3
     keep_trace: bool = False
 
 
@@ -170,6 +171,25 @@ def mapmake(
     return critvals.realize_critical_values(values, _multiplicities(c), sigma, ctx, previous)
 
 
+def _lap_solver(f: Polynomial, critical_points, ctx: PrecisionContext):
+    """``solve(target, lo, hi, orientation, start=None)`` for f(x) = target on a lap.
+
+    One critical point c: :func:`solve_power` on the side orientation * sign(a)
+    of c, with f(c) computed once here.  More: :func:`solve_monotone` from ``start``.
+    """
+    if len(critical_points) == 1:
+        (center,) = critical_points
+        value = f(center)
+        lead_sign = 1 if f.coefficients[-1] > 0 else -1
+
+        def solve(target, lo, hi, orientation, start=None):
+            return solve_power(f, target, center, value, orientation * lead_sign, ctx, lo, hi)
+    else:
+        def solve(target, lo, hi, orientation, start=None):
+            return solve_monotone(f, target, lo, hi, orientation, ctx, start=start)
+    return solve
+
+
 def normalize(
     c: comb.Combinatorics,
     realized: critvals.RealizedMap,
@@ -182,7 +202,7 @@ def normalize(
     in the first lap and B in the last lap, both extended to infinity: the
     framing preimage may sit at (or numerically on either side of) a
     boundary critical point of odd degree, so the solve must not be fenced
-    in by it.  With one critical point each is a closed-form root.
+    in by it.
     """
     n = c.n
     f_raw = realized.polynomial
@@ -192,19 +212,9 @@ def normalize(
     turning_pts = [p for j, p in zip(crit, realized.critical_points) if j in turning]
     target_low = ctx.mp.mpf(0 if c.m[0] == 0 else 1)
     target_high = ctx.mp.mpf(0 if c.m[n] == 0 else 1)
-
-    if len(crit) == 1:  # f_raw = v + a (x - c)**d: each framing point is one root
-        center = realized.critical_points[0]
-        value = f_raw(center)
-        A = solve_power(f_raw, target_low, center, value, -1, ctx)
-        B = solve_power(f_raw, target_high, center, value, 1, ctx)
-    else:
-        A = solve_monotone(
-            f_raw, target_low, None, turning_pts[0], lap_list.laps[0].orientation, ctx
-        )
-        B = solve_monotone(
-            f_raw, target_high, turning_pts[-1], None, lap_list.last_orientation(), ctx
-        )
+    solve = _lap_solver(f_raw, realized.critical_points, ctx)
+    A = solve(target_low, None, turning_pts[0], lap_list.laps[0].orientation)
+    B = solve(target_high, turning_pts[-1], None, lap_list.last_orientation())
     if not B > A:
         raise PullbackError("framing points came out in the wrong order")
 
@@ -225,9 +235,8 @@ def pullback_step(
 
     Critical indices take the corresponding critical points of f; the
     endpoints are pinned at 0 and 1 by the framing; every other index k
-    solves f(x'_k) = prev[m_k] inside the lap that contains k: in closed
-    form when f has one critical point, and otherwise with Newton
-    warm-started from prev[k].
+    solves f(x'_k) = prev[m_k] inside the lap that contains k, warm-started
+    from prev[k] where the solver searches.
     """
     n = c.n
     f = normalized.polynomial
@@ -235,10 +244,7 @@ def pullback_step(
     zero, one = ctx.mp.mpf(0), ctx.mp.mpf(1)
     crit_at = dict(zip(c.critical_points(), normalized.critical_points))
     turning_at = {j: crit_at[j] for j in c.turning_points()}
-    power = None  # (c, f(c)) when f = f(c) + a (x - c)**d has one critical point
-    if len(crit_at) == 1:
-        (center,) = crit_at.values()
-        power = (center, f(center))
+    solve = _lap_solver(f, normalized.critical_points, ctx)
 
     new = [None] * (n + 1)
     new[0], new[n] = zero, one
@@ -249,12 +255,7 @@ def pullback_step(
         lap = lap_list.lap_of(j, n)
         lo = zero if lap.left is None else turning_at[lap.left]
         hi = one if lap.right is None else turning_at[lap.right]
-        target = prev.points[c.m[j]]
-        if power is None:
-            new[j] = solve_monotone(f, target, lo, hi, lap.orientation, ctx, start=prev.points[j])
-        else:
-            side = -1 if lap.left is None else 1
-            new[j] = solve_power(f, target, *power, side, ctx, lo, hi)
+        new[j] = solve(prev.points[c.m[j]], lo, hi, lap.orientation, start=prev.points[j])
 
     for a, b in zip(new, new[1:]):
         if b < a:
@@ -300,10 +301,8 @@ def _merged_configuration(x: MarkedConfiguration, groups, ctx: PrecisionContext)
     return MarkedConfiguration(tuple(pts), step=x.step)
 
 
-def _collapse_threshold(options: RunOptions, ctx: PrecisionContext, n: int):
-    if options.collapse_threshold is not None:
-        return ctx.mpf(options.collapse_threshold)
-    return ctx.mpf("1e-8") / n
+def _collapse_threshold(ctx: PrecisionContext, n: int):
+    return ctx.mpf(COLLAPSE_THRESHOLD) / n
 
 
 def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
@@ -311,7 +310,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
 
     Precision doubles (up to ``max_digits``) whenever eps fails to halve
     over a four-step window.  Gaps that stay below the collapse threshold
-    for ``collapse_persistence`` consecutive steps trigger merging of the
+    for ``COLLAPSE_PERSISTENCE`` consecutive steps trigger merging of the
     involved points and the run continues on the simplified combinatorics;
     reaching the fit tolerance while gaps sit below the threshold triggers
     the same merge, so a collapsing run never reports a degenerate
@@ -325,7 +324,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
     original = c
     ctx = PrecisionContext(options.start_digits)
     tol = ctx.mpf(options.tol)
-    threshold = _collapse_threshold(options, ctx, c.n)
+    threshold = _collapse_threshold(ctx, c.n)
     expansive = report.expansive_edges
     lap_list = comb.laps(c)
     inversion = None  # the previous step's, while the combinatorics holds
@@ -374,7 +373,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
             j for j, gap in enumerate(new_x.gaps()) if gap < threshold
         }
         gap_streak = {j: gap_streak.get(j, 0) + 1 for j in below}
-        persistent = any(v >= options.collapse_persistence for v in gap_streak.values())
+        persistent = any(v >= COLLAPSE_PERSISTENCE for v in gap_streak.values())
         if below and (persistent or eps <= tol):
             groups = detect_collapse(new_x, threshold)
             flat = [j for g in groups for j in g[:-1]]
@@ -400,7 +399,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
             lap_list = comb.laps(c)
             inversion = None
             expansive = sub_report.expansive_edges
-            threshold = _collapse_threshold(options, ctx, c.n)
+            threshold = _collapse_threshold(ctx, c.n)
             gap_streak = {}
             window = []
             continue
@@ -417,7 +416,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
             new_digits = min(2 * ctx.digits, options.max_digits)
             ctx = PrecisionContext(new_digits)
             tol = ctx.mpf(options.tol)
-            threshold = _collapse_threshold(options, ctx, c.n)
+            threshold = _collapse_threshold(ctx, c.n)
             interior = tuple(ctx.mpf(p) for p in x.points[1:-1])
             x = MarkedConfiguration(
                 (ctx.mp.mpf(0),) + interior + (ctx.mp.mpf(1),), step=x.step

@@ -1,6 +1,4 @@
-"""Combinatorics parsing, validation, laps, PL model, patterns, simplify."""
-
-from fractions import Fraction
+"""Combinatorics parsing, validation, laps, patterns, simplify."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -209,29 +207,6 @@ def test_lap_count_and_alternation(c):
     assert len(structure) == len(c.turning_points()) + 1
     orientations = [lap.orientation for lap in structure]
     assert all(a == -b for a, b in zip(orientations, orientations[1:]))
-
-
-# ---------------------------------------------------------------- PL model
-
-def test_pl_eval_examples():
-    assert comb.pl_eval(comb.parse("0,1,0"), Fraction(1, 2)) == Fraction(1, 2)
-    c = comb.parse("0,4,3,1,2,5")
-    assert comb.pl_eval(c, Fraction(1, 5)) == Fraction(4, 5)
-    assert comb.pl_eval(c, Fraction(1, 10)) == Fraction(2, 5)
-
-
-def test_pl_eval_domain():
-    with pytest.raises(ValueError):
-        comb.pl_eval(comb.parse("0,1,0"), Fraction(3, 2))
-    with pytest.raises(ValueError):
-        comb.pl_eval(comb.parse("0,1,0"), -1)
-
-
-@given(valid_combinatorics())
-@settings(max_examples=40, deadline=None)
-def test_pl_eval_exact_on_grid(c):
-    for j in range(c.n + 1):
-        assert comb.pl_eval(c, Fraction(j, c.n)) == Fraction(c.m[j], c.n)
 
 
 # ---------------------------------------------------------------- patterns

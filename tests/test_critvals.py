@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import thurston
 from thurston import critvals, mpnum
 
 X = sympy.symbols("x")
@@ -385,3 +386,56 @@ def test_realize_rejects_equal_adjacent_values():
         critvals.realize_critical_values(
             critvals.CriticalValueSpec(values), (1, 1), 1, ctx
         )
+
+
+# ---------------------------------------------------------------- inside a run
+
+def spy(monkeypatch, module, name):
+    """Calls to ``module.name`` from now on, as (args, kwargs, result or exception)."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        try:
+            result = original(*args, **kwargs)
+        except Exception as exc:
+            calls.append((args, kwargs, exc))
+            raise
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_stalled_warm_start_falls_back_to_path_lifting(monkeypatch):
+    # On 0,1,3,0,1,0 the warm-started Newton inversion of step 11 stalls
+    # after 200 iterations; path lifting then solves that step.  What the
+    # run does after the fallback is not pinned here.
+    inversions = spy(monkeypatch, critvals, "invert_phi")
+    lifts = spy(monkeypatch, critvals, "continuation_invert")
+    try:
+        thurston.run(thurston.parse("0,1,3,0,1,0"))
+    except thurston.PullbackError:
+        pass
+    stalled = [
+        (args, result) for args, kwargs, result in inversions
+        if kwargs.get("min_iterations") == 1 and isinstance(result, critvals.NewtonStalled)
+    ]
+    assert len(stalled) == 1
+    assert len(lifts) == 1
+    (s, mults, ctx), _, lifted = lifts[0]
+    assert stalled[0][0][0] is s
+    assert isinstance(lifted, critvals.InversionResult)
+    values = critvals.phi(critvals.PhiProblem(lifted.gaps, mults))
+    assert max(abs(v - t) for v, t in zip(values, s)) <= ctx.mpf(10) ** (6 - ctx.digits)
+
+
+def test_newton_iteration_cap_raises_typed_errors(monkeypatch):
+    monkeypatch.setattr(critvals, "NEWTON_MAX_ITERATIONS", 1)
+    with pytest.raises(critvals.NewtonStalled):
+        critvals.invert_phi([Fraction(1, 7), Fraction(2, 11)], (1, 2, 1), ctx40())
+    with pytest.raises(thurston.PullbackError) as info:
+        thurston.run(thurston.parse("0,3,2,1,4"))
+    assert str(info.value).startswith("step 1 (0,3,2,1,4):")
+    assert isinstance(info.value.__cause__, critvals.NewtonStalled)

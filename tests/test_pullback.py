@@ -304,15 +304,13 @@ def test_run_collapse_both_ends():
     assert result.collapse_events[0].groups == ((0, 1), (7, 8))
 
 
-def test_run_collapse_with_explicit_threshold():
+def test_run_collapse_with_explicit_threshold(monkeypatch):
     # a looser threshold merges earlier but lands on the same limit
-    loose = pullback.run(
-        comb.parse("0,1,5,0,2,1,7,1,0"),
-        pullback.RunOptions(collapse_threshold="1e-4"),
-    )
+    strict = pullback.run(comb.parse("0,1,5,0,2,1,7,1,0"))
+    monkeypatch.setattr(pullback, "COLLAPSE_THRESHOLD", "1e-4")
+    loose = pullback.run(comb.parse("0,1,5,0,2,1,7,1,0"))
     assert loose.converged and loose.collapsed
     assert comb.render(loose.combinatorics) == "0,4,0,1,0,6,0"
-    strict = pullback.run(comb.parse("0,1,5,0,2,1,7,1,0"))
     assert loose.collapse_events[0].step < strict.collapse_events[0].step
 
 

@@ -336,7 +336,9 @@ def lap_problems(draw):
     a = Fraction(draw(st.integers(-40, 0)), 10)
     b = a + Fraction(draw(st.integers(1, 40)), 10)
     k1, k2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    dp = mpnum.poly_from_roots((a, b), (k1, k2), draw(st.sampled_from([-1, 1])), ctx)
+    dp = mpnum.expand_roots(
+        ctx.mpf(draw(st.sampled_from([-1, 1]))), (ctx.mpf(a), ctx.mpf(b)), (k1, k2)
+    )
     p = mpnum.antiderivative(dp, ctx.mpf(draw(entry)), ctx.mpf(draw(entry)))
     a, b = ctx.mpf(a), ctx.mpf(b)
     lap = draw(st.sampled_from(["below", "middle", "above"]))
