@@ -53,7 +53,7 @@ from mpmath.libmp import (
 )
 
 from .mpnum import (
-    Polynomial, PrecisionContext, antiderivative, expand_roots, raw_divide_linear,
+    Polynomial, PowerMap, PrecisionContext, antiderivative, expand_roots, raw_divide_linear,
     raw_expand_roots, raw_horner, raw_integral, unboxed
 )
 
@@ -289,10 +289,6 @@ def solve_linear(rows, rhs, ctx: PrecisionContext) -> list:
     return [mp.make_mpf(v) for v in x]
 
 
-def _jacobian_solve(problem, rhs, ctx):
-    return solve_linear(phi_jacobian(problem), rhs, ctx)
-
-
 def invert_phi(
     s, multiplicities, ctx: PrecisionContext, initial=None, min_iterations=0
 ) -> InversionResult:
@@ -319,7 +315,7 @@ def invert_phi(
     for iteration in range(NEWTON_MAX_ITERATIONS):
         if norm <= tol and iteration >= min_iterations:
             return InversionResult(tuple(gaps), iteration, tuple(trace), s)
-        step = _jacobian_solve(problem, res, ctx)
+        step = solve_linear(phi_jacobian(problem), res, ctx)
         damping = ctx.mp.mpf(1)
         for _ in range(NEWTON_MAX_HALVINGS):
             candidate = tuple(g - damping * d for g, d in zip(gaps, step))
@@ -359,7 +355,7 @@ def continuation_invert(s, multiplicities, ctx: PrecisionContext) -> InversionRe
     def field(x):
         if any(not g > 0 for g in x):
             raise _LeftOrthant
-        return _jacobian_solve(PhiProblem(tuple(x), mults), rhs, ctx)
+        return solve_linear(phi_jacobian(PhiProblem(tuple(x), mults)), rhs, ctx)
 
     steps = CONTINUATION_STEPS
     for _ in range(CONTINUATION_MAX_REFINEMENTS + 1):
@@ -434,9 +430,9 @@ class CriticalValueSpec:
 
 @dataclass(frozen=True)
 class RealizedMap:
-    """A polynomial together with its (centered) critical points."""
+    """A polynomial (a :class:`PowerMap` if r = 1) with its centered critical points."""
 
-    polynomial: Polynomial
+    polynomial: Polynomial | PowerMap
     critical_points: tuple
     gaps: tuple
     inversion: InversionResult
@@ -466,9 +462,9 @@ def realize_critical_values(
         raise ValueError("one multiplicity per critical value required")
 
     if r == 1:
-        zero = ctx.mp.mpf(0)
-        g = Polynomial((zero,) * mults[0] + (ctx.mp.mpf(sigma),))
-        f = antiderivative(g, zero, values[0])
+        # the antiderivative of sigma * x**k through (0, v)
+        zero, degree = ctx.mp.mpf(0), mults[0] + 1
+        f = PowerMap(zero, values[0], ctx.mp.mpf(sigma) / degree, degree)
         return RealizedMap(f, (zero,), (), InversionResult((), 0, ()))
 
     for i in range(r - 1):

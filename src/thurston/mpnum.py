@@ -2,39 +2,36 @@
 
 Everything numeric in this package runs through a :class:`PrecisionContext`,
 which fixes a working precision in decimal digits and a derived tolerance
-``tau = 10**(-digits + GUARD_DIGITS)``.  Contexts are independent values (each
-wraps its own mpmath context), so escalating precision mid-computation or
-running several computations concurrently never touches shared state.
+``tau = 10**(-digits + GUARD_DIGITS)``.  Contexts of equal digits share one
+mpmath context, built on first use and never modified (nothing writes its
+``dps`` or ``prec``), so values of equal digits share one mpf type.
 
 Polynomials are dense coefficient vectors in the monomial basis, ascending
-powers.  Degrees in this problem domain stay small (around twelve), so the
-monomial basis with generous precision is preferable to fancier bases.
-The coefficients are mpfs of one context, and evaluation coerces its
-argument into it.  The inner loops run on mpmath's raw ``_mpf_`` tuples
-through ``mpmath.libmp`` rather than on mpf objects: Horner's rule
-(:func:`raw_horner`, the one path behind ``Polynomial.__call__``),
-root-product expansion, synthetic division, monomial integration and
-affine substitution (the ``raw_*`` kernels, which the gap map in
-:mod:`thurston.critvals` builds on, and :func:`affine_substitute`), and the
-bracket growth, tolerance tests and Newton/bisection loop of
-:func:`solve_monotone`.  Each kernel does
+powers, in mpfs of one context; degrees stay small (around twelve).  A map
+with one critical point is exactly ``value + lead * (x - center)**degree``;
+a :class:`PowerMap` evaluates and reframes it in that form and expands it
+into a :class:`Polynomial` only when its coefficients are read.  The inner
+loops run on mpmath's raw ``_mpf_`` tuples through ``mpmath.libmp`` rather
+than on mpf objects: Horner's rule (:func:`raw_horner`, the one path behind
+``Polynomial.__call__``), root-product expansion, synthetic division,
+monomial integration and affine substitution (the ``raw_*`` kernels, which
+the gap map in :mod:`thurston.critvals` builds on, and
+:func:`affine_substitute`), and :func:`solve_monotone`.  Each kernel does
 the operations of the object code in the same order with the same
 precision and rounding mode (mpmath rounds ``a op b`` at the left
 operand's context, and ``int * mpf`` is ``mpf_mul_int``), so every result
 is bit-identical to the object arithmetic; values are boxed back into mpfs
 only where they leave a function.
 
-Two solvers invert a polynomial on a single monotone lap, both to the
-residual ``10 * tau * max(1, |target|)``.  A map with one critical point c
-is exactly ``p(c) + a (x - c)**d``, and :func:`solve_power` inverts it in
-closed form with one n-th root.  Maps with two or more critical points go
-through :func:`solve_monotone`: a bracketed bisection/Newton hybrid with
-outward bracket doubling for laps that extend to infinity.  Bracketing
-is mandatory there because targets may sit arbitrarily close to critical
-values, where the derivative underflows and bare Newton crawls or escapes.
-Newton may be warm-started from a point inside the lap, such as a marked
-point's position one pull-back earlier; a warm start takes at least one
-correction unless it solves the equation exactly.
+Two solvers invert a map on a single monotone lap, both to the residual
+``10 * tau * max(1, |target|)``: :func:`solve_power` with one n-th root when
+there is one critical point, and otherwise :func:`solve_monotone`, a
+bisection/Newton hybrid on a bracket that doubles outward on laps extending
+to infinity (targets may sit arbitrarily close to critical values, where
+the derivative underflows and bare Newton crawls or escapes).  Its Newton
+may be warm-started from a point inside the lap, such as a marked point's
+position one pull-back earlier; a warm start takes at least one correction
+unless it solves the equation exactly.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from functools import cached_property
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
     fone, fzero, from_int, mpf_abs, mpf_add, mpf_div, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_mul,
-    mpf_mul_int, mpf_neg, mpf_nthroot, mpf_sqrt, mpf_sub
+    mpf_mul_int, mpf_neg, mpf_nthroot, mpf_pow_int, mpf_sqrt, mpf_sub
 )
 
 GUARD_DIGITS = 3
@@ -54,6 +51,8 @@ MIN_DIGITS = 15
 
 # Outward doublings allowed when bracketing a root on an unbounded lap.
 BRACKET_DOUBLINGS = 200
+
+_CONTEXTS = {}  # digits -> the one mpmath context every PrecisionContext shares
 
 
 class RootBracketError(ArithmeticError):
@@ -75,8 +74,10 @@ class PrecisionContext:
     def __post_init__(self):
         if self.digits < MIN_DIGITS:
             raise ValueError(f"precision must be at least {MIN_DIGITS} digits, got {self.digits}")
-        mp = MPContext()
-        mp.dps = self.digits
+        mp = _CONTEXTS.get(self.digits)
+        if mp is None:
+            mp = _CONTEXTS[self.digits] = MPContext()
+            mp.dps = self.digits
         object.__setattr__(self, "mp", mp)
 
     @cached_property
@@ -124,6 +125,10 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
+    @property
+    def lead(self):
+        return self.coefficients[-1]
+
     def __call__(self, x):
         kind, descending = self._raw_horner
         if type(x) is not kind:
@@ -149,6 +154,47 @@ class Polynomial:
         if self.degree == 0:
             return Polynomial((self.coefficients[0] * 0,))
         return Polynomial(tuple(c * (i + 1) for i, c in enumerate(self.coefficients[1:])))
+
+
+@dataclass(frozen=True)
+class PowerMap:
+    """``value + lead * (x - center)**degree`` in mpfs of one context: a map with one
+    critical point that evaluates like a :class:`Polynomial`, whose ``coefficients``
+    and ``derivative()`` come from one cached expansion, :attr:`expanded`."""
+
+    center: object
+    value: object
+    lead: object
+    degree: int
+
+    def __call__(self, x):
+        kind = type(self.lead)
+        if type(x) is not kind:
+            x = kind(x)
+        prec, rounding = kind.context._prec_rounding
+        offset = mpf_sub(x._mpf_, self.center._mpf_, prec, rounding)
+        power = mpf_pow_int(offset, self.degree, prec, rounding)
+        rise = mpf_mul(self.lead._mpf_, power, prec, rounding)
+        out = object.__new__(kind)
+        out._mpf_ = mpf_add(self.value._mpf_, rise, prec, rounding)
+        return out
+
+    def precompose(self, offset, scale) -> "PowerMap":
+        """The map x |-> self(offset + scale * x), in closed form."""
+        center = (self.center - offset) / scale
+        return PowerMap(center, self.value, self.lead * scale**self.degree, self.degree)
+
+    @cached_property
+    def expanded(self) -> Polynomial:
+        constant, *rest = expand_roots(self.lead, (self.center,), (self.degree,)).coefficients
+        return Polynomial((constant + self.value, *rest))
+
+    @property
+    def coefficients(self) -> tuple:
+        return self.expanded.coefficients
+
+    def derivative(self) -> Polynomial:
+        return self.expanded.derivative()
 
 
 def raw_horner(descending, x, prec, rounding):
@@ -285,33 +331,24 @@ def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionCon
     target = ctx.mpf(target)._mpf_
     past_low, past_high = (mpf_le, mpf_ge) if orientation > 0 else (mpf_ge, mpf_le)
 
-    if lo is None:
-        anchor = ctx.mpf(hi)._mpf_
+    def grow(anchor, move, past, side):
+        # the first end anchor -+ 2**k at which p is past the target, and p there
         step = fone
-        lo = mpf_sub(anchor, step, prec, rounding)
         for _ in range(BRACKET_DOUBLINGS):
-            plo = value(p, lo)
-            if past_low(plo, target):
-                break
+            end = move(anchor, step, prec, rounding)
+            at = value(p, end)
+            if past(at, target):
+                return end, at
             step = mpf_mul_int(step, 2, prec, rounding)
-            lo = mpf_sub(anchor, step, prec, rounding)
-        else:
-            raise RootBracketError("bracket expansion cap reached below the lap")
+        raise RootBracketError(f"bracket expansion cap reached {side} the lap")
+
+    if lo is None:
+        lo, plo = grow(ctx.mpf(hi)._mpf_, mpf_sub, past_low, "below")
     else:
         lo = ctx.mpf(lo)._mpf_
         plo = value(p, lo)
     if hi is None:
-        anchor = lo
-        step = fone
-        hi = mpf_add(anchor, step, prec, rounding)
-        for _ in range(BRACKET_DOUBLINGS):
-            phi = value(p, hi)
-            if past_high(phi, target):
-                break
-            step = mpf_mul_int(step, 2, prec, rounding)
-            hi = mpf_add(anchor, step, prec, rounding)
-        else:
-            raise RootBracketError("bracket expansion cap reached above the lap")
+        hi, phi = grow(lo, mpf_add, past_high, "above")
     else:
         hi = ctx.mpf(hi)._mpf_
         phi = value(p, hi)
@@ -360,11 +397,12 @@ def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionCon
 
 
 def solve_power(
-    p: Polynomial, target, center, value, side, ctx: PrecisionContext, lo=None, hi=None
+    p, target, center, value, side, ctx: PrecisionContext, lo=None, hi=None
 ):
     """Solve p(x) = target on one side of p's only critical point, in closed form.
 
-    p must be ``value + lead * (x - center)**d`` up to the rounding of its
+    p, a :class:`PowerMap` or a :class:`Polynomial`, must be
+    ``value + lead * (x - center)**d`` up to the rounding of its
     coefficients, with d = deg p even, ``lead`` its leading coefficient and
     ``value = p(center)``, which the caller computes once per map.  The
     root is then x = center + side * ((target - value) / lead)**(1/d), one
@@ -384,7 +422,7 @@ def solve_power(
     mp = ctx.mp
     prec, rounding = mp._prec_rounding
     box = mp.make_mpf
-    target, center, value, lead = unboxed(mp.mpf, (target, center, value, p.coefficients[-1]))
+    target, center, value, lead = unboxed(mp.mpf, (target, center, value, p.lead))
     value_tol = _value_tolerance(target, ctx)
     rise = mpf_sub(target, value, prec, rounding)
     if mpf_le(mpf_abs(rise, prec, rounding), value_tol):

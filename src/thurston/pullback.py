@@ -17,11 +17,14 @@ One step, given marked points x_0..x_n and the combinatorics m:
                 x_{m_j})**2) / n at the new points.
 
 Steps 2 and 3 invert f on its laps with the solver :func:`_lap_solver`
-picks once per map: with one critical point c, f = f(c) + a (x - c)**d and
-each preimage is the closed-form root c -+ ((t - f(c)) / a)**(1/d)
-(:func:`~thurston.mpnum.solve_power`); with two or more, the bracketed
-Newton search of :func:`~thurston.mpnum.solve_monotone`, which step 3
-starts from the point's previous position.
+picks once per map.  With one critical point c, steps 1-4 keep f as a
+:class:`~thurston.mpnum.PowerMap` v + a (x - c)**d: built as
+v + (sigma/d) x**d, reframed in closed form (a s**d and (c - A)/s, with
+s = B - A), inverted by the root c -+ ((t - v) / a)**(1/d)
+(:func:`~thurston.mpnum.solve_power`), and expanded into a dense polynomial
+only for the result and for each trace record kept.  With two or more,
+the bracketed Newton search of :func:`~thurston.mpnum.solve_monotone`,
+which step 3 starts from the point's previous position.
 
 Iterating contracts toward the unique polynomial realizing the
 combinatorics.  Two failure modes are handled along the way: when eps stops
@@ -36,9 +39,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_sqrt, mpf_sub
+
 from . import combinatorics as comb
 from . import critvals
-from .mpnum import Polynomial, PrecisionContext, affine_substitute, solve_monotone, solve_power
+from .mpnum import (
+    Polynomial, PowerMap, PrecisionContext, affine_substitute, solve_monotone, solve_power, unboxed
+)
 
 STALL_WINDOW = 4
 STALL_FACTOR = 0.5
@@ -83,7 +90,7 @@ class MarkedConfiguration:
 
 @dataclass(frozen=True)
 class NormalizedMap:
-    polynomial: Polynomial
+    polynomial: Polynomial | PowerMap  # a PowerMap when there is one critical point
     critical_points: tuple  # one per critical index, inside [0, 1]
     frame_low: object  # A: preimage of the 0-endpoint target before rescaling
     frame_high: object  # B: preimage of the 1-endpoint target
@@ -149,11 +156,6 @@ def critical_value_vector(c: comb.Combinatorics, x: MarkedConfiguration) -> crit
     return critvals.CriticalValueSpec(tuple(x.points[c.m[j]] for j in c.critical_points()))
 
 
-def _multiplicities(c: comb.Combinatorics) -> tuple:
-    # multiplicity as a root of the derivative = local degree - 1
-    return tuple(c.local_degree[j] - 1 for j in c.critical_points())
-
-
 def mapmake(
     c: comb.Combinatorics,
     values: critvals.CriticalValueSpec,
@@ -168,19 +170,21 @@ def mapmake(
     combinatorics, which warm-starts this one.
     """
     sigma = (comb.laps(c) if lap_list is None else lap_list).last_orientation()
-    return critvals.realize_critical_values(values, _multiplicities(c), sigma, ctx, previous)
+    # multiplicity as a root of the derivative = local degree - 1
+    multiplicities = tuple(c.local_degree[j] - 1 for j in c.critical_points())
+    return critvals.realize_critical_values(values, multiplicities, sigma, ctx, previous)
 
 
-def _lap_solver(f: Polynomial, critical_points, ctx: PrecisionContext):
+def _lap_solver(f, critical_points, ctx: PrecisionContext):
     """``solve(target, lo, hi, orientation, start=None)`` for f(x) = target on a lap.
 
-    One critical point c: :func:`solve_power` on the side orientation * sign(a)
-    of c, with f(c) computed once here.  More: :func:`solve_monotone` from ``start``.
+    One critical point c: :func:`solve_power` on the side orientation * sign(a) of c,
+    with f(c) (a PowerMap's ``value``) once per map.  More: :func:`solve_monotone` from ``start``.
     """
     if len(critical_points) == 1:
         (center,) = critical_points
         value = f(center)
-        lead_sign = 1 if f.coefficients[-1] > 0 else -1
+        lead_sign = 1 if f.lead > 0 else -1
 
         def solve(target, lo, hi, orientation, start=None):
             return solve_power(f, target, center, value, orientation * lead_sign, ctx, lo, hi)
@@ -219,7 +223,10 @@ def normalize(
         raise PullbackError("framing points came out in the wrong order")
 
     scale = B - A
-    f = affine_substitute(f_raw, A, scale)
+    if isinstance(f_raw, PowerMap):
+        f = f_raw.precompose(A, scale)
+    else:
+        f = affine_substitute(f_raw, A, scale)
     moved = tuple((p - A) / scale for p in realized.critical_points)
     return NormalizedMap(f, moved, A, B)
 
@@ -263,13 +270,16 @@ def pullback_step(
     return MarkedConfiguration(tuple(new), step=prev.step + 1)
 
 
-def fit_error(c: comb.Combinatorics, f: Polynomial, x: MarkedConfiguration, ctx: PrecisionContext):
-    """eps = sqrt(sum_j (f(x_j) - x_{m_j})**2) / n."""
-    total = ctx.mp.mpf(0)
-    for j in range(c.n + 1):
-        diff = f(x.points[j]) - x.points[c.m[j]]
-        total += diff * diff
-    return ctx.mp.sqrt(total) / c.n
+def fit_error(c: comb.Combinatorics, f, x: MarkedConfiguration, ctx: PrecisionContext):
+    """eps = sqrt(sum_j (f(x_j) - x_{m_j})**2) / n, on raw tuples as mpfs in ctx round it."""
+    mp = ctx.mp
+    prec, rounding = mp._prec_rounding
+    points = unboxed(mp.mpf, x.points)
+    total = fzero
+    for j, point in enumerate(x.points):
+        diff = mpf_sub(f(point)._mpf_, points[c.m[j]], prec, rounding)
+        total = mpf_add(total, mpf_mul(diff, diff, prec, rounding), prec, rounding)
+    return mp.make_mpf(mpf_div(mpf_sqrt(total, prec, rounding), from_int(c.n), prec, rounding))
 
 
 def detect_collapse(x: MarkedConfiguration, threshold) -> tuple:
@@ -299,6 +309,10 @@ def _merged_configuration(x: MarkedConfiguration, groups, ctx: PrecisionContext)
     pts = [(p - lo) / span for p in points]
     pts[0], pts[-1] = ctx.mp.mpf(0), ctx.mp.mpf(1)
     return MarkedConfiguration(tuple(pts), step=x.step)
+
+
+def _dense(f) -> Optional[Polynomial]:
+    return f.expanded if isinstance(f, PowerMap) else f
 
 
 def _collapse_threshold(ctx: PrecisionContext, n: int):
@@ -358,7 +372,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
         if options.keep_trace:
             trace.append(StepRecord(
                 step=step,
-                polynomial=f,
+                polynomial=_dense(f),
                 configuration=new_x,
                 critical_values=values.values,
                 fit=eps,
@@ -369,9 +383,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
 
         # Collapse bookkeeping: persistent sub-threshold gaps, or hitting the
         # tolerance while gaps are degenerate, both force a merge.
-        below = {
-            j for j, gap in enumerate(new_x.gaps()) if gap < threshold
-        }
+        below = {j for j, gap in enumerate(new_x.gaps()) if gap < threshold}
         gap_streak = {j: gap_streak.get(j, 0) + 1 for j in below}
         persistent = any(v >= COLLAPSE_PERSISTENCE for v in gap_streak.values())
         if below and (persistent or eps <= tol):
@@ -388,12 +400,9 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
                 raise PullbackError(
                     f"step {step}: merged combinatorics {comb.render(simplified)} is invalid"
                 )
-            collapse_events.append(CollapseEvent(
-                step=step,
-                groups=groups,
-                before=comb.render(c),
-                after=comb.render(simplified),
-            ))
+            collapse_events.append(
+                CollapseEvent(step, groups, before=comb.render(c), after=comb.render(simplified))
+            )
             x = _merged_configuration(new_x, groups, ctx)
             c = simplified
             lap_list = comb.laps(c)
@@ -418,14 +427,12 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
             tol = ctx.mpf(options.tol)
             threshold = _collapse_threshold(ctx, c.n)
             interior = tuple(ctx.mpf(p) for p in x.points[1:-1])
-            x = MarkedConfiguration(
-                (ctx.mp.mpf(0),) + interior + (ctx.mp.mpf(1),), step=x.step
-            )
+            x = MarkedConfiguration((ctx.mp.mpf(0), *interior, ctx.mp.mpf(1)), step=x.step)
             precision_history.append((step + 1, new_digits))
             window = []
 
     return RunResult(
-        combinatorics=c, original=original, polynomial=f, configuration=x,
+        combinatorics=c, original=original, polynomial=_dense(f), configuration=x,
         iterations=step, fit=eps, converged=converged, digits=ctx.digits,
         precision_history=tuple(precision_history),
         collapse_events=tuple(collapse_events), residuals=tuple(residuals),

@@ -132,6 +132,13 @@ def test_caches_leave_equality_hash_and_repr_alone():
     assert ctx == other and (repr(ctx), hash(ctx)) == before == (repr(other), hash(other))
 
 
+def test_contexts_of_equal_digits_share_one_mpmath_context():
+    ctx, same, finer = ctx40(), mpnum.PrecisionContext(40), mpnum.PrecisionContext(80)
+    assert ctx.mp is same.mp and ctx.mp is not finer.mp
+    assert (ctx.mp.dps, finer.mp.dps) == (40, 80)
+    assert type(ctx.mpf(1)) is type(same.mpf(2)) is not type(finer.mpf(1))
+
+
 def test_from_roots_simple():
     ctx = ctx40()
     p = from_roots((0, 1), (1, 1), 1, ctx)
@@ -418,3 +425,48 @@ def test_closed_form_root_needs_an_even_degree():
     cube = mpnum.Polynomial((ctx.mp.mpf(0),) * 3 + (ctx.mp.mpf(1),))
     with pytest.raises(ValueError):
         mpnum.solve_power(cube, 1, 0, 0, 1, ctx)
+
+
+# ---------------------------------------------------------------- power maps
+
+
+@st.composite
+def closed_forms(draw, decades=3):
+    """A PowerMap v + a (x - c)**d with d even and a of either sign over
+    2 * decades decades, and a point x."""
+    ctx = mpnum.PrecisionContext(draw(st.sampled_from([40, 80])))
+    d = draw(st.sampled_from([2, 4, 6]))
+    a = draw(st.sampled_from([-1, 1])) * ctx.mpf(draw(st.fractions(1, 10))) * (
+        ctx.mp.mpf(10) ** draw(st.integers(-decades, decades)))
+    c, v, x = (ctx.mpf(draw(st.fractions(-1, 1, max_denominator=1000))) for _ in range(3))
+    return ctx, mpnum.PowerMap(c, v, a, d), x
+
+
+@given(closed_forms())
+@settings(max_examples=200, deadline=None)
+def test_power_map_evaluates_as_its_expansion(case):
+    ctx, f, x = case
+    p = f.expanded
+    assert type(p) is mpnum.Polynomial and (p.degree, p.lead) == (f.degree, f.lead)
+    assert f.coefficients == p.coefficients and f.derivative() is p.derivative()
+    assert f(x)._mpf_ == (f.value + f.lead * (x - f.center) ** f.degree)._mpf_
+    assert f(f.center)._mpf_ == f.value._mpf_
+    # Horner on the expansion loses what its terms cancel
+    size = sum(abs(coefficient * x**i) for i, coefficient in enumerate(p.coefficients))
+    assert abs(f(x) - p(x)) <= 10 * ctx.tau * max(1, size)
+
+
+@given(
+    closed_forms(decades=1),
+    st.fractions(-1, 1, max_denominator=1000),
+    st.fractions(Fraction(1, 2), 2, max_denominator=1000),
+)
+@settings(max_examples=200, deadline=None)
+def test_power_map_reframes_as_affine_substitution(case, offset, scale):
+    ctx, f, _ = case
+    offset, scale = ctx.mpf(offset), ctx.mpf(scale)
+    got = f.precompose(offset, scale)
+    want = mpnum.affine_substitute(f.expanded, offset, scale)
+    assert type(got) is mpnum.PowerMap and got.degree == want.degree
+    for g, w in zip(got.coefficients, want.coefficients):
+        assert abs(g - w) <= ctx.mpf("1e-30")

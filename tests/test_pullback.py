@@ -1,5 +1,6 @@
 """Per-operation checks and short end-to-end runs of the iteration."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -394,3 +395,84 @@ def test_warm_started_run_converges_deep():
     # this run (158 steps); with one it takes about 80
     result = pullback.run(comb.parse("0,3,2,1,4"), pullback.RunOptions(tol="1e-60", max_iter=1000))
     assert result.converged and result.iterations <= 90
+
+
+@pytest.mark.parametrize("text", ["0,1,0", "2,1,2", "0,2^4,1,0", "0,1^6,0", "3,1,2,3", "4,2,1,3,4"])
+def test_power_map_frames_as_the_dense_antiderivative(text):
+    # With one critical point mapmake builds v + (sigma/d) x**d as a PowerMap.
+    # The dense antiderivative of sigma * x**(d-1) through (0, v) has the same
+    # critical value and leading coefficient bit for bit, so both give the
+    # same framing points and reframed critical point.
+    ctx = ctx40()
+    c = comb.parse(text)
+    sigma = comb.laps(c).last_orientation()
+    x = pullback.init_configuration(c, ctx)
+    for _ in range(3):
+        spec = pullback.critical_value_vector(c, x)
+        realized = pullback.mapmake(c, spec, ctx)
+        f = realized.polynomial
+        assert isinstance(f, mpnum.PowerMap)
+        zero = ctx.mp.mpf(0)
+        slope = mpnum.Polynomial((zero,) * (f.degree - 1) + (ctx.mp.mpf(sigma),))
+        dense = critvals.RealizedMap(
+            mpnum.antiderivative(slope, zero, spec.values[0]), realized.critical_points,
+            realized.gaps, realized.inversion,
+        )
+        closed, via_dense = pullback.normalize(c, realized, ctx), pullback.normalize(c, dense, ctx)
+        assert isinstance(closed.polynomial, mpnum.PowerMap)
+        assert closed.frame_low._mpf_ == via_dense.frame_low._mpf_
+        assert closed.frame_high._mpf_ == via_dense.frame_high._mpf_
+        assert closed.critical_points[0]._mpf_ == via_dense.critical_points[0]._mpf_
+        for got, want in zip(closed.polynomial.coefficients, via_dense.polynomial.coefficients):
+            assert abs(got - want) <= ctx.mpf("1e-30")
+        x = pullback.pullback_step(c, closed, x, ctx)
+
+
+@pytest.mark.parametrize("text", ["0,1,0", "0,2^4,1,0"])
+def test_one_critical_point_results_are_dense(text):
+    result = pullback.run(comb.parse(text), pullback.RunOptions(keep_trace=True))
+    assert type(result.polynomial) is mpnum.Polynomial
+    assert result.trace and all(type(r.polynomial) is mpnum.Polynomial for r in result.trace)
+    assert result.polynomial == result.trace[-1].polynomial
+
+
+def test_escalation_leaves_shared_contexts_alone():
+    contexts = {d: mpnum.PrecisionContext(d).mp for d in (15, 30, 60, 120)}
+    before = {d: (mp.dps, mp.prec) for d, mp in contexts.items()}
+    result = pullback.run(
+        comb.parse("0,3^4,2^3,1,4"),
+        pullback.RunOptions(tol="1e-14", start_digits=15, max_digits=120),
+    )
+    assert result.converged and len(result.precision_history) > 1
+    assert {d: (mp.dps, mp.prec) for d, mp in contexts.items()} == before
+    assert all(mpnum.PrecisionContext(d).mp is mp for d, mp in contexts.items())
+
+
+def one_turning_point_sequences(largest):
+    """Valid default-degree sequences with one turning point and n <= largest."""
+    for n in range(2, largest + 1):
+        for ends in itertools.product((0, n), repeat=2):
+            for middle in itertools.product(range(n + 1), repeat=n - 1):
+                m = (ends[0], *middle, ends[1])
+                if any(a == b for a, b in zip(m, m[1:])):
+                    continue
+                c = comb.Combinatorics(m, comb.default_degrees(m))
+                if len(c.turning_points()) == 1 and comb.validate(c).passed:
+                    yield c
+
+
+def test_every_small_one_turning_point_sequence_converges_framed():
+    sequences = list(one_turning_point_sequences(4))
+    assert len(sequences) == 60
+    options = pullback.RunOptions()
+    for c in sequences:
+        result = pullback.run(c, options)
+        assert result.converged, comb.render(c)
+        ctx = mpnum.PrecisionContext(result.digits)
+        final, f, x = result.combinatorics, result.polynomial, result.configuration
+        assert pullback.fit_error(final, f, x, ctx) <= ctx.mpf(options.tol)
+        for at, index in ((0, 0), (1, final.n)):
+            target = 0 if final.m[index] == 0 else 1
+            assert abs(f(ctx.mp.mpf(at)) - target) <= ctx.mpf("1e-30"), comb.render(c)
+        for j in final.critical_points():
+            assert abs(f.derivative()(x.points[j])) <= ctx.mpf("1e-30"), comb.render(c)

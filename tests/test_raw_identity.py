@@ -1,8 +1,8 @@
 """The raw-tuple kernels against the object arithmetic they replace.
 
 The oracles below are the mpf-object versions of ``solve_monotone``,
-``centered_points``, ``phi``, ``phi_jacobian``, ``solve_linear`` and
-``affine_substitute``, with the object polynomial helpers they relied on.  The raw kernels must do the same
+``centered_points``, ``phi``, ``phi_jacobian``, ``solve_linear``,
+``affine_substitute`` and ``fit_error``, with the object polynomial helpers they relied on.  The raw kernels must do the same
 operations in the same order with the same rounding, so every output must
 have the same ``_mpf_`` tuple, and every failure the same exception type and
 message.
@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thurston import critvals, mpnum
+from thurston import combinatorics as comb
+from thurston import critvals, mpnum, pullback
 
 # ---------------------------------------------------------------- oracles
 
@@ -220,6 +221,14 @@ def affine_substitute(coefficients, offset, scale):
     return out
 
 
+def fit_error(c, f, points, ctx):
+    total = ctx.mp.mpf(0)
+    for j in range(c.n + 1):
+        diff = f(points[j]) - points[c.m[j]]
+        total += diff * diff
+    return ctx.mp.sqrt(total) / c.n
+
+
 # ---------------------------------------------------------------- helpers
 
 
@@ -400,3 +409,21 @@ def test_affine_substitution_is_bit_identical(digit_count, degree, data):
     want = affine_substitute(coeffs, offset, scale)
     assert got.degree == degree
     assert same(got.coefficients, want)
+
+
+# ---------------------------------------------------------------- fit
+
+
+@given(digits, st.integers(0, 7), st.integers(2, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_fit_error_is_bit_identical(digit_count, degree, n, data):
+    ctx = mpnum.PrecisionContext(digit_count)
+    coeffs = [ctx.mpf(data.draw(entry)) for _ in range(degree)]
+    coeffs.append(ctx.mpf(data.draw(entry.filter(bool))))
+    f = mpnum.Polynomial(tuple(coeffs))
+    images = data.draw(st.lists(st.integers(0, n), min_size=n + 1, max_size=n + 1))
+    c = comb.Combinatorics(tuple(images), (1,) * (n + 1))
+    inner = sorted(data.draw(st.lists(st.fractions(0, 1), min_size=n - 1, max_size=n - 1)))
+    points = (ctx.mp.mpf(0), *map(ctx.mpf, inner), ctx.mp.mpf(1))
+    got = pullback.fit_error(c, f, pullback.MarkedConfiguration(points), ctx)
+    assert same(got, fit_error(c, f, points, ctx))
