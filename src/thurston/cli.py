@@ -263,7 +263,8 @@ def plot(combinatorics_text, result_path, tol, max_iter, digits, max_digits, sam
     if samples < 2:
         raise click.BadParameter("need at least 2 samples")
     if result_path:
-        doc = parse_document(open(result_path).read())
+        with open(result_path) as fh:
+            doc = parse_document(fh.read())
     elif combinatorics_text:
         c = _parse_or_exit(combinatorics_text)
         options = pullback.RunOptions(tol=tol, max_iter=max_iter,

@@ -15,41 +15,47 @@ positive orthant onto itself and homogeneous of degree ``1 + sum(k_i)``
 "construct a polynomial with these critical values" to a well-behaved
 root-finding problem.
 
-The inversion runs damped Newton from a Chebyshev-flavored starting point
-(gap pattern of the critical points of a first-kind Chebyshev polynomial,
-rescaled by homogeneity so the largest value gap is exactly 1).  When the
-caller holds the inversion of a nearby problem with the same multiplicities,
-as the pull-back iteration does from one step to the next, Newton starts
-instead from those gaps rescaled by homogeneity: scaling the gaps by t
-scales Phi by t**(1 + sum(k_i)), so t is chosen to match the sum of the
-value gaps.  Such a warm start always takes at least one Newton correction,
-whose full step is accepted once its residual meets the tolerance, even at
-the rounding floor.  Should Newton ever stall, a path-lifting integrator
-follows the straight segment from the Chebyshev start's values to the
-requested ones and polishes the endpoint with the same damped Newton; that
-route only needs the Jacobian to stay invertible, which it does on the
-whole positive orthant.  The Newton systems are only (r-1) x (r-1), so they
+With two critical points there is one gap delta, and Phi is the Beta
+integral s = delta**(K+1) k_1! k_2! / (K+1)!, K = k_1 + k_2, so the inversion
+is one (K+1)-th root.  With more, it runs damped Newton from a
+Chebyshev-flavored starting point (gap pattern of the critical points of a
+first-kind Chebyshev polynomial, rescaled by homogeneity so the largest
+value gap is exactly 1).  When the caller holds the inversion of a nearby
+problem with the same multiplicities, as the pull-back iteration does from
+one step to the next, Newton starts instead from those gaps rescaled by
+homogeneity: scaling the gaps by t scales Phi by t**(1 + sum(k_i)), so t is
+chosen to match the sum of the value gaps.  Such a warm start always takes
+at least one Newton correction, whose full step is accepted once its
+residual meets the tolerance, even at the rounding floor.  Should Newton
+ever stall, a path-lifting integrator follows the straight segment from the
+Chebyshev start's values to the requested ones and polishes the endpoint
+with the same damped Newton; that route only needs the Jacobian to stay
+invertible, which it does on the whole positive orthant.  Phi is
+translation invariant, so Jacobian column j sums Phi's derivatives in the
+points right of gap j.  The Newton systems are only (r-1) x (r-1), so they
 are solved by Gaussian elimination on plain lists.
 
 Phi, its Jacobian and the elimination run on mpmath's raw ``_mpf_`` tuples:
 the centered points, the monic product (expanded once per
 :class:`PhiProblem` and shared by Phi and the Jacobian at the same gaps),
-the synthetic divisions, integrals and Horner evaluations, and every
-pivot and elimination step.  They do the object arithmetic's operations in
-the same order at the same precision and rounding, so every value is
-bit-identical to it, and only the results are boxed back into mpfs.
+the synthetic divisions, integrals, Horner evaluations and column sums,
+and every pivot and elimination step.  They do the operations of the
+mpf-object oracles in the tests in the same order at the same precision and
+rounding, so every value is bit-identical to them, and only the results are
+boxed back into mpfs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial
 from typing import Optional
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
     fone, fzero, from_int, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_mul, mpf_mul_int,
-    mpf_neg, mpf_sub
+    mpf_nthroot, mpf_sub
 )
 
 from .mpnum import (
@@ -162,43 +168,27 @@ def phi(problem: PhiProblem) -> tuple:
 def phi_jacobian(problem: PhiProblem) -> tuple:
     """Exact partial derivatives ds_i / ddelta_j, as nested tuples.
 
-    Differentiation passes through the centered points: moving critical point
-    c_m perturbs the integrand by ``-k_m * g(x)/(x - c_m)``, a polynomial, and
-    the boundary terms vanish because g is zero at both endpoints.
+    Phi is translation invariant, so widening gap j moves exactly the points
+    c_m with m > j.  Moving c_m perturbs the integrand by
+    ``-k_m * g(x)/(x - c_m)``, a polynomial, and the boundary terms vanish
+    because g is zero at both endpoints; column j is the running sum of
+    these terms' integrals over m > j, accumulated right to left.
     """
     mults = problem.multiplicities
     r = problem.r
-    K = sum(mults)
     context, prec, rounding, points = problem._centered
     g = problem._monic
-
-    # d(signed integral over interval i) / d(point m)
-    dS = [[None] * r for _ in range(r - 1)]
-    for mi in range(r):
-        q = raw_divide_linear(g, points[mi], prec, rounding)
-        ends = _integrals(q, points, prec, rounding)
+    column = [fzero] * (r - 1)
+    columns = [None] * (r - 1)
+    for j in reversed(range(r - 1)):
+        m = j + 1
+        ends = _integrals(raw_divide_linear(g, points[m], prec, rounding), points, prec, rounding)
         for i in range(r - 1):
             diff = mpf_sub(ends[i + 1], ends[i], prec, rounding)
-            dS[i][mi] = mpf_mul_int(diff, -mults[mi], prec, rounding)
-
-    # d(point m) / d(gap j): gaps move every point right of them, and the
-    # centering constraint shifts the whole configuration back.
-    dc = []
-    for j in range(r - 1):
-        shift = mpf_div(from_int(sum(mults[j + 1:])), from_int(K), prec, rounding)
-        right, left = mpf_sub(fone, shift, prec, rounding), mpf_neg(shift, prec, rounding)
-        dc.append([right if mi > j else left for mi in range(r)])
-    rows = []
-    for i in range(r - 1):
-        sign = _interval_sign(mults, i)
-        row = []
-        for j in range(r - 1):
-            acc = fzero
-            for mi in range(r):
-                acc = mpf_add(acc, mpf_mul(dS[i][mi], dc[j][mi], prec, rounding), prec, rounding)
-            row.append(context.make_mpf(mpf_mul_int(acc, sign, prec, rounding)))
-        rows.append(tuple(row))
-    return tuple(rows)
+            term = mpf_mul_int(diff, -_interval_sign(mults, i) * mults[m], prec, rounding)
+            column[i] = mpf_add(column[i], term, prec, rounding)
+        columns[j] = tuple(map(context.make_mpf, column))
+    return tuple(zip(*columns))
 
 
 def chebyshev_init(r: int, multiplicities, ctx: PrecisionContext) -> tuple:
@@ -398,11 +388,20 @@ def rescaled_start(previous: InversionResult, s, multiplicities, ctx: PrecisionC
 def solve_gaps(s, multiplicities, ctx: PrecisionContext, previous=None) -> InversionResult:
     """Newton inversion with the continuation fallback.
 
-    ``previous`` is the inversion of nearby value gaps for the same
-    multiplicities; when given, Newton starts from its rescaled gaps and
-    takes at least one correction, instead of starting from the Chebyshev
-    point.
+    With two critical points delta is one (K+1)-th root of the Beta
+    integral (see the module docstring).  Otherwise ``previous`` is the
+    inversion of nearby value gaps for the same multiplicities; when given,
+    Newton starts from its rescaled gaps and takes at least one correction,
+    instead of starting from the Chebyshev point.
     """
+    if len(multiplicities) == 2:
+        s, (k1, k2) = _checked_targets(s, multiplicities, ctx)
+        prec, rounding = ctx.mp._prec_rounding
+        degree = k1 + k2 + 1
+        ratio = factorial(degree) // (factorial(k1) * factorial(k2))
+        scaled = mpf_mul_int(s[0]._mpf_, ratio, prec, rounding)
+        gap = ctx.mp.make_mpf(mpf_nthroot(scaled, degree, prec, rounding))
+        return InversionResult((gap,), 0, (), s)
     try:
         if previous is None:
             return invert_phi(s, multiplicities, ctx)

@@ -264,10 +264,10 @@ def pullback_step(
         hi = one if lap.right is None else turning_at[lap.right]
         new[j] = solve(prev.points[c.m[j]], lo, hi, lap.orientation, start=prev.points[j])
 
-    for a, b in zip(new, new[1:]):
-        if b < a:
-            raise PullbackError("pulled-back configuration is out of order")
-    return MarkedConfiguration(tuple(new), step=prev.step + 1)
+    try:  # the endpoints are pinned, so only the order check can fail
+        return MarkedConfiguration(tuple(new), step=prev.step + 1)
+    except ValueError as exc:
+        raise PullbackError("pulled-back configuration is out of order") from exc
 
 
 def fit_error(c: comb.Combinatorics, f, x: MarkedConfiguration, ctx: PrecisionContext):

@@ -397,6 +397,48 @@ def test_warm_started_run_converges_deep():
     assert result.converged and result.iterations <= 90
 
 
+# Steps to tol 1e-60 (escalating from 40 to 80 digits) of the eight reference
+# combinatorics before the gap map's closed form for two critical points and
+# its translation-invariant Jacobian.  Rounding changes in the inversion can
+# wake a slow mode (ratio about 0.66) that roughly doubles a run.
+DEEP_STEPS = {
+    "0,4,3,1,2,5": 202,
+    "0,2,6^2,4,3^3,1^2,4,7": 136,
+    "0,3,2,1,4": 80,
+    "0,3^4,2^3,1,4": 94,
+    "6,2^4,3,4,5,1,0": 155,
+    "0,2,1,3,5,3^3,0": 141,
+    "0,4,3,2,1,2,0": 291,
+    "0,1,5,0,2,1,7,1,0": 64,
+}
+
+
+@pytest.mark.parametrize("text", dict.fromkeys(row.combinatorics for row in ROWS))
+def test_deep_runs_stay_within_a_tenth_of_their_step_counts(text):
+    cap = -(-DEEP_STEPS[text] * 11 // 10)
+    result = pullback.run(comb.parse(text), pullback.RunOptions(tol="1e-60", max_iter=1000))
+    assert result.converged and result.iterations <= cap
+
+
+def test_out_of_order_pullback_raises_with_step_context(monkeypatch):
+    # A lap solver that answers below the lap puts the point left of x_0 = 0.
+    lap_solver = pullback._lap_solver
+
+    def misplaced(f, critical_points, ctx):
+        solve = lap_solver(f, critical_points, ctx)
+
+        def wrong(target, lo, hi, orientation, start=None):
+            if lo is None or hi is None:  # a framing solve
+                return solve(target, lo, hi, orientation, start)
+            return lo - 1
+        return wrong
+
+    monkeypatch.setattr(pullback, "_lap_solver", misplaced)
+    with pytest.raises(pullback.PullbackError) as info:
+        pullback.run(comb.parse("0,3,2,1,4"))
+    assert str(info.value) == "step 1 (0,3,2,1,4): pulled-back configuration is out of order"
+
+
 @pytest.mark.parametrize("text", ["0,1,0", "2,1,2", "0,2^4,1,0", "0,1^6,0", "3,1,2,3", "4,2,1,3,4"])
 def test_power_map_frames_as_the_dense_antiderivative(text):
     # With one critical point mapmake builds v + (sigma/d) x**d as a PowerMap.

@@ -79,29 +79,20 @@ def phi(problem):
 def phi_jacobian(problem):
     mults = problem.multiplicities
     r = problem.r
-    K = sum(mults)
     points = centered_points(problem)
     zero = points[0] * 0
     g = expand_roots(zero + 1, points, mults)
-    dS = [[None] * r for _ in range(r - 1)]
-    for mi in range(r):
-        Q = antiderivative(divide_linear(g, points[mi]), zero, zero)
+    column = [zero] * (r - 1)
+    columns = [None] * (r - 1)
+    for j in reversed(range(r - 1)):
+        m = j + 1
+        Q = antiderivative(divide_linear(g, points[m]), zero, zero)
         ends = [horner(Q, p) for p in points]
         for i in range(r - 1):
-            dS[i][mi] = -mults[mi] * (ends[i + 1] - ends[i])
-    rows = []
-    for i in range(r - 1):
-        sign = critvals._interval_sign(mults, i)
-        row = []
-        for j in range(r - 1):
-            shift = (zero + sum(mults[j + 1:])) / K
-            acc = zero
-            for mi in range(r):
-                dc = (1 - shift) if mi > j else -shift
-                acc = acc + dS[i][mi] * dc
-            row.append(sign * acc)
-        rows.append(tuple(row))
-    return tuple(rows)
+            weight = -critvals._interval_sign(mults, i) * mults[m]
+            column[i] = column[i] + (ends[i + 1] - ends[i]) * weight
+        columns[j] = tuple(column)
+    return tuple(zip(*columns))
 
 
 def solve_linear(rows, rhs, ctx):
