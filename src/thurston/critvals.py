@@ -35,14 +35,12 @@ translation invariant, so Jacobian column j sums Phi's derivatives in the
 points right of gap j.  The Newton systems are only (r-1) x (r-1), so they
 are solved by Gaussian elimination on plain lists.
 
-Phi, its Jacobian and the elimination run on mpmath's raw ``_mpf_`` tuples:
-the centered points, the monic product (expanded once per
-:class:`PhiProblem` and shared by Phi and the Jacobian at the same gaps),
-the synthetic divisions, integrals, Horner evaluations and column sums,
-and every pivot and elimination step.  They do the operations of the
-mpf-object oracles in the tests in the same order at the same precision and
-rounding, so every value is bit-identical to them, and only the results are
-boxed back into mpfs.
+Phi, its Jacobian and the elimination run on the correctly rounded integer
+pairs of :mod:`thurston.mpnum`, in the operation order and precision of the
+mpf-object oracles in the tests, so every value is bit-identical to them:
+the centered points, the monic product (cached per :class:`PhiProblem` for
+Phi and the Jacobian at the same gaps), the divisions, integrals, Horner
+evaluations and column sums, and every pivot and elimination step.
 """
 
 from __future__ import annotations
@@ -53,17 +51,14 @@ from math import factorial
 from typing import Optional
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import (
-    fone, fzero, from_int, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_mul, mpf_mul_int,
-    mpf_nthroot, mpf_sub
-)
+from mpmath.libmp import mpf_mul_int, mpf_nthroot
 
 from .mpnum import (
-    Polynomial, PowerMap, PrecisionContext, antiderivative, expand_roots, raw_divide_linear,
-    raw_expand_roots, raw_horner, raw_integral, unboxed
+    Polynomial, PowerMap, PrecisionContext, antiderivative, expand_roots, pair_add, pair_cmp,
+    pair_div, pair_divide_linear, pair_expand_roots, pair_horner, pair_integral, pair_mul,
+    pair_round, pair_sub, to_pair, to_raw, unboxed
 )
 
-NEWTON_TOL_SHIFT = 6  # residual target is 10**(-digits + shift)
 NEWTON_MAX_ITERATIONS = 200
 NEWTON_MAX_HALVINGS = 60
 CONTINUATION_STEPS = 64
@@ -111,36 +106,34 @@ class PhiProblem:
 
     @cached_property
     def _centered(self):
-        """The first gap's mpf context, its precision and rounding, and the
-        centered points as raw tuples; other gaps are coerced into it."""
+        """The first gap's context and precision, and the centered points as pairs."""
         kind = type(self.gaps[0])
         context = getattr(kind, "context", None)
         if not isinstance(context, MPContext) or kind is not context.mpf:
             raise TypeError("gaps must be mpf values")
-        prec, rounding = context._prec_rounding
-        gaps = unboxed(kind, self.gaps)
+        prec = context.prec
+        gaps = [to_pair(g) for g in unboxed(kind, self.gaps)]
         mults = self.multiplicities
-        first = fzero
-        for i, gap in enumerate(gaps):
-            weight = mpf_mul_int(gap, sum(mults[i + 1:]), prec, rounding)
-            first = mpf_sub(first, weight, prec, rounding)
-        points = [mpf_div(first, from_int(sum(mults)), prec, rounding)]
+        first = (0, 0)
+        for i, gap in enumerate(gaps):  # first = -sum_i gap_i * (k_{i+1} + ... + k_r)
+            first = pair_sub(first, pair_mul(gap, (sum(mults[i + 1:]), 0), prec), prec)
+        points = [pair_div(first, (sum(mults), 0), prec)]
         for gap in gaps:
-            points.append(mpf_add(points[-1], gap, prec, rounding))
-        return context, prec, rounding, points
+            points.append(pair_add(points[-1], gap, prec))
+        return context, prec, points
 
     @cached_property
     def _monic(self) -> list:
-        """Raw ascending coefficients of g, the monic product over the points;
-        Phi and its Jacobian at the same gaps share it."""
-        _, prec, rounding, points = self._centered
-        return raw_expand_roots(fone, points, self.multiplicities, prec, rounding)
+        """Ascending coefficients (pairs) of g, the monic product over the
+        points; Phi and its Jacobian at the same gaps share it."""
+        _, prec, points = self._centered
+        return pair_expand_roots((1, 0), points, self.multiplicities, prec)
 
 
 def centered_points(problem: PhiProblem) -> tuple:
     """Critical points with the prescribed gaps and sum k_i c_i = 0."""
-    context, _, _, points = problem._centered
-    return tuple(map(context.make_mpf, points))
+    context, _, points = problem._centered
+    return tuple(context.make_mpf(to_raw(p)) for p in points)
 
 
 def _interval_sign(mults, i) -> int:
@@ -149,20 +142,18 @@ def _interval_sign(mults, i) -> int:
     return 1 if sum(mults[i + 1:]) % 2 == 0 else -1
 
 
-def _integrals(q, points, prec, rounding) -> list:
+def _integrals(q, points, prec) -> list:
     """Values at ``points`` of the antiderivative of ``q`` vanishing at 0."""
-    descending = raw_integral(q, prec, rounding)[::-1]
-    return [raw_horner(descending, p, prec, rounding) for p in points]
+    descending = pair_integral(q, prec)[::-1]
+    return [pair_horner(descending, p, prec) for p in points]
 
 
 def phi(problem: PhiProblem) -> tuple:
     """Value gaps s_i = |integral over [c_i, c_{i+1}] of the monic product|."""
-    context, prec, rounding, points = problem._centered
-    values = _integrals(problem._monic, points, prec, rounding)
-    return tuple(
-        context.make_mpf(mpf_abs(mpf_sub(b, a, prec, rounding), prec, rounding))
-        for a, b in zip(values, values[1:])
-    )
+    context, prec, points = problem._centered
+    values = _integrals(problem._monic, points, prec)
+    gaps = (pair_sub(b, a, prec) for a, b in zip(values, values[1:]))
+    return tuple(context.make_mpf(to_raw((abs(m), e))) for m, e in gaps)
 
 
 def phi_jacobian(problem: PhiProblem) -> tuple:
@@ -176,18 +167,18 @@ def phi_jacobian(problem: PhiProblem) -> tuple:
     """
     mults = problem.multiplicities
     r = problem.r
-    context, prec, rounding, points = problem._centered
+    context, prec, points = problem._centered
     g = problem._monic
-    column = [fzero] * (r - 1)
+    column = [(0, 0)] * (r - 1)
     columns = [None] * (r - 1)
     for j in reversed(range(r - 1)):
         m = j + 1
-        ends = _integrals(raw_divide_linear(g, points[m], prec, rounding), points, prec, rounding)
+        ends = _integrals(pair_divide_linear(g, points[m], prec), points, prec)
         for i in range(r - 1):
-            diff = mpf_sub(ends[i + 1], ends[i], prec, rounding)
-            term = mpf_mul_int(diff, -_interval_sign(mults, i) * mults[m], prec, rounding)
-            column[i] = mpf_add(column[i], term, prec, rounding)
-        columns[j] = tuple(map(context.make_mpf, column))
+            diff = pair_sub(ends[i + 1], ends[i], prec)
+            term = pair_mul(diff, (-_interval_sign(mults, i) * mults[m], 0), prec)
+            column[i] = pair_add(column[i], term, prec)
+        columns[j] = tuple(context.make_mpf(to_raw(v)) for v in column)
     return tuple(zip(*columns))
 
 
@@ -220,10 +211,6 @@ class InversionResult:
     targets: tuple = ()  # the value gaps solved for
 
 
-def _newton_tolerance(ctx: PrecisionContext):
-    return ctx.mp.mpf(10) ** (NEWTON_TOL_SHIFT - ctx.digits)
-
-
 def _checked_targets(s, multiplicities, ctx):
     s = tuple(ctx.mpf(v) for v in s)
     if any(not v > 0 for v in s):
@@ -244,39 +231,39 @@ def solve_linear(rows, rhs, ctx: PrecisionContext) -> list:
     numerically singular matrix) raises :class:`SingularJacobian`.
     """
     mp = ctx.mp
-    prec, rounding = mp._prec_rounding
+    prec = mp.prec
     n = len(rhs)
-    a = [unboxed(mp.mpf, list(row) + [b]) for row, b in zip(rows, rhs)]
+    a = [[to_pair(v) for v in unboxed(mp.mpf, list(row) + [b])] for row, b in zip(rows, rhs)]
     norm = None
     for j in range(n):
-        column = mpf_abs(a[0][j], prec, rounding)
+        column = pair_round(abs(a[0][j][0]), a[0][j][1], prec)
         for i in range(1, n):
-            column = mpf_add(column, mpf_abs(a[i][j], prec, rounding), prec, rounding)
-        if norm is None or mpf_gt(column, norm):
+            column = pair_add(column, (abs(a[i][j][0]), a[i][j][1]), prec)
+        if norm is None or pair_cmp(column, norm) > 0:
             norm = column
-    tol = mpf_mul(norm, mp.eps._mpf_, prec, rounding)
+    tol = pair_mul(norm, to_pair(mp.eps._mpf_), prec)
     for j in range(n):
-        p, pivot = j, mpf_abs(a[j][j], prec, rounding)
+        p, pivot = j, (abs(a[j][j][0]), a[j][j][1])
         for i in range(j + 1, n):
-            size = mpf_abs(a[i][j], prec, rounding)
-            if mpf_gt(size, pivot):
+            size = (abs(a[i][j][0]), a[i][j][1])
+            if pair_cmp(size, pivot) > 0:
                 p, pivot = i, size
-        if mpf_le(pivot, tol):
+        if pair_cmp(pivot, tol) <= 0:
             raise SingularJacobian("matrix is numerically singular")
         a[j], a[p] = a[p], a[j]
         top = a[j]
         for i in range(j + 1, n):
             row = a[i]
-            factor = mpf_div(row[j], top[j], prec, rounding)
+            factor = pair_div(row[j], top[j], prec)
             for k in range(j + 1, n + 1):
-                row[k] = mpf_sub(row[k], mpf_mul(factor, top[k], prec, rounding), prec, rounding)
+                row[k] = pair_sub(row[k], pair_mul(factor, top[k], prec), prec)
     x = [None] * n
     for i in reversed(range(n)):
         acc = a[i][n]
         for k in range(i + 1, n):
-            acc = mpf_sub(acc, mpf_mul(a[i][k], x[k], prec, rounding), prec, rounding)
-        x[i] = mpf_div(acc, a[i][i], prec, rounding)
-    return [mp.make_mpf(v) for v in x]
+            acc = pair_sub(acc, pair_mul(a[i][k], x[k], prec), prec)
+        x[i] = pair_div(acc, a[i][i], prec)
+    return [mp.make_mpf(to_raw(v)) for v in x]
 
 
 def invert_phi(
@@ -298,7 +285,7 @@ def invert_phi(
         gaps = chebyshev_init(len(mults), mults, ctx)
     else:
         gaps = tuple(ctx.mpf(g) for g in initial)
-    tol = _newton_tolerance(ctx)
+    tol = ctx.newton_tol
     problem = PhiProblem(gaps, mults)
     res, norm = _residual(problem, s)
     trace = [norm]
@@ -484,7 +471,7 @@ def realize_critical_values(
     g = expand_roots(points[0] * 0 + sigma, points, mults)
     f = antiderivative(g, points[0], values[0])
 
-    check_tol = 100 * _newton_tolerance(ctx)
+    check_tol = 100 * ctx.newton_tol
     for point, value in zip(points, values):
         if abs(f(point) - value) > check_tol * max(1, abs(value)):
             raise RealizationError(

@@ -10,18 +10,16 @@ Polynomials are dense coefficient vectors in the monomial basis, ascending
 powers, in mpfs of one context; degrees stay small (around twelve).  A map
 with one critical point is exactly ``value + lead * (x - center)**degree``;
 a :class:`PowerMap` evaluates and reframes it in that form and expands it
-into a :class:`Polynomial` only when its coefficients are read.  The inner
-loops run on mpmath's raw ``_mpf_`` tuples through ``mpmath.libmp`` rather
-than on mpf objects: Horner's rule (:func:`raw_horner`, the one path behind
-``Polynomial.__call__``), root-product expansion, synthetic division,
-monomial integration and affine substitution (the ``raw_*`` kernels, which
-the gap map in :mod:`thurston.critvals` builds on, and
-:func:`affine_substitute`), and :func:`solve_monotone`.  Each kernel does
-the operations of the object code in the same order with the same
-precision and rounding mode (mpmath rounds ``a op b`` at the left
-operand's context, and ``int * mpf`` is ``mpf_mul_int``), so every result
-is bit-identical to the object arithmetic; values are boxed back into mpfs
-only where they leave a function.
+into a :class:`Polynomial` only when its coefficients are read.
+
+The inner loops run on integer pairs (m, e), the value m * 2**e: Horner's
+rule (:func:`pair_horner`, behind ``Polynomial.__call__``), the other
+``pair_*`` kernels that the gap map in :mod:`thurston.critvals` builds on,
+:func:`affine_substitute` and :func:`solve_monotone`.  Each operation is
+exact integer arithmetic rounded once to nearest, ties to even: the same bits
+as mpmath's correctly rounded raw operations.  Done in the mpf object code's
+order at its precision, every result is bit-identical to it.  Values become
+pairs only inside the kernels, where inf and nan are refused.
 
 Two solvers invert a map on a single monotone lap, both to the residual
 ``10 * tau * max(1, |target|)``: :func:`solve_power` with one n-th root when
@@ -42,12 +40,13 @@ from functools import cached_property
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
-    fone, fzero, from_int, mpf_abs, mpf_add, mpf_div, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_mul,
-    mpf_mul_int, mpf_neg, mpf_nthroot, mpf_pow_int, mpf_sqrt, mpf_sub
+    MPZ, fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int,
+    mpf_nthroot, mpf_pow_int, mpf_sqrt, mpf_sub
 )
 
 GUARD_DIGITS = 3
 MIN_DIGITS = 15
+NEWTON_TOL_SHIFT = 6  # the gap-map inversion's residual target is 10**(-digits + shift)
 
 # Outward doublings allowed when bracketing a root on an unbounded lap.
 BRACKET_DOUBLINGS = 200
@@ -84,6 +83,14 @@ class PrecisionContext:
     def tau(self):
         return self.mp.mpf(10) ** (GUARD_DIGITS - self.digits)
 
+    @cached_property
+    def solve_tol(self):  # raw 10 * tau, the lap solvers' residual bound for |target| <= 1
+        return mpf_mul_int(self.tau._mpf_, 10, *self.mp._prec_rounding)
+
+    @cached_property
+    def newton_tol(self):  # the gap-map inversion's residual bound
+        return self.mp.mpf(10) ** (NEWTON_TOL_SHIFT - self.digits)
+
     def mpf(self, value):
         """Coerce ints, floats, decimal strings, Fractions and foreign mpfs."""
         if isinstance(value, Fraction):
@@ -119,6 +126,8 @@ class Polynomial:
             raise TypeError("polynomial coefficients must be mpf values")
         if len(set(map(type, coeffs))) > 1:
             coeffs = [c if type(c) is kind else kind(c) for c in coeffs]
+        if not all(map(context.isfinite, coeffs)):
+            raise ValueError("polynomial coefficients must be finite")
         object.__setattr__(self, "coefficients", tuple(coeffs))
 
     @property
@@ -133,17 +142,16 @@ class Polynomial:
         kind, descending = self._raw_horner
         if type(x) is not kind:
             x = kind(x)
-        out = object.__new__(kind)
-        out._mpf_ = raw_horner(descending, x._mpf_, *kind.context._prec_rounding)
-        return out
+        context = kind.context
+        return context.make_mpf(to_raw(pair_horner(descending, to_pair(x._mpf_), context.prec)))
 
     @cached_property
     def _raw_horner(self):
-        # Horner on the raw mpf tuples rounds exactly as ``acc * x + c`` does
-        # on mpf objects (mpmath rounds at the left operand's context, here
-        # the coefficients') without building an object per operation.
+        # Horner on pairs rounds exactly as ``acc * x + c`` does on mpf
+        # objects (mpmath rounds at the left operand's context, here the
+        # coefficients') without building an object per operation.
         kind = type(self.coefficients[-1])
-        return kind, tuple(c._mpf_ for c in reversed(self.coefficients))
+        return kind, tuple(to_pair(c._mpf_) for c in reversed(self.coefficients))
 
     def derivative(self) -> "Polynomial":
         """The derivative, built once per polynomial."""
@@ -197,49 +205,142 @@ class PowerMap:
         return self.expanded.derivative()
 
 
-def raw_horner(descending, x, prec, rounding):
-    """Horner's rule on raw tuples, leading coefficient first.
+# ---------------------------------------------------------------- pair arithmetic
+# A pair (m, e) is the value m * 2**e, m a signed integer.  Each operation
+# forms its exact result in integers and rounds it once, to nearest with ties
+# to even, at ``prec`` bits; mpmath's raw operations are correctly rounded too,
+# so on operands of at most ``prec`` bits the two agree bit for bit.  Trailing
+# zeros stay until :func:`to_raw` strips them, when a value leaves the kernels.
 
-    Rounds each ``acc * x + c`` as mpf objects of precision ``prec`` do.
-    """
+
+def to_pair(raw):
+    """The (signed mantissa, exponent) pair of a finite raw ``_mpf_`` tuple."""
+    sign, man, exp, _ = raw
+    if not man and exp:  # mpmath's inf, -inf and nan
+        raise ValueError("expected a finite value, not inf or nan")
+    return (-man if sign else man), exp
+
+
+def to_raw(pair):
+    """The normalized raw ``_mpf_`` tuple of a pair."""
+    m, e = pair
+    if not m:
+        return fzero
+    zeros = (m & -m).bit_length() - 1
+    man = abs(m) >> zeros
+    return int(m < 0), MPZ(man), e + zeros, man.bit_length()
+
+
+def pair_round(m, e, prec):
+    """m * 2**e rounded to ``prec`` bits, to nearest with ties to even."""
+    n = m.bit_length() - prec
+    if n > 0:
+        t = m >> (n - 1)  # floor, keeping the first dropped bit
+        m = (t >> 1) + 1 if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)) else t >> 1
+        e += n
+    return m, e
+
+
+def pair_mul(a, b, prec):
+    return pair_round(a[0] * b[0], a[1] + b[1], prec)
+
+
+def pair_add(a, b, prec):
+    (am, ae), (bm, be) = a, b
+    if not (am and bm):
+        return pair_round(am or bm, ae if am else be, prec)
+    if ae < be:
+        am, ae, bm, be = bm, be, am, ae
+    shift = ae - be
+    if shift > prec + 4 and be + bm.bit_length() <= min(ae + am.bit_length() - prec - 2, ae):
+        # b, below a's last bit and a quarter of its rounding unit, only
+        # decides on which side of a the sum lies: one sticky bit stands in.
+        return pair_round((am << prec + 4) + (1 if bm > 0 else -1), ae - prec - 4, prec)
+    return pair_round((am << shift) + bm, be, prec)
+
+
+def pair_sub(a, b, prec):
+    return pair_add(a, (-b[0], b[1]), prec)
+
+
+def pair_div(a, b, prec):
+    (am, ae), (bm, be) = a, b
+    if bm < 0:
+        am, bm = -am, -bm
+    # a floor quotient of at least prec + 2 bits, then a sticky bit for any remainder
+    extra = max(prec + 2 - am.bit_length() + bm.bit_length(), 0)
+    q, r = divmod(am << extra, bm)
+    if r:
+        return pair_round(2 * q + 1, ae - be - extra - 1, prec)
+    return pair_round(q, ae - be - extra, prec)
+
+
+def pair_cmp(a, b):
+    """-1, 0 or 1 as a is below, equal to or above b; exact."""
+    (am, ae), (bm, be) = a, b
+    if am and bm and (am < 0) == (bm < 0):
+        top = ae + am.bit_length() - be - bm.bit_length()
+        if top:  # the one whose highest bit is higher is larger in magnitude
+            return 1 if (top > 0) == (am > 0) else -1
+        am, bm = am << max(ae - be, 0), bm << max(be - ae, 0)
+    return (am > bm) - (am < bm)
+
+
+def pair_horner(descending, x, prec):
+    """Horner's rule on pairs, leading coefficient first: each ``acc * x + c``
+    rounds the product, then the sum, as mpf objects of precision ``prec`` do.
+    Zero terms and terms more than ``prec + 4`` bits apart take :func:`pair_add`."""
+    xm, xe = x
     terms = iter(descending)
-    acc = next(terms)
-    for c in terms:
-        acc = mpf_add(mpf_mul(acc, x, prec, rounding), c, prec, rounding)
-    return acc
+    m, e = next(terms)
+    for cm, ce in terms:
+        m *= xm
+        e += xe
+        n = m.bit_length() - prec
+        if n > 0:
+            t = m >> (n - 1)
+            m = (t >> 1) + 1 if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)) else t >> 1
+            e += n
+        d = e - ce
+        if not (m and cm) or d > prec + 4 or d < -prec - 4:
+            m, e = pair_add((m, e), (cm, ce), prec)
+            continue
+        if d >= 0:
+            m = (m << d) + cm
+            e = ce
+        else:
+            m += cm << -d
+        n = m.bit_length() - prec
+        if n > 0:
+            t = m >> (n - 1)
+            m = (t >> 1) + 1 if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)) else t >> 1
+            e += n
+    return m, e
 
 
-def raw_expand_roots(lead, roots, multiplicities, prec, rounding) -> list:
-    """Ascending raw coefficients of ``lead * prod (x - roots[i])**multiplicities[i]``."""
+def pair_expand_roots(lead, roots, multiplicities, prec) -> list:
+    """Ascending coefficients of ``lead * prod (x - roots[i])**multiplicities[i]``."""
     coeffs = [lead]
-    for root, k in zip(roots, multiplicities):
-        negated = mpf_neg(root, prec, rounding)
-        for _ in range(k):
-            shifted = [mpf_mul(c, negated, prec, rounding) for c in coeffs] + [fzero]
-            for i, c in enumerate(coeffs):
-                shifted[i + 1] = mpf_add(shifted[i + 1], c, prec, rounding)
-            coeffs = shifted
+    for (rm, re), k in zip(roots, multiplicities):
+        for _ in range(k):  # new c_i = c_{i-1} - root * c_i
+            coeffs = [
+                pair_add(pair_mul(c, (-rm, re), prec), low, prec)
+                for low, c in zip([(0, 0)] + coeffs, coeffs + [(0, 0)])
+            ]
     return coeffs
 
 
-def raw_divide_linear(coefficients, root, prec, rounding) -> list:
-    """Synthetic division of ascending raw coefficients by (x - root).
-
-    ``root`` must actually be a root; the remainder is dropped.
-    """
-    out = [None] * (len(coefficients) - 1)
-    acc = coefficients[-1]
-    for i in range(len(coefficients) - 2, -1, -1):
-        out[i] = acc
-        acc = mpf_add(coefficients[i], mpf_mul(acc, root, prec, rounding), prec, rounding)
-    return out
+def pair_divide_linear(coefficients, root, prec) -> list:
+    """Synthetic division of ascending coefficients by (x - root), a root: no remainder."""
+    out = [coefficients[-1]]
+    for c in coefficients[-2:0:-1]:
+        out.append(pair_add(c, pair_mul(out[-1], root, prec), prec))
+    return out[::-1]
 
 
-def raw_integral(coefficients, prec, rounding) -> list:
-    """Ascending raw coefficients of the antiderivative vanishing at 0."""
-    return [fzero] + [
-        mpf_div(c, from_int(i + 1), prec, rounding) for i, c in enumerate(coefficients)
-    ]
+def pair_integral(coefficients, prec) -> list:
+    """Ascending coefficients of the antiderivative vanishing at 0."""
+    return [(0, 0)] + [pair_div(c, (i + 1, 0), prec) for i, c in enumerate(coefficients)]
 
 
 def unboxed(kind, values) -> list:
@@ -253,20 +354,18 @@ def expand_roots(lead, roots, multiplicities) -> Polynomial:
     ``lead`` is an mpf; the roots are coerced into its context.
     """
     context = lead.context
-    raw = raw_expand_roots(
-        lead._mpf_, unboxed(type(lead), roots), multiplicities, *context._prec_rounding
-    )
-    return Polynomial(tuple(map(context.make_mpf, raw)))
+    roots = [to_pair(r) for r in unboxed(type(lead), roots)]
+    coeffs = pair_expand_roots(to_pair(lead._mpf_), roots, multiplicities, context.prec)
+    return Polynomial(tuple(context.make_mpf(to_raw(c)) for c in coeffs))
 
 
 def antiderivative(p: Polynomial, base_point, base_value) -> Polynomial:
     """The antiderivative P of p with P(base_point) = base_value, in p's context."""
     context = p.coefficients[0].context
-    integral = raw_integral([c._mpf_ for c in p.coefficients], *context._prec_rounding)
-    coeffs = [context.make_mpf(c) for c in integral]
-    raw = Polynomial(tuple(coeffs))
+    integral = pair_integral([to_pair(c._mpf_) for c in p.coefficients], context.prec)
+    raw = Polynomial(tuple(context.make_mpf(to_raw(c)) for c in integral))
     constant = base_value - raw(base_point)
-    return Polynomial((coeffs[0] + constant,) + tuple(coeffs[1:]))
+    return Polynomial((raw.coefficients[0] + constant,) + raw.coefficients[1:])
 
 
 def affine_substitute(p: Polynomial, offset, scale) -> Polynomial:
@@ -276,30 +375,24 @@ def affine_substitute(p: Polynomial, offset, scale) -> Polynomial:
     """
     kind = type(p.coefficients[0])
     context = kind.context
-    prec, rounding = context._prec_rounding
-    offset, scale = unboxed(kind, (offset, scale))
-    coeffs = [c._mpf_ for c in p.coefficients]
+    prec = context.prec
+    offset, scale = (to_pair(v) for v in unboxed(kind, (offset, scale)))
+    coeffs = [to_pair(c._mpf_) for c in p.coefficients]
     out = [coeffs[-1]]
-    for c in reversed(coeffs[:-1]):
-        nxt = [fzero] * (len(out) + 1)
-        for i, v in enumerate(out):
-            nxt[i] = mpf_add(nxt[i], mpf_mul(v, offset, prec, rounding), prec, rounding)
-            nxt[i + 1] = mpf_add(nxt[i + 1], mpf_mul(v, scale, prec, rounding), prec, rounding)
-        nxt[0] = mpf_add(nxt[0], c, prec, rounding)
-        out = nxt
-    return Polynomial(tuple(map(context.make_mpf, out)))
+    for c in reversed(coeffs[:-1]):  # out * (offset + scale * x) + c
+        moved = [(0, 0)] + [pair_mul(v, scale, prec) for v in out]
+        out = [pair_add(s, pair_mul(v, offset, prec), prec) for s, v in zip(moved, out + [(0, 0)])]
+        out[0] = pair_add(out[0], c, prec)
+    return Polynomial(tuple(context.make_mpf(to_raw(v)) for v in out))
 
 
 def _value_tolerance(target, ctx: PrecisionContext):
     """The lap solvers' residual bound ``10 * tau * max(1, |target|)``, raw."""
     prec, rounding = ctx.mp._prec_rounding
     size = mpf_abs(target, prec, rounding)
-    return mpf_mul(
-        mpf_mul_int(ctx.tau._mpf_, 10, prec, rounding),
-        size if mpf_gt(size, fone) else fone,
-        prec,
-        rounding,
-    )
+    if mpf_gt(size, fone):
+        return mpf_mul(ctx.solve_tol, size, prec, rounding)
+    return ctx.solve_tol  # 10 * tau * 1 is exact
 
 
 def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionContext, start=None):
@@ -320,79 +413,75 @@ def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionCon
     """
     if lo is None and hi is None:
         raise ValueError("at least one lap end must be finite")
-    mp = ctx.mp
-    prec, rounding = mp._prec_rounding
-    box = mp.make_mpf
+    mp, prec = ctx.mp, ctx.mp.prec
+    kind, coefficients = p._raw_horner
+    slopes = p.derivative()._raw_horner[1]
+    p_prec = kind.context.prec
 
-    def value(q, x):
-        # p and p' are evaluated through Polynomial.__call__ on a boxed x.
-        return q(box(x))._mpf_
+    def value(q, x):  # at the coefficients' precision, as Polynomial.__call__ evaluates
+        return pair_horner(q, pair_round(*x, p_prec), p_prec)
 
-    target = ctx.mpf(target)._mpf_
-    past_low, past_high = (mpf_le, mpf_ge) if orientation > 0 else (mpf_ge, mpf_le)
+    def box(x):
+        return mp.make_mpf(to_raw(x))
 
-    def grow(anchor, move, past, side):
-        # the first end anchor -+ 2**k at which p is past the target, and p there
-        step = fone
-        for _ in range(BRACKET_DOUBLINGS):
-            end = move(anchor, step, prec, rounding)
-            at = value(p, end)
-            if past(at, target):
+    def finite(v):  # refuses inf and nan
+        return to_pair(ctx.mpf(v)._mpf_)
+
+    target = finite(target)
+    start = None if start is None else finite(start)
+    sense = 1 if orientation > 0 else -1
+
+    def grow(anchor, direction, side):
+        # the first end anchor + direction * 2**k at which p is past the target, and p there
+        for k in range(BRACKET_DOUBLINGS):
+            end = pair_add(anchor, (direction, k), prec)
+            at = value(coefficients, end)
+            if sense * direction * pair_cmp(at, target) >= 0:
                 return end, at
-            step = mpf_mul_int(step, 2, prec, rounding)
         raise RootBracketError(f"bracket expansion cap reached {side} the lap")
 
     if lo is None:
-        lo, plo = grow(ctx.mpf(hi)._mpf_, mpf_sub, past_low, "below")
+        lo, plo = grow(finite(hi), -1, "below")
     else:
-        lo = ctx.mpf(lo)._mpf_
-        plo = value(p, lo)
+        lo = finite(lo)
+        plo = value(coefficients, lo)
     if hi is None:
-        hi, phi = grow(lo, mpf_add, past_high, "above")
+        hi, phi = grow(lo, 1, "above")
     else:
-        hi = ctx.mpf(hi)._mpf_
-        phi = value(p, hi)
+        hi = finite(hi)
+        phi = value(coefficients, hi)
 
-    value_tol = _value_tolerance(target, ctx)
-    flo = mpf_sub(plo, target, prec, rounding)
-    fhi = mpf_sub(phi, target, prec, rounding)
-    if mpf_le(mpf_abs(flo, prec, rounding), value_tol):
-        return box(lo)
-    if mpf_le(mpf_abs(fhi, prec, rounding), value_tol):
-        return box(hi)
-    high_positive = mpf_gt(fhi, fzero)
-    if mpf_gt(flo, fzero) == high_positive:
+    value_tol = to_pair(_value_tolerance(to_raw(target), ctx))
+    flo = pair_sub(plo, target, prec)
+    fhi = pair_sub(phi, target, prec)
+    for end, f in ((lo, flo), (hi, fhi)):
+        if pair_cmp((abs(f[0]), f[1]), value_tol) <= 0:
+            return box(end)
+    high_positive = fhi[0] > 0
+    if (flo[0] > 0) == high_positive:
         raise RootBracketError(
             f"target {ctx.format(box(target), 8)} outside lap range "
             f"[{ctx.format(box(plo), 8)}, {ctx.format(box(phi), 8)}]"
         )
 
-    dp = p.derivative()
-    two = from_int(2)
-    x = mpf_div(mpf_add(lo, hi, prec, rounding), two, prec, rounding)
+    m, e = pair_add(lo, hi, prec)
+    x = (m, e - 1)  # the midpoint
     correct = False  # whether x must be corrected before it may be returned
-    if start is not None:
-        start = ctx.mpf(start)._mpf_
-        if mpf_lt(lo, start) and mpf_lt(start, hi):
-            x, correct = start, True
+    if start is not None and pair_cmp(lo, start) < 0 and pair_cmp(start, hi) < 0:
+        x, correct = start, True
     for _ in range(300 + 4 * ctx.digits):
-        fx = mpf_sub(value(p, x), target, prec, rounding)
-        if fx == fzero or (mpf_le(mpf_abs(fx, prec, rounding), value_tol) and not correct):
+        fx = pair_sub(value(coefficients, x), target, prec)
+        if not fx[0] or (not correct and pair_cmp((abs(fx[0]), fx[1]), value_tol) <= 0):
             return box(x)
         correct = False
-        if mpf_gt(fx, fzero) == high_positive:
-            hi = x
+        lo, hi = (lo, x) if (fx[0] > 0) == high_positive else (x, hi)
+        slope = value(slopes, x)
+        candidate = pair_sub(x, pair_div(fx, slope, prec), prec) if slope[0] else lo
+        if pair_cmp(lo, candidate) < 0 and pair_cmp(candidate, hi) < 0:
+            x = candidate  # the Newton step, if it stays strictly inside the bracket
         else:
-            lo = x
-        slope = value(dp, x)
-        stepped = False
-        if slope != fzero:
-            candidate = mpf_sub(x, mpf_div(fx, slope, prec, rounding), prec, rounding)
-            if mpf_lt(lo, candidate) and mpf_lt(candidate, hi):
-                x = candidate
-                stepped = True
-        if not stepped:
-            x = mpf_div(mpf_add(lo, hi, prec, rounding), two, prec, rounding)
+            m, e = pair_add(lo, hi, prec)
+            x = (m, e - 1)
     raise RootBracketError("root refinement failed to meet tolerance")
 
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -118,6 +119,25 @@ def test_evaluation_of_other_types_takes_the_object_loop():
             mpnum.Polynomial(coeffs)
 
 
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_non_finite_values_are_refused(bad):
+    # mpmath stores inf and nan with a zero mantissa, which integer pair
+    # arithmetic would read as 0: p(inf) must not come out as p(0).
+    ctx = ctx40()
+    bad = ctx.mp.mpf(bad)
+    with pytest.raises(ValueError, match="finite"):
+        mpnum.Polynomial((bad, ctx.mp.mpf(1)))
+    with pytest.raises(ValueError, match="finite"):
+        mpnum.Polynomial((ctx.mp.mpf(1), ctx.mp.mpf(0), bad))
+    p = square(ctx)
+    with pytest.raises(ValueError, match="finite"):
+        p(bad)
+    for target, lo, hi, start in ((bad, 0, 2, None), (1, bad, 2, None), (1, 0, bad, None),
+                                  (1, 0, None, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            mpnum.solve_monotone(p, target, lo, hi, 1, ctx, start=start)
+
+
 def test_caches_leave_equality_hash_and_repr_alone():
     ctx = ctx40()
     coeffs = (ctx.mp.mpf(1) / 3, ctx.mp.mpf(2), ctx.mp.mpf(-5))
@@ -129,6 +149,18 @@ def test_caches_leave_equality_hash_and_repr_alone():
     other = mpnum.PrecisionContext(40)
     before = (repr(ctx), hash(ctx))
     assert ctx.tau is ctx.tau
+    assert ctx == other and (repr(ctx), hash(ctx)) == before == (repr(other), hash(other))
+
+
+def test_context_caches_its_tolerances():
+    ctx, other = ctx40(), mpnum.PrecisionContext(40)
+    before = (repr(ctx), hash(ctx))
+    prec, rounding = ctx.mp._prec_rounding
+    assert ctx.solve_tol is ctx.solve_tol and ctx.newton_tol is ctx.newton_tol
+    assert ctx.solve_tol == mpmath.libmp.mpf_mul_int(ctx.tau._mpf_, 10, prec, rounding)
+    assert ctx.newton_tol == ctx.mp.mpf(10) ** (mpnum.NEWTON_TOL_SHIFT - 40)
+    # 10 * tau * max(1, |target|) needs no product while |target| <= 1
+    assert mpnum._value_tolerance(ctx.mpf("0.5")._mpf_, ctx) is ctx.solve_tol
     assert ctx == other and (repr(ctx), hash(ctx)) == before == (repr(other), hash(other))
 
 
@@ -290,15 +322,15 @@ def square(ctx):
 
 
 def count_evaluations(monkeypatch):
-    """Points at which any Polynomial is evaluated from now on."""
+    """Points at which solve_monotone, or any Polynomial, evaluates from now on."""
     points = []
-    call = mpnum.Polynomial.__call__
+    horner = mpnum.pair_horner
 
-    def counted(poly, x):
-        points.append(x)
-        return call(poly, x)
+    def counted(descending, x, prec):
+        points.append(mpmath.mp.make_mpf(mpnum.to_raw(x)))
+        return horner(descending, x, prec)
 
-    monkeypatch.setattr(mpnum.Polynomial, "__call__", counted)
+    monkeypatch.setattr(mpnum, "pair_horner", counted)
     return points
 
 
@@ -333,6 +365,93 @@ def test_solve_exact_warm_start_is_returned(monkeypatch):
     root = mpnum.solve_monotone(square(ctx), ctx.mpf(Fraction(1, 4)), 0, 2, 1, ctx, start=start)
     assert root == start
     assert points[2:] == [start]  # after the lap ends, only the start
+
+
+# ---------------------------------------------------------------- pair arithmetic
+
+PAIR_PRECS = [53, 136, 269, 1000]  # 15, 40 and 80 digits, and a long one
+
+
+@st.composite
+def unrounded(draw):
+    """(prec, m, e): m * 2**e exact, with ties of either parity, a carry
+    to 2**prec, and mantissas that need no rounding."""
+    prec = draw(st.sampled_from(PAIR_PRECS))
+    n = draw(st.integers(-prec, 2 * prec))  # bits to drop
+    q = draw(st.integers(1, 2**prec - 1) | st.just(2**prec - 1))
+    if n <= 0:
+        m = q >> -n or 1
+    else:
+        q = q & ~1 | draw(st.integers(0, 1))
+        half = 1 << (n - 1)
+        low = draw(st.sampled_from([0, half, half - 1, half + 1]) | st.integers(0, 2 * half - 1))
+        m = (q << n) + low
+    return prec, draw(st.sampled_from([1, -1])) * m, draw(st.integers(-3000, 3000))
+
+
+@given(unrounded())
+@settings(max_examples=400, deadline=None)
+def test_pair_rounding_matches_mpmath(case):
+    prec, m, e = case
+    want = mpmath.libmp.normalize(int(m < 0), abs(m), e, abs(m).bit_length(), prec, "n")
+    assert mpnum.to_raw(mpnum.pair_round(m, e, prec)) == want
+
+
+@st.composite
+def operands(draw):
+    """(prec, a, b): raw tuples of at most prec bits, b free, near -a or a
+    (cancellation, exactly 0 included), or more than prec + 4 bits above or
+    below a, with their pairs padded by trailing zeros as rounding leaves them."""
+    prec = draw(st.sampled_from(PAIR_PRECS))
+
+    def signed_mantissa():
+        return draw(st.sampled_from([1, -1])) * draw(st.integers(1, 2**prec - 1))
+
+    ma, ea = signed_mantissa(), draw(st.integers(-3 * prec, 3 * prec))
+    a = mpmath.libmp.from_man_exp(ma, ea, prec, "n")
+    relation = draw(st.sampled_from(["free", "near", "far"]))
+    if relation == "free":
+        mb, eb = signed_mantissa(), draw(st.integers(-3 * prec, 3 * prec))
+    elif relation == "near":
+        mb, eb = draw(st.sampled_from([1, -1])) * ma + draw(st.integers(-3, 3)), ea
+    else:
+        mb = signed_mantissa()
+        gap = prec + 4 + draw(st.integers(1, 3 * prec))
+        eb = ea + abs(ma).bit_length() - abs(mb).bit_length() + draw(st.sampled_from([1, -1])) * gap
+    b = mpmath.libmp.from_man_exp(mb, eb, prec, "n")
+
+    def padded(raw):
+        m, e = mpnum.to_pair(raw)
+        zeros = draw(st.integers(0, 3))
+        return m << zeros, e - zeros
+
+    return prec, a, b, padded(a), padded(b)
+
+
+@given(operands())
+@settings(max_examples=600, deadline=None)
+def test_pair_operations_match_mpmath(case):
+    prec, a, b, pa, pb = case
+    lib = mpmath.libmp
+    for mine, theirs in ((mpnum.pair_add, lib.mpf_add), (mpnum.pair_sub, lib.mpf_sub),
+                         (mpnum.pair_mul, lib.mpf_mul)):
+        assert mpnum.to_raw(mine(pa, pb, prec)) == theirs(a, b, prec, "n")
+    if b != lib.fzero:
+        assert mpnum.to_raw(mpnum.pair_div(pa, pb, prec)) == lib.mpf_div(a, b, prec, "n")
+    assert mpnum.pair_cmp(pa, pb) == lib.mpf_cmp(a, b)
+    assert mpnum.pair_cmp(pa, pa) == 0
+
+
+@pytest.mark.parametrize("digits", [40, 80])
+def test_evaluation_across_far_apart_magnitudes(digits):
+    # terms more than prec + 4 bits apart take pair_add's bounded-shift path
+    ctx = mpnum.PrecisionContext(digits)
+    third = ctx.mp.mpf(1) / 3
+    for decades in ([0, -90, 0, 90], [90, 0, -90, 0, 1], [-200, 0, 200]):
+        coeffs = tuple(third * ctx.mp.mpf(10) ** k for k in decades)
+        p = mpnum.Polynomial(coeffs)
+        for x in (ctx.mp.mpf(1) / 7, ctx.mpf("-1e-95"), ctx.mpf("3e95")):
+            assert p(x)._mpf_ == horner_objects(p.coefficients, x)._mpf_
 
 
 # ---------------------------------------------------------------- closed-form laps
