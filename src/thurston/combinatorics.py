@@ -293,14 +293,7 @@ def validate(c: Combinatorics) -> ValidationReport:
             cond6 = False
 
     # Condition 5: every interior point is critical or hit by a critical orbit.
-    critical = set(c.critical_points())
-    postcritical = set()
-    for j in critical:
-        k = m[j]
-        for _ in range(n + 1):
-            postcritical.add(k)
-            k = m[k]
-    cond5 = all(j in critical or j in postcritical for j in range(1, n))
+    cond5 = len(core_indices(c)) == n + 1
     if not cond5:
         warnings.append("some interior marked points are neither critical nor postcritical")
 
@@ -315,7 +308,7 @@ def validate(c: Combinatorics) -> ValidationReport:
         conditions={1: cond1, 2: cond2, 3: cond3, 5: cond5, 6: cond6},
         total_degree=c.total_degree(),
         turning_points=tuple(sorted(turning)),
-        critical_points=tuple(sorted(critical)),
+        critical_points=c.critical_points(),
         expansive_edges=edges,
         warnings=tuple(warnings),
     )
@@ -373,6 +366,14 @@ def mapping_pattern(c: Combinatorics) -> MappingPattern:
         cycles.append(tuple(cycle[p:] + cycle[:p]))
         visited.update(chain)
     return MappingPattern(tuple(orbits), tuple(cycles), c.local_degree)
+
+
+def core_indices(c: Combinatorics) -> frozenset:
+    """The postcritical core: 0, n, the critical indices and the forward orbits
+    of their images.  It is closed under j -> m_j and holds every lap end, so
+    the core points alone determine the map; the other marked points, the
+    passengers, feed nothing back into it."""
+    return frozenset({0, c.n}.union(*mapping_pattern(c).orbits))
 
 
 def merge_map(n: int, groups) -> list:

@@ -180,6 +180,7 @@ class PowerMap:
         if type(x) is not kind:
             x = kind(x)
         prec, rounding = kind.context._prec_rounding
+        to_pair(x._mpf_)  # refuses inf and nan
         offset = mpf_sub(x._mpf_, self.center._mpf_, prec, rounding)
         power = mpf_pow_int(offset, self.degree, prec, rounding)
         rise = mpf_mul(self.lead._mpf_, power, prec, rounding)
@@ -504,7 +505,8 @@ def solve_power(
     that tolerance of ``value`` returns ``center``; a root beyond ``lo`` or
     ``hi`` returns that end if the end meets the tolerance.  Any other
     target outside the lap's range, on the wrong side of ``value`` or past
-    a lap end, raises :class:`RootBracketError`.
+    a lap end, raises :class:`RootBracketError`; an infinite or nan
+    target, center, value or lead raises ValueError.
     """
     if p.degree % 2:
         raise ValueError(f"closed-form lap inversion needs an even degree, got {p.degree}")
@@ -512,6 +514,8 @@ def solve_power(
     prec, rounding = mp._prec_rounding
     box = mp.make_mpf
     target, center, value, lead = unboxed(mp.mpf, (target, center, value, p.lead))
+    for raw in (target, center, value, lead):
+        to_pair(raw)  # refuses inf and nan
     value_tol = _value_tolerance(target, ctx)
     rise = mpf_sub(target, value, prec, rounding)
     if mpf_le(mpf_abs(rise, prec, rounding), value_tol):

@@ -14,7 +14,8 @@ One step, given marked points x_0..x_n and the combinatorics m:
                 image point inside its own lap (critical indices go to the
                 matching critical points directly);
   4. fit:       root-mean-square mismatch eps = sqrt(sum (f(x_j) -
-                x_{m_j})**2) / n at the new points.
+                x_{m_j})**2) / n at the new points, and eps_core, the
+                same sum over the core indices alone.
 
 Steps 2 and 3 invert f on its laps with the solver :func:`_lap_solver`
 picks once per map.  With one critical point c, steps 1-4 keep f as a
@@ -27,7 +28,12 @@ the bracketed Newton search of :func:`~thurston.mpnum.solve_monotone`,
 which step 3 starts from the point's previous position.
 
 Iterating contracts toward the unique polynomial realizing the
-combinatorics.  Two failure modes are handled along the way: when eps stops
+combinatorics.  The core (:func:`~thurston.combinatorics.core_indices`)
+alone determines f; the other marked points, passengers, feed nothing back
+and would converge only at 1/|f'| per step around their cycles.  So the run
+iterates until eps_core meets the tolerance, places the passengers on that
+map by one Newton solve (:func:`place_passengers`), and converges once eps
+does too.  Two failure modes are handled along the way: when eps_core stops
 improving the working precision doubles, and when marked points pile up
 (non-expansive edges of the model), the offending points are merged, the
 combinatorics is simplified accordingly, and the run continues on the
@@ -52,6 +58,8 @@ STALL_FACTOR = 0.5
 # Gaps below COLLAPSE_THRESHOLD / n for COLLAPSE_PERSISTENCE steps merge their points.
 COLLAPSE_THRESHOLD = "1e-8"
 COLLAPSE_PERSISTENCE = 3
+# Newton iterations at most in one placement of the passengers.
+PLACEMENT_ITERATIONS = 30
 
 
 class PullbackError(RuntimeError):
@@ -101,11 +109,8 @@ class StepRecord:
     step: int
     polynomial: Polynomial
     configuration: MarkedConfiguration
-    critical_values: tuple
     fit: object
     digits: int
-    frame_low: object
-    frame_high: object
 
 
 @dataclass(frozen=True)
@@ -270,16 +275,86 @@ def pullback_step(
         raise PullbackError("pulled-back configuration is out of order") from exc
 
 
-def fit_error(c: comb.Combinatorics, f, x: MarkedConfiguration, ctx: PrecisionContext):
-    """eps = sqrt(sum_j (f(x_j) - x_{m_j})**2) / n, on raw tuples as mpfs in ctx round it."""
+def fit_error(c: comb.Combinatorics, f, x: MarkedConfiguration, ctx: PrecisionContext, core=None):
+    """eps = sqrt(sum_j (f(x_j) - x_{m_j})**2) / n, on raw tuples as mpfs in ctx round it;
+    given ``core`` indices, the pair (eps, eps_core), eps_core summing over the core alone."""
     mp = ctx.mp
     prec, rounding = mp._prec_rounding
     points = unboxed(mp.mpf, x.points)
-    total = fzero
+    total = core_total = fzero
     for j, point in enumerate(x.points):
         diff = mpf_sub(f(point)._mpf_, points[c.m[j]], prec, rounding)
-        total = mpf_add(total, mpf_mul(diff, diff, prec, rounding), prec, rounding)
-    return mp.make_mpf(mpf_div(mpf_sqrt(total, prec, rounding), from_int(c.n), prec, rounding))
+        square = mpf_mul(diff, diff, prec, rounding)
+        total = mpf_add(total, square, prec, rounding)
+        if core is not None and j in core:
+            core_total = mpf_add(core_total, square, prec, rounding)
+    eps, eps_core = (
+        mp.make_mpf(mpf_div(mpf_sqrt(t, prec, rounding), from_int(c.n), prec, rounding))
+        for t in (total, core_total)
+    )
+    return eps if core is None else (eps, eps_core)
+
+
+def place_passengers(c: comb.Combinatorics, normalized: NormalizedMap, x: MarkedConfiguration,
+                     core, ctx: PrecisionContext, lap_list: comb.LapStructure):
+    """Newton on x_j = g_j(x_{m_j}) for the passengers j, the indices outside
+    ``core``, with f and the core fixed; g_j is f's inverse branch on j's lap.
+
+    Each iteration takes one warm-started lap solve y_j = g_j(x_{m_j}) per
+    passenger and moves by :func:`_newton_moves`, then clamps each passenger
+    between its nearest core points, where one that collapses lands, and
+    keeps it from crossing the passenger before it.  It stops when the
+    largest move is below tau or stops shrinking.
+    """
+    n, m, points = c.n, c.m, list(x.points)
+    passengers = [j for j in range(n + 1) if j not in core]
+    f = normalized.polynomial
+    solve = _lap_solver(f, normalized.critical_points, ctx)
+    slope = (PowerMap(f.center, 0 * f.value, f.degree * f.lead, f.degree - 1)  # d a (x - c)**(d-1)
+             if isinstance(f, PowerMap) else f.derivative())
+    laps = [lap_list.lap_of(j, n) for j in passengers]
+    ends = [(max(k for k in core if k < j), min(k for k in core if k > j)) for j in passengers]
+    previous = None
+    for _ in range(PLACEMENT_ITERATIONS):
+        rise, inverse = {}, {}
+        for j, lap in zip(passengers, laps):
+            lo = points[0 if lap.left is None else lap.left]
+            hi = points[n if lap.right is None else lap.right]
+            y = solve(points[m[j]], lo, hi, lap.orientation, start=points[j])
+            df = slope(y)
+            rise[j], inverse[j] = y - points[j], (1 / df if df else 0)
+        dx = _newton_moves(m, rise, inverse)
+        for j, (a, b) in zip(passengers, ends):
+            points[j] = min(max(points[j] + dx[j], points[a]), points[b])
+            if j - 1 in dx:
+                points[j] = max(points[j], points[j - 1])
+        size = max(map(abs, dx.values()), default=0)
+        if size <= ctx.tau or (previous is not None and size >= previous):
+            break
+        previous = size
+    return MarkedConfiguration(tuple(points), step=x.step)
+
+
+def _newton_moves(m, rise, inverse) -> dict:
+    """The Newton move dx_j = rise_j + inverse_j dx_{m_j} of each passenger j
+    (the keys of ``rise``: y_j - x_j; inverse_j is 1/f'(y_j), or 0 where
+    f'(y_j) = 0), with dx = 0 on the core: back-substituted along chains, and
+    A / (1 - B) around a cycle, B the product of its inverses (rise if B = 1)."""
+    dx = {}
+    for j in rise:
+        path = [j]  # the orbit of j up to the core, a solved passenger or a repeat
+        while m[path[-1]] in rise and m[path[-1]] not in dx and m[path[-1]] not in path:
+            path.append(m[path[-1]])
+        k = m[path[-1]]
+        if k in path:  # a passenger cycle through k
+            a, b = 0, 1
+            for i in path[path.index(k):]:
+                a, b = a + b * rise[i], b * inverse[i]
+            dx[k] = rise[k] if b == 1 else a / (1 - b)
+        for i in reversed(path):
+            if i not in dx:
+                dx[i] = rise[i] + inverse[i] * dx.get(m[i], 0)
+    return dx
 
 
 def detect_collapse(x: MarkedConfiguration, threshold) -> tuple:
@@ -320,9 +395,10 @@ def _collapse_threshold(ctx: PrecisionContext, n: int):
 
 
 def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
-    """Iterate mapmake -> normalize -> pullback -> fit to convergence.
+    """Iterate mapmake -> normalize -> pullback -> fit until the core fits,
+    then place the passengers (:func:`place_passengers`), to convergence.
 
-    Precision doubles (up to ``max_digits``) whenever eps fails to halve
+    Precision doubles (up to ``max_digits``) whenever eps_core fails to halve
     over a four-step window.  Gaps that stay below the collapse threshold
     for ``COLLAPSE_PERSISTENCE`` consecutive steps trigger merging of the
     involved points and the run continues on the simplified combinatorics;
@@ -341,11 +417,12 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
     threshold = _collapse_threshold(ctx, c.n)
     expansive = report.expansive_edges
     lap_list = comb.laps(c)
+    core = comb.core_indices(c)
     inversion = None  # the previous step's, while the combinatorics holds
 
     x = init_configuration(c, ctx)
     residuals = []
-    window = []  # eps since last escalation or merge
+    window = []  # eps_core since last escalation or merge
     precision_history = [(1, ctx.digits)]
     collapse_events = []
     trace = []
@@ -358,28 +435,21 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
     while step < options.max_iter:
         step += 1
         try:
-            values = critical_value_vector(c, x)
-            realized = mapmake(c, values, ctx, lap_list, inversion)
+            realized = mapmake(c, critical_value_vector(c, x), ctx, lap_list, inversion)
             normalized = normalize(c, realized, ctx, lap_list)
             new_x = pullback_step(c, normalized, x, ctx, lap_list)
+            f = normalized.polynomial
+            eps, eps_core = fit_error(c, f, new_x, ctx, core)
+            if eps_core <= tol:
+                new_x = place_passengers(c, normalized, new_x, core, ctx, lap_list)
+                eps = fit_error(c, f, new_x, ctx)
         except (PullbackError, ArithmeticError) as exc:
             raise PullbackError(f"step {step} ({comb.render(c)}): {exc}") from exc
         inversion = realized.inversion
-        f = normalized.polynomial
-        eps = fit_error(c, f, new_x, ctx)
         residuals.append(eps)
-        window.append(eps)
+        window.append(eps_core)
         if options.keep_trace:
-            trace.append(StepRecord(
-                step=step,
-                polynomial=_dense(f),
-                configuration=new_x,
-                critical_values=values.values,
-                fit=eps,
-                digits=ctx.digits,
-                frame_low=normalized.frame_low,
-                frame_high=normalized.frame_high,
-            ))
+            trace.append(StepRecord(step, _dense(f), new_x, eps, ctx.digits))
 
         # Collapse bookkeeping: persistent sub-threshold gaps, or hitting the
         # tolerance while gaps are degenerate, both force a merge.
@@ -406,6 +476,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
             x = _merged_configuration(new_x, groups, ctx)
             c = simplified
             lap_list = comb.laps(c)
+            core = comb.core_indices(c)
             inversion = None
             expansive = sub_report.expansive_edges
             threshold = _collapse_threshold(ctx, c.n)

@@ -238,6 +238,26 @@ def test_mapping_pattern_fixed_critical():
     assert pattern.cycles == ((1,),)
 
 
+# ---------------------------------------------------------------- core
+
+@given(valid_combinatorics())
+@settings(max_examples=100, deadline=None)
+def test_core_is_closed_and_holds_the_ends_and_critical_points(c):
+    core = comb.core_indices(c)
+    assert {c.m[j] for j in core} <= core
+    assert {0, c.n} | set(c.critical_points()) <= core
+    assert all(lap.left is None or lap.left in core for lap in comb.laps(c))
+    # every core point is an end, critical, or the image of a core point
+    assert all(j in (0, c.n) or c.local_degree[j] > 1 or j in {c.m[k] for k in core} for j in core)
+
+
+def test_core_passengers():
+    assert comb.core_indices(comb.parse("0,3,2,1,4")) == {0, 1, 3, 4}
+    assert comb.core_indices(comb.parse("0,4,3,1,2,5")) == set(range(6))
+    # condition 5 is the absence of passengers
+    assert comb.validate(comb.parse("0,3,2,1,4")).conditions[5] is False
+
+
 # ---------------------------------------------------------------- simplify
 
 def test_simplify_single_edge():

@@ -136,6 +136,13 @@ def test_non_finite_values_are_refused(bad):
                                   (1, 0, None, bad)):
         with pytest.raises(ValueError, match="finite"):
             mpnum.solve_monotone(p, target, lo, hi, 1, ctx, start=start)
+    # the one-critical-point path: 1 - 2 x**2 and its closed-form root
+    one = ctx.mp.mpf(1)
+    f = mpnum.PowerMap(0 * one, one, -2 * one, 2)
+    with pytest.raises(ValueError, match="finite"):
+        f(bad)
+    with pytest.raises(ValueError, match="finite"):
+        mpnum.solve_power(f, bad, f.center, f.value, 1, ctx, 0, 1)
 
 
 def test_caches_leave_equality_hash_and_repr_alone():

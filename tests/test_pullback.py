@@ -359,18 +359,22 @@ def test_reference_run_outer_steps(text, tol, steps):
     assert result.converged and result.iterations == steps
 
 
-@pytest.mark.parametrize("text,steps,final", [
-    ("6,5,4,3,1,4,6", 35, None),
-    ("6,5,4,3,2,3,6", 91, None),
-    ("0,1,2,0", 30, "0,1,0"),
-    ("0,1,3,0", 17, "0,2,0"),
-    ("6,5,4,3,4,5,6", 30, "2,1,2"),
-    ("6,5,4,3,2,1,6", 91, "4,3,2,1,4"),
-])
+UNIMODAL_RUNS = [
+    ("6,5,4,3,1,4,6", 15, None),
+    ("6,5,4,3,2,3,6", 18, None),
+    ("0,1,2,0", 3, "0,1,0"),
+    ("0,1,3,0", 2, "0,2,0"),
+    ("6,5,4,3,4,5,6", 2, "2,1,2"),
+    ("6,5,4,3,2,1,6", 19, "4,3,2,1,4"),
+]
+
+
+@pytest.mark.parametrize("text,steps,final", UNIMODAL_RUNS, ids=[run[0] for run in UNIMODAL_RUNS])
 def test_unimodal_run_outer_steps(text, steps, final):
     # one critical point, so every lap preimage and framing point is a
-    # closed-form root; the outer iteration must take the steps and reach the
-    # combinatorics that the bracketed search did
+    # closed-form root.  Each of these has passengers, so the run stops once
+    # the core fits and places them: the steps are the core's, and the run
+    # must still reach the combinatorics that iterating every point did
     result = pullback.run(comb.parse(text))
     assert result.converged and result.iterations == steps
     assert result.collapsed == (final is not None)
@@ -388,6 +392,36 @@ def test_explicit_degree_unimodal_run():
     assert abs(f(ctx.mp.mpf(0))) <= ctx.mpf("1e-30")
     assert abs(f(ctx.mp.mpf(1))) <= ctx.mpf("1e-30")
     assert abs(f.derivative()(x[1])) <= ctx.mpf("1e-30")
+
+
+def test_nudged_passenger_is_placed_not_iterated(monkeypatch):
+    # x_2 of 0,3,2,1,4 is a passenger fixed point that starts on its limit.
+    # Nudged, iterating it converges at 1/|f'(x_2)| = 0.667 per step (227
+    # steps); the core converges at 0.167 and placement puts x_2 in one go.
+    start = pullback.init_configuration
+
+    def nudged(c, ctx):
+        points = list(start(c, ctx).points)
+        points[2] += ctx.mpf("1e-20")
+        return pullback.MarkedConfiguration(tuple(points))
+
+    monkeypatch.setattr(pullback, "init_configuration", nudged)
+    result = pullback.run(comb.parse("0,3,2,1,4"), pullback.RunOptions(tol="1e-60", max_iter=1000))
+    assert result.converged and result.iterations <= 90
+
+
+@pytest.mark.parametrize("text", ["0,3,2,1,4", "6,5,4,3,2,3,6", "0,2,1,3,4,3,0"])
+def test_passengers_are_placed_to_working_precision(text):
+    c = comb.parse(text)
+    core = comb.core_indices(c)
+    assert len(core) <= c.n
+    result = pullback.run(c)
+    assert result.converged and not result.collapsed
+    ctx = mpnum.PrecisionContext(result.digits)
+    f, x = result.polynomial, result.configuration.points
+    assert result.fit == pullback.fit_error(c, f, result.configuration, ctx)
+    for j in set(range(c.n + 1)) - core:
+        assert abs(f(x[j]) - x[c.m[j]]) <= 10 * ctx.tau, j
 
 
 def test_warm_started_run_converges_deep():
@@ -490,8 +524,9 @@ def test_escalation_leaves_shared_contexts_alone():
     assert all(mpnum.PrecisionContext(d).mp is mp for d, mp in contexts.items())
 
 
-def one_turning_point_sequences(largest):
-    """Valid default-degree sequences with one turning point and n <= largest."""
+def small_sequences(largest, turning):
+    """Valid default-degree sequences with n <= largest whose number of
+    turning points passes ``turning``."""
     for n in range(2, largest + 1):
         for ends in itertools.product((0, n), repeat=2):
             for middle in itertools.product(range(n + 1), repeat=n - 1):
@@ -499,22 +534,37 @@ def one_turning_point_sequences(largest):
                 if any(a == b for a, b in zip(m, m[1:])):
                     continue
                 c = comb.Combinatorics(m, comb.default_degrees(m))
-                if len(c.turning_points()) == 1 and comb.validate(c).passed:
+                if turning(len(c.turning_points())) and comb.validate(c).passed:
                     yield c
 
 
+def assert_converges_framed(c, options=pullback.RunOptions()):
+    """The run converges to strictly increasing points that fit to tol, hit
+    the framing targets and put f's critical points on the critical indices."""
+    result = pullback.run(c, options)
+    assert result.converged, comb.render(c)
+    ctx = mpnum.PrecisionContext(result.digits)
+    final, f, x = result.combinatorics, result.polynomial, result.configuration
+    assert pullback.fit_error(final, f, x, ctx) <= ctx.mpf(options.tol), comb.render(c)
+    assert all(a < b for a, b in zip(x.points, x.points[1:])), comb.render(c)
+    for at, index in ((0, 0), (1, final.n)):
+        target = 0 if final.m[index] == 0 else 1
+        assert abs(f(ctx.mp.mpf(at)) - target) <= ctx.mpf("1e-30"), comb.render(c)
+    for j in final.critical_points():
+        assert abs(f.derivative()(x.points[j])) <= ctx.mpf("1e-30"), comb.render(c)
+
+
 def test_every_small_one_turning_point_sequence_converges_framed():
-    sequences = list(one_turning_point_sequences(4))
+    sequences = list(small_sequences(4, lambda turning: turning == 1))
     assert len(sequences) == 60
-    options = pullback.RunOptions()
     for c in sequences:
-        result = pullback.run(c, options)
-        assert result.converged, comb.render(c)
-        ctx = mpnum.PrecisionContext(result.digits)
-        final, f, x = result.combinatorics, result.polynomial, result.configuration
-        assert pullback.fit_error(final, f, x, ctx) <= ctx.mpf(options.tol)
-        for at, index in ((0, 0), (1, final.n)):
-            target = 0 if final.m[index] == 0 else 1
-            assert abs(f(ctx.mp.mpf(at)) - target) <= ctx.mpf("1e-30"), comb.render(c)
-        for j in final.critical_points():
-            assert abs(f.derivative()(x.points[j])) <= ctx.mpf("1e-30"), comb.render(c)
+        assert_converges_framed(c)
+
+
+def test_every_small_multimodal_sequence_converges_framed():
+    # with the one-turning-point test above: all 232 valid default-degree
+    # sequences with n <= 4
+    sequences = list(small_sequences(4, lambda turning: turning > 1))
+    assert len(sequences) == 172
+    for c in sequences:
+        assert_converges_framed(c)
