@@ -19,14 +19,18 @@ With two critical points there is one gap delta, and Phi is the Beta
 integral s = delta**(K+1) k_1! k_2! / (K+1)!, K = k_1 + k_2, so the inversion
 is one (K+1)-th root.  With more, it runs damped Newton from a
 Chebyshev-flavored starting point (gap pattern of the critical points of a
-first-kind Chebyshev polynomial, rescaled by homogeneity so the largest
-value gap is exactly 1).  When the caller holds the inversion of a nearby
-problem with the same multiplicities, as the pull-back iteration does from
-one step to the next, Newton starts instead from those gaps rescaled by
-homogeneity: scaling the gaps by t scales Phi by t**(1 + sum(k_i)), so t is
-chosen to match the sum of the value gaps.  Such a warm start always takes
-at least one Newton correction, whose full step is accepted once its
-residual meets the tolerance, even at the rounding floor.  Should Newton
+first-kind Chebyshev polynomial, rescaled by homogeneity: scaling the gaps
+by t scales Phi by t**(1 + sum(k_i)), so t is chosen to match the sum of
+the value gaps).  When the caller holds the inversion of a nearby problem
+with the same multiplicities, as the pull-back iteration does from one step
+to the next, Newton starts instead from its Euler predictor: the previous
+gaps plus the solution of the previous Jacobian system for the change in
+the targets, first-order exact, so the start misses by O(|change|**2).
+Where the predictor leaves the positive orthant or its Jacobian is
+singular, the start is the previous gaps rescaled by the same homogeneity
+rule.  A warm start always takes at least one Newton correction, whose full
+step is accepted once its residual meets the tolerance, even at the
+rounding floor.  Should Newton
 ever stall, a path-lifting integrator follows the straight segment from the
 Chebyshev start's values to the requested ones and polishes the endpoint
 with the same damped Newton; that route only needs the Jacobian to stay
@@ -45,7 +49,7 @@ evaluations and column sums, and every pivot and elimination step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial
 from typing import Optional
@@ -54,7 +58,7 @@ from mpmath.ctx_mp import MPContext
 from mpmath.libmp import mpf_mul_int, mpf_nthroot
 
 from .mpnum import (
-    Polynomial, PowerMap, PrecisionContext, antiderivative, expand_roots, pair_add, pair_cmp,
+    Polynomial, PowerMap, PrecisionContext, antiderivative, pair_add, pair_cmp,
     pair_div, pair_divide_linear, pair_expand_roots, pair_horner, pair_integral, pair_mul,
     pair_round, pair_sub, to_pair, to_raw, unboxed
 )
@@ -182,12 +186,12 @@ def phi_jacobian(problem: PhiProblem) -> tuple:
     return tuple(zip(*columns))
 
 
-def chebyshev_init(r: int, multiplicities, ctx: PrecisionContext) -> tuple:
-    """Starting gaps for the Newton inversion.
+def chebyshev_init(r: int, multiplicities, ctx: PrecisionContext, s) -> tuple:
+    """Starting gaps for the inversion of Phi at the value gaps ``s``.
 
     Gap pattern of the critical points of the degree r+1 first-kind
     Chebyshev polynomial (scaled by 2/4**(1/r)), then rescaled by
-    homogeneity so that the largest component of Phi equals one.
+    homogeneity so that the components of Phi sum to sum(s).
     """
     if r < 2:
         raise ValueError("need at least two distinct critical points")
@@ -198,8 +202,8 @@ def chebyshev_init(r: int, multiplicities, ctx: PrecisionContext) -> tuple:
         for j in range(1, r)
     )
     problem = PhiProblem(raw, tuple(multiplicities))
-    peak = max(phi(problem))
-    factor = (1 / peak) ** (mp.mpf(1) / problem.total_degree())
+    ratio = sum(ctx.mpf(v) for v in s) / sum(phi(problem))
+    factor = ratio ** (mp.mpf(1) / problem.total_degree())
     return tuple(factor * g for g in raw)
 
 
@@ -209,6 +213,8 @@ class InversionResult:
     iterations: int
     residuals: tuple  # max-norm residual after each accepted step
     targets: tuple = ()  # the value gaps solved for
+    jacobian: Optional[tuple] = field(default=None, compare=False, repr=False)  # last solved with
+    problem: Optional[PhiProblem] = field(default=None, compare=False, repr=False)  # the final one
 
 
 def _checked_targets(s, multiplicities, ctx):
@@ -282,17 +288,19 @@ def invert_phi(
     """
     s, mults = _checked_targets(s, multiplicities, ctx)
     if initial is None:
-        gaps = chebyshev_init(len(mults), mults, ctx)
+        gaps = chebyshev_init(len(mults), mults, ctx, s)
     else:
         gaps = tuple(ctx.mpf(g) for g in initial)
     tol = ctx.newton_tol
     problem = PhiProblem(gaps, mults)
     res, norm = _residual(problem, s)
     trace = [norm]
+    jacobian = None
     for iteration in range(NEWTON_MAX_ITERATIONS):
         if norm <= tol and iteration >= min_iterations:
-            return InversionResult(tuple(gaps), iteration, tuple(trace), s)
-        step = solve_linear(phi_jacobian(problem), res, ctx)
+            return InversionResult(tuple(gaps), iteration, tuple(trace), s, jacobian, problem)
+        jacobian = phi_jacobian(problem)
+        step = solve_linear(jacobian, res, ctx)
         damping = ctx.mp.mpf(1)
         for _ in range(NEWTON_MAX_HALVINGS):
             candidate = tuple(g - damping * d for g, d in zip(gaps, step))
@@ -322,7 +330,7 @@ def continuation_invert(s, multiplicities, ctx: PrecisionContext) -> InversionRe
     contract.
     """
     s, mults = _checked_targets(s, multiplicities, ctx)
-    start = chebyshev_init(len(mults), mults, ctx)
+    start = chebyshev_init(len(mults), mults, ctx, s)
     y0 = phi(PhiProblem(start, mults))
     rhs = [b - a for a, b in zip(y0, s)]
 
@@ -372,14 +380,28 @@ def rescaled_start(previous: InversionResult, s, multiplicities, ctx: PrecisionC
     return tuple(t * ctx.mpf(g) for g in previous.gaps)
 
 
+def predicted_start(previous: InversionResult, s, ctx: PrecisionContext) -> Optional[tuple]:
+    """The Euler predictor ``previous.gaps + J**-1 (s - previous.targets)`` in ``ctx``, J =
+    ``previous.jacobian``; None without J, if J is singular or if it leaves the orthant."""
+    if previous.jacobian is None:
+        return None
+    change = [ctx.mpf(v) - ctx.mpf(t) for v, t in zip(s, previous.targets)]
+    try:
+        step = solve_linear(previous.jacobian, change, ctx)
+    except SingularJacobian:
+        return None
+    start = tuple(ctx.mpf(g) + d for g, d in zip(previous.gaps, step))
+    return start if all(g > 0 for g in start) else None
+
+
 def solve_gaps(s, multiplicities, ctx: PrecisionContext, previous=None) -> InversionResult:
     """Newton inversion with the continuation fallback.
 
     With two critical points delta is one (K+1)-th root of the Beta
     integral (see the module docstring).  Otherwise ``previous`` is the
-    inversion of nearby value gaps for the same multiplicities; when given,
-    Newton starts from its rescaled gaps and takes at least one correction,
-    instead of starting from the Chebyshev point.
+    inversion of nearby value gaps for the same multiplicities; Newton then
+    starts from :func:`predicted_start`, else :func:`rescaled_start`, and
+    takes at least one correction, instead of the sum-matched Chebyshev start.
     """
     if len(multiplicities) == 2:
         s, (k1, k2) = _checked_targets(s, multiplicities, ctx)
@@ -388,11 +410,12 @@ def solve_gaps(s, multiplicities, ctx: PrecisionContext, previous=None) -> Inver
         ratio = factorial(degree) // (factorial(k1) * factorial(k2))
         scaled = mpf_mul_int(s[0]._mpf_, ratio, prec, rounding)
         gap = ctx.mp.make_mpf(mpf_nthroot(scaled, degree, prec, rounding))
-        return InversionResult((gap,), 0, (), s)
+        return InversionResult((gap,), 0, (), s, problem=PhiProblem((gap,), (k1, k2)))
     try:
         if previous is None:
             return invert_phi(s, multiplicities, ctx)
-        start = rescaled_start(previous, s, multiplicities, ctx)
+        start = (predicted_start(previous, s, ctx)
+                 or rescaled_start(previous, s, multiplicities, ctx))
         return invert_phi(s, multiplicities, ctx, initial=start, min_iterations=1)
     except NewtonStalled:
         return continuation_invert(s, multiplicities, ctx)
@@ -466,9 +489,9 @@ def realize_critical_values(
     inversion = solve_gaps(
         [abs(values[i + 1] - values[i]) for i in range(r - 1)], mults, ctx, previous
     )
-    problem = PhiProblem(inversion.gaps, mults)
+    problem = inversion.problem  # sigma * its cached monic product is f', exactly
     points = centered_points(problem)
-    g = expand_roots(points[0] * 0 + sigma, points, mults)
+    g = Polynomial(tuple(ctx.mp.make_mpf(to_raw((sigma * m, e))) for m, e in problem._monic))
     f = antiderivative(g, points[0], values[0])
 
     check_tol = 100 * ctx.newton_tol

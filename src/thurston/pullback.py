@@ -5,11 +5,12 @@ One step, given marked points x_0..x_n and the combinatorics m:
   1. mapmake:   build the polynomial whose j-th critical value is x_{m_j}
                 (one value per distinct critical index, via the gap map
                 inversion in :mod:`thurston.critvals`, warm-started from
-                the previous step's gaps);
+                the previous step's inversion);
   2. normalize: find the framing preimages A and B of the interval
-                endpoints in the unbounded first/last laps and precompose
-                with the increasing affine map sending 0 to A and 1 to B,
-                so the map fixes the unit-interval framing;
+                endpoints in the unbounded first/last laps, searching from
+                the previous step's A and B, and precompose with the
+                increasing affine map sending 0 to A and 1 to B, so the
+                map fixes the unit-interval framing;
   3. pullback:  move every marked point to the unique preimage of its
                 image point inside its own lap (critical indices go to the
                 matching critical points directly);
@@ -25,7 +26,7 @@ s = B - A), inverted by the root c -+ ((t - v) / a)**(1/d)
 (:func:`~thurston.mpnum.solve_power`), and expanded into a dense polynomial
 only for the result and for each trace record kept.  With two or more,
 the bracketed Newton search of :func:`~thurston.mpnum.solve_monotone`,
-which step 3 starts from the point's previous position.
+which steps 2 and 3 start from the previous step's solution.
 
 Iterating contracts toward the unique polynomial realizing the
 combinatorics.  The core (:func:`~thurston.combinatorics.core_indices`)
@@ -204,6 +205,7 @@ def normalize(
     realized: critvals.RealizedMap,
     ctx: PrecisionContext,
     lap_list: Optional[comb.LapStructure] = None,
+    previous: Optional[NormalizedMap] = None,
 ) -> NormalizedMap:
     """Precompose with the affine map that frames the unit interval.
 
@@ -211,7 +213,8 @@ def normalize(
     in the first lap and B in the last lap, both extended to infinity: the
     framing preimage may sit at (or numerically on either side of) a
     boundary critical point of odd degree, so the solve must not be fenced
-    in by it.
+    in by it.  ``previous``, the previous step's map for the same
+    combinatorics, gives the solves their starts.
     """
     n = c.n
     f_raw = realized.polynomial
@@ -222,8 +225,9 @@ def normalize(
     target_low = ctx.mp.mpf(0 if c.m[0] == 0 else 1)
     target_high = ctx.mp.mpf(0 if c.m[n] == 0 else 1)
     solve = _lap_solver(f_raw, realized.critical_points, ctx)
-    A = solve(target_low, None, turning_pts[0], lap_list.laps[0].orientation)
-    B = solve(target_high, turning_pts[-1], None, lap_list.last_orientation())
+    low, high = (None, None) if previous is None else (previous.frame_low, previous.frame_high)
+    A = solve(target_low, None, turning_pts[0], lap_list.laps[0].orientation, start=low)
+    B = solve(target_high, turning_pts[-1], None, lap_list.last_orientation(), start=high)
     if not B > A:
         raise PullbackError("framing points came out in the wrong order")
 
@@ -418,7 +422,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
     expansive = report.expansive_edges
     lap_list = comb.laps(c)
     core = comb.core_indices(c)
-    inversion = None  # the previous step's, while the combinatorics holds
+    inversion = framed = None  # the previous step's, while the combinatorics holds
 
     x = init_configuration(c, ctx)
     residuals = []
@@ -436,7 +440,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
         step += 1
         try:
             realized = mapmake(c, critical_value_vector(c, x), ctx, lap_list, inversion)
-            normalized = normalize(c, realized, ctx, lap_list)
+            normalized = normalize(c, realized, ctx, lap_list, framed)
             new_x = pullback_step(c, normalized, x, ctx, lap_list)
             f = normalized.polynomial
             eps, eps_core = fit_error(c, f, new_x, ctx, core)
@@ -445,7 +449,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
                 eps = fit_error(c, f, new_x, ctx)
         except (PullbackError, ArithmeticError) as exc:
             raise PullbackError(f"step {step} ({comb.render(c)}): {exc}") from exc
-        inversion = realized.inversion
+        inversion, framed = realized.inversion, normalized
         residuals.append(eps)
         window.append(eps_core)
         if options.keep_trace:
@@ -477,7 +481,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
             c = simplified
             lap_list = comb.laps(c)
             core = comb.core_indices(c)
-            inversion = None
+            inversion = framed = None
             expansive = sub_report.expansive_edges
             threshold = _collapse_threshold(ctx, c.n)
             gap_streak = {}

@@ -1,5 +1,6 @@
 """The gap map Phi, its Jacobian, inversion routes, and value realization."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import thurston
 from thurston import critvals, mpnum
+from thurston._table import ROWS
 
 X = sympy.symbols("x")
 
@@ -195,26 +197,27 @@ def test_jacobian_matches_the_chain_rule_through_centered_points(case):
 def test_chebyshev_init_two_points():
     # with k=(1,1), Phi(d) = d^3/6, so the rescaled start solves d^3/6 = 1
     ctx = ctx40()
-    (rho,) = critvals.chebyshev_init(2, (1, 1), ctx)
+    (rho,) = critvals.chebyshev_init(2, (1, 1), ctx, [1])
     assert ctx.equal(rho, ctx.mp.mpf(6) ** (ctx.mp.mpf(1) / 3))
 
 
 def test_chebyshev_init_three_points_symmetric():
     ctx = ctx40()
-    rho = critvals.chebyshev_init(3, (1, 1, 1), ctx)
+    rho = critvals.chebyshev_init(3, (1, 1, 1), ctx, [1, 1])
     assert ctx.equal(rho[0], rho[1])
     values = critvals.phi(problem(ctx, rho, [1, 1, 1]))
     for v in values:
         assert abs(v - 1) <= ctx.mpf("1e-35")
 
 
-def test_chebyshev_init_positive_and_capped():
+def test_chebyshev_init_positive_and_sum_matched():
     ctx = ctx40()
     for r, mults in [(2, (1, 2)), (4, (1, 1, 1, 1)), (5, (2, 1, 3, 1, 2))]:
-        rho = critvals.chebyshev_init(r, mults, ctx)
+        s = [Fraction(k, 7) for k in range(1, r)]
+        rho = critvals.chebyshev_init(r, mults, ctx, s)
         assert len(rho) == r - 1
         assert all(g > 0 for g in rho)
-        assert max(critvals.phi(problem(ctx, rho, mults))) <= 1 + ctx.mpf("1e-30")
+        assert ctx.equal(sum(critvals.phi(problem(ctx, rho, mults))), Fraction(r * (r - 1), 14))
 
 
 # ---------------------------------------------------------------- inversion
@@ -420,6 +423,64 @@ def test_realize_warm_start_matches_cold():
         assert abs(got - want) <= tol
 
 
+def warm_start_case(ctx):
+    """The inversion behind test_realize_warm_start_matches_cold's first map,
+    with the value gaps of its second."""
+    mults = (1, 2, 1)
+    before = tuple(ctx.mpf(v) for v in ("0.8", "0.45", "0.15"))
+    after = tuple(ctx.mpf(v) for v in ("0.8000007", "0.4499995", "0.1500002"))
+    previous = critvals.realize_critical_values(
+        critvals.CriticalValueSpec(before), mults, 1, ctx
+    ).inversion
+    return previous, [abs(b - a) for a, b in zip(after, after[1:])], mults
+
+
+def test_predicted_start_needs_no_more_steps_than_the_rescaled_one():
+    ctx = ctx40()
+    previous, s, mults = warm_start_case(ctx)
+    assert previous.jacobian is not None and previous.problem.gaps == previous.gaps
+    predicted, rescaled = (
+        critvals.invert_phi(s, mults, ctx, initial=start, min_iterations=1)
+        for start in (critvals.predicted_start(previous, s, ctx),
+                      critvals.rescaled_start(previous, s, mults, ctx))
+    )
+    # first-order exact: the start misses by about the square of the change
+    assert predicted.residuals[0] <= ctx.mpf("1e-10") < rescaled.residuals[0]
+    assert predicted.iterations <= rescaled.iterations
+    tol = ctx.mpf(10) ** (6 - ctx.digits)
+    assert predicted.residuals[-1] <= tol and rescaled.residuals[-1] <= tol
+
+
+@pytest.mark.parametrize("jacobian", ["singular", "off the orthant"])
+def test_failed_prediction_falls_back_to_the_rescaled_start(monkeypatch, jacobian):
+    ctx = ctx40()
+    previous, s, mults = warm_start_case(ctx)
+    if jacobian == "singular":
+        rows = [[ctx.mp.mpf(1)] * 2] * 2
+    else:  # a tiny Jacobian predicts a step far out of the orthant
+        rows = [[v * ctx.mpf("1e-30") for v in row] for row in previous.jacobian]
+    previous = dataclasses.replace(previous, jacobian=rows)
+    assert critvals.predicted_start(previous, s, ctx) is None
+    inversions = spy(monkeypatch, critvals, "invert_phi")
+    result = critvals.solve_gaps(s, mults, ctx, previous=previous)
+    ((_, kwargs, _),) = inversions
+    assert kwargs["initial"] == critvals.rescaled_start(previous, s, mults, ctx)
+    assert kwargs["min_iterations"] == 1
+    assert result.residuals[-1] <= ctx.mpf(10) ** (6 - ctx.digits)
+
+
+def test_prediction_from_a_coarser_context():
+    # the run doubles its digits on a stall and keeps the previous inversion
+    coarse, fine = ctx40(), mpnum.PrecisionContext(80)
+    previous, s, mults = warm_start_case(coarse)
+    start = critvals.predicted_start(previous, s, fine)
+    assert all(g.context is fine.mp for g in start)
+    result = critvals.invert_phi(s, mults, fine, initial=start, min_iterations=1)
+    assert result.residuals[0] <= fine.mpf("1e-10")
+    assert result.residuals[-1] <= fine.mpf(10) ** (6 - fine.digits)
+    assert all(g.context is fine.mp for g in result.gaps)
+
+
 def test_realize_single_critical_point():
     ctx = ctx40()
     spec = critvals.CriticalValueSpec((ctx.mpf(Fraction(1, 2)),))
@@ -483,26 +544,57 @@ def spy(monkeypatch, module, name):
 
 
 def test_stalled_warm_start_falls_back_to_path_lifting(monkeypatch):
-    # On 0,1,3,0,1,0 the warm-started Newton inversion of step 11 stalls
-    # after 200 iterations; path lifting then solves that step.  What the
-    # run does after the fallback is not pinned here.
+    # A previous inversion at gaps (1, 1e-10), far from the solution (1, 1)
+    # of s = (1/4, 1/4): its Euler predictor leaves the positive orthant,
+    # warm Newton from its rescaled gaps stalls at once, and path lifting
+    # solves the problem.  Since the predictor, no run of a valid sequence
+    # with n <= 5, nor of any of the 26,068 with n = 6 and two or more
+    # turning points, stalls warm Newton (0,1,3,0,1,0 used to, at step 11).
+    ctx, mults = ctx40(), (1, 1, 1)
+    gaps = (ctx.mp.mpf(1), ctx.mpf("1e-10"))
+    far = critvals.PhiProblem(gaps, mults)
+    previous = critvals.InversionResult(
+        gaps, 1, (), critvals.phi(far), jacobian=critvals.phi_jacobian(far)
+    )
+    s = [ctx.mp.mpf(1) / 4] * 2
+    assert critvals.predicted_start(previous, s, ctx) is None
     inversions = spy(monkeypatch, critvals, "invert_phi")
     lifts = spy(monkeypatch, critvals, "continuation_invert")
-    try:
-        thurston.run(thurston.parse("0,1,3,0,1,0"))
-    except thurston.PullbackError:
-        pass
+    solved = critvals.solve_gaps(s, mults, ctx, previous=previous)
     stalled = [
         (args, result) for args, kwargs, result in inversions
         if kwargs.get("min_iterations") == 1 and isinstance(result, critvals.NewtonStalled)
     ]
     assert len(stalled) == 1
     assert len(lifts) == 1
-    (s, mults, ctx), _, lifted = lifts[0]
-    assert stalled[0][0][0] is s
-    assert isinstance(lifted, critvals.InversionResult)
+    (s_lifted, mults, ctx), _, lifted = lifts[0]
+    assert stalled[0][0][0] is s_lifted is s
+    assert isinstance(lifted, critvals.InversionResult) and lifted == solved
     values = critvals.phi(critvals.PhiProblem(lifted.gaps, mults))
     assert max(abs(v - t) for v, t in zip(values, s)) <= ctx.mpf(10) ** (6 - ctx.digits)
+
+
+def test_reference_runs_invert_with_few_newton_iterations(monkeypatch):
+    # A count of the inner work that does not depend on the host's speed:
+    # the eight reference runs at their run_tol, whose outer steps are pinned
+    # in test_pullback.  Warm inversions start from the Euler predictor
+    # (3.52 iterations on average from the rescaled start alone), cold ones
+    # from the sum-matched Chebyshev start (52 in total from the one whose
+    # largest value gap is 1).
+    inversions = spy(monkeypatch, critvals, "invert_phi")
+    runs = sorted({(row.combinatorics, row.run_tol) for row in ROWS})
+    steps = sum(
+        thurston.run(thurston.parse(text), thurston.RunOptions(tol=tol)).iterations
+        for text, tol in runs
+    )
+    assert steps == 145
+    warm = [result.iterations for _, kwargs, result in inversions
+            if kwargs.get("min_iterations") == 1]
+    cold = [result.iterations for _, kwargs, result in inversions
+            if kwargs.get("min_iterations", 0) == 0]
+    assert len(warm) + len(cold) == len(inversions)
+    assert sum(warm) <= 2.75 * len(warm)
+    assert sum(cold) <= 46
 
 
 def test_newton_iteration_cap_raises_typed_errors(monkeypatch):

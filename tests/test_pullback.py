@@ -433,8 +433,12 @@ def test_warm_started_run_converges_deep():
 
 # Steps to tol 1e-60 (escalating from 40 to 80 digits) of the eight reference
 # combinatorics before the gap map's closed form for two critical points and
-# its translation-invariant Jacobian.  Rounding changes in the inversion can
-# wake a slow mode (ratio about 0.66) that roughly doubles a run.
+# its translation-invariant Jacobian.  Rounding changes in the inversion used
+# to wake a slow mode (ratio about 0.66) that roughly doubled a run.  That
+# mode was a passenger, x_2 of 0,3,2,1,4 converging at 1/|f'(x_2)| per step;
+# passengers are now placed on the final map instead of iterated
+# (test_nudged_passenger_is_placed_not_iterated), so inner changes such as
+# warm starts move these counts by a few steps, not by a factor.
 DEEP_STEPS = {
     "0,4,3,1,2,5": 202,
     "0,2,6^2,4,3^3,1^2,4,7": 136,

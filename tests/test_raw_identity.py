@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from thurston import combinatorics as comb
 from thurston import critvals, mpnum, pullback
+from thurston._table import ROWS
 
 # ---------------------------------------------------------------- oracles
 
@@ -418,3 +419,60 @@ def test_fit_error_is_bit_identical(digit_count, degree, n, data):
     points = (ctx.mp.mpf(0), *map(ctx.mpf, inner), ctx.mp.mpf(1))
     got = pullback.fit_error(c, f, pullback.MarkedConfiguration(points), ctx)
     assert same(got, fit_error(c, f, points, ctx))
+
+
+# ---------------------------------------------------------------- realization
+
+
+@st.composite
+def realizations(draw):
+    """Critical values whose differences alternate as sigma and the
+    multiplicities demand, spaced as Phi spaces them at moderate gaps."""
+    ctx = mpnum.PrecisionContext(draw(digits))
+    r = draw(st.integers(3, 5))
+    mults = tuple(draw(st.lists(st.integers(1, 3), min_size=r, max_size=r)))
+    sigma = draw(st.sampled_from([-1, 1]))
+    gaps = [ctx.mpf(draw(st.fractions(Fraction(1, 10), 2))) for _ in range(r - 1)]
+    values = [ctx.mpf(draw(entry))]
+    for i, s in enumerate(critvals.phi(critvals.PhiProblem(tuple(gaps), mults))):
+        values.append(values[-1] + sigma * critvals._interval_sign(mults, i) * s)
+    return ctx, mults, sigma, tuple(values)
+
+
+@given(realizations())
+@settings(max_examples=60, deadline=None)
+def test_realized_map_is_the_expanded_product_bit_for_bit(case):
+    # realize_critical_values takes f' from the inversion's final Phi
+    # problem, whose monic product Newton already expanded
+    ctx, mults, sigma, values = case
+    realized = critvals.realize_critical_values(
+        critvals.CriticalValueSpec(values), mults, sigma, ctx
+    )
+    points = centered_points(critvals.PhiProblem(realized.gaps, mults))
+    assert same(realized.critical_points, points)
+    g = expand_roots(ctx.mp.mpf(sigma), points, mults)
+    assert same(realized.polynomial.coefficients, antiderivative(g, points[0], values[0]))
+
+
+@pytest.mark.parametrize("text", dict.fromkeys(row.combinatorics for row in ROWS))
+def test_framing_from_the_previous_map_agrees_with_a_cold_one(text):
+    # the first steps of a run, framing each map with and without the
+    # previous step's A and B as starts
+    c, ctx = comb.parse(text), mpnum.PrecisionContext(40)
+    lap_list = comb.laps(c)
+    x = pullback.init_configuration(c, ctx)
+    inversion = previous = None
+    for _ in range(4):
+        values = pullback.critical_value_vector(c, x)
+        realized = pullback.mapmake(c, values, ctx, lap_list, inversion)
+        f = realized.polynomial
+        cold = pullback.normalize(c, realized, ctx, lap_list)
+        warm = pullback.normalize(c, realized, ctx, lap_list, previous)
+        bound = 10 * ctx.tau
+        for end, index in (("frame_low", 0), ("frame_high", c.n)):
+            target = 0 if c.m[index] == 0 else 1
+            a, b = getattr(cold, end), getattr(warm, end)
+            assert abs(f(a) - target) <= bound and abs(f(b) - target) <= bound
+            assert abs(a - b) <= bound * max(1, abs(a))
+        x = pullback.pullback_step(c, warm, x, ctx, lap_list)
+        inversion, previous = realized.inversion, warm
