@@ -15,29 +15,21 @@ positive orthant onto itself and homogeneous of degree ``1 + sum(k_i)``
 "construct a polynomial with these critical values" to a well-behaved
 root-finding problem.
 
-With two critical points there is one gap delta, and Phi is the Beta
-integral s = delta**(K+1) k_1! k_2! / (K+1)!, K = k_1 + k_2, so the inversion
-is one (K+1)-th root.  With more, it runs damped Newton from a
-Chebyshev-flavored starting point (gap pattern of the critical points of a
-first-kind Chebyshev polynomial, rescaled by homogeneity: scaling the gaps
-by t scales Phi by t**(1 + sum(k_i)), so t is chosen to match the sum of
-the value gaps).  When the caller holds the inversion of a nearby problem
-with the same multiplicities, as the pull-back iteration does from one step
-to the next, Newton starts instead from its Euler predictor: the previous
-gaps plus the solution of the previous Jacobian system for the change in
-the targets, first-order exact, so the start misses by O(|change|**2).
-Where the predictor leaves the positive orthant or its Jacobian is
-singular, the start is the previous gaps rescaled by the same homogeneity
-rule.  A warm start always takes at least one Newton correction, whose full
-step is accepted once its residual meets the tolerance, even at the
-rounding floor.  Should Newton
-ever stall, a path-lifting integrator follows the straight segment from the
-Chebyshev start's values to the requested ones and polishes the endpoint
-with the same damped Newton; that route only needs the Jacobian to stay
-invertible, which it does on the whole positive orthant.  Phi is
-translation invariant, so Jacobian column j sums Phi's derivatives in the
-points right of gap j.  The Newton systems are only (r-1) x (r-1), so they
-are solved by Gaussian elimination on plain lists.
+With two critical points Phi is the Beta integral s = delta**(K+1) B(k_1, k_2),
+K = k_1 + k_2 and B(a, b) = a! b! / (a + b + 1)!, so the gap is one (K+1)-th
+root.  With three, the same Beta integrals give s_i = delta_2**(K+1) P_i(u)
+in the gap ratio u = delta_1/delta_2 (:func:`ratio_polynomials`): u is the
+one root of (s_2/s_1) P_1 = P_2 in [0, 1], on the mirror image x -> -x if it
+lies beyond 1, and delta_2 one more root.  With more, damped Newton starts
+from the Chebyshev gap pattern rescaled by homogeneity, or from the Euler
+predictor of a nearby inversion with the same multiplicities
+(:func:`predicted_start`), as the pull-back has from one step to the next.
+Should it stall or meet a singular Jacobian, path lifting
+(:func:`continuation_invert`) takes over; it needs only the Jacobian to stay
+invertible, which it does on the whole positive orthant.  Phi is translation
+invariant, so Jacobian column j sums Phi's derivatives in the points right
+of gap j; the (r-1) x (r-1) Newton systems are solved by Gaussian
+elimination on plain lists.
 
 Phi, its Jacobian and the elimination run on the correctly rounded integer
 pairs of :mod:`thurston.mpnum`, in the operation order and precision of the
@@ -50,8 +42,9 @@ evaluations and column sums, and every pivot and elimination step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from math import factorial
+from fractions import Fraction
+from functools import cached_property, lru_cache
+from math import comb, factorial
 from typing import Optional
 
 from mpmath.ctx_mp import MPContext
@@ -60,7 +53,7 @@ from mpmath.libmp import mpf_mul_int, mpf_nthroot
 from .mpnum import (
     Polynomial, PowerMap, PrecisionContext, antiderivative, pair_add, pair_cmp,
     pair_div, pair_divide_linear, pair_expand_roots, pair_horner, pair_integral, pair_mul,
-    pair_round, pair_sub, to_pair, to_raw, unboxed
+    pair_round, pair_sub, solve_monotone, to_pair, to_raw, unboxed
 )
 
 NEWTON_MAX_ITERATIONS = 200
@@ -394,30 +387,61 @@ def predicted_start(previous: InversionResult, s, ctx: PrecisionContext) -> Opti
     return start if all(g > 0 for g in start) else None
 
 
-def solve_gaps(s, multiplicities, ctx: PrecisionContext, previous=None) -> InversionResult:
-    """Newton inversion with the continuation fallback.
+def _beta(a, b) -> Fraction:  # B(a, b), the integral of t**a (1 - t)**b over [0, 1]
+    return Fraction(factorial(a) * factorial(b), factorial(a + b + 1))
 
-    With two critical points delta is one (K+1)-th root of the Beta
-    integral (see the module docstring).  Otherwise ``previous`` is the
-    inversion of nearby value gaps for the same multiplicities; Newton then
-    starts from :func:`predicted_start`, else :func:`rescaled_start`, and
-    takes at least one correction, instead of the sum-matched Chebyshev start.
+
+def _beta_root(value, a, b, ctx: PrecisionContext):
+    """The delta > 0 with delta**(a + b + 1) B(a, b) = value, by one correctly rounded root."""
+    prec, rounding = ctx.mp._prec_rounding
+    scaled = mpf_mul_int(value._mpf_, (a + b + 1) * comb(a + b, a), prec, rounding)  # / B(a, b)
+    return ctx.mp.make_mpf(mpf_nthroot(scaled, a + b + 1, prec, rounding))
+
+
+@lru_cache(maxsize=None)
+def ratio_polynomials(multiplicities, ctx: PrecisionContext) -> tuple:
+    """Ascending coefficients in ``ctx`` of P1(u) / u**(k1 + k2 + 1) and of P2(u), both over
+    B(k1 + k2, k3) so that P2(0) = 1, then P1(1) and P2(1); see :func:`solve_gaps`."""
+    k1, k2, k3 = multiplicities
+    scale = _beta(k1 + k2, k3)
+    exact = ([comb(k3, j) * _beta(k1, k2 + j) / scale for j in range(k3 + 1)],
+             [comb(k1, i) * _beta(k1 + k2 - i, k3) / scale for i in range(k1 + 1)])
+    return (*(tuple(ctx.mpf(c) for c in p) for p in exact), *(ctx.mpf(sum(p)) for p in exact))
+
+
+def solve_gaps(s, multiplicities, ctx: PrecisionContext, previous=None) -> InversionResult:
+    """Gaps with Phi(gaps) = s, by the route the module docstring gives for r.
+
+    ``previous``, the inversion of nearby value gaps for the same
+    multiplicities, starts the search: for r = 3 at its gap ratio (the
+    equation is scaled so that its residual bound leaves s_1 off by at most
+    about 10 tau relative); for r >= 4 at :func:`predicted_start`, else
+    :func:`rescaled_start`, with at least one Newton correction.
     """
     if len(multiplicities) == 2:
         s, (k1, k2) = _checked_targets(s, multiplicities, ctx)
-        prec, rounding = ctx.mp._prec_rounding
-        degree = k1 + k2 + 1
-        ratio = factorial(degree) // (factorial(k1) * factorial(k2))
-        scaled = mpf_mul_int(s[0]._mpf_, ratio, prec, rounding)
-        gap = ctx.mp.make_mpf(mpf_nthroot(scaled, degree, prec, rounding))
-        return InversionResult((gap,), 0, (), s, problem=PhiProblem((gap,), (k1, k2)))
+        gaps = (_beta_root(s[0], k1, k2, ctx),)
+        return InversionResult(gaps, 0, (), s, problem=PhiProblem(gaps, (k1, k2)))
+    if len(multiplicities) == 3:  # u = delta_1 / delta_2 in [0, 1], on x or on -x
+        s, mults = _checked_targets(s, multiplicities, ctx)
+        _, _, tail_at_1, head_at_1 = ratio_polynomials(mults, ctx)
+        mirrored = s[0] * head_at_1 > s[1] * tail_at_1
+        (s1, s2), (k1, k2, k3) = (s[::-1], mults[::-1]) if mirrored else (s, mults)
+        tail, head, _, _ = ratio_polynomials((k1, k2, k3), ctx)
+        zero, ratio = ctx.mp.mpf(0), s2 / s1
+        equation = Polynomial((*(-c for c in head), *(zero,) * k2, *(ratio * c for c in tail)))
+        start = None if previous is None else previous.gaps[mirrored] / previous.gaps[not mirrored]
+        u = solve_monotone(equation, zero, zero, 1, 1, ctx, start=start)
+        second = _beta_root(s2 / Polynomial(head)(u), k1 + k2, k3, ctx)
+        gaps = (second, u * second) if mirrored else (u * second, second)
+        return InversionResult(gaps, 0, (), s, problem=PhiProblem(gaps, mults))
     try:
         if previous is None:
             return invert_phi(s, multiplicities, ctx)
         start = (predicted_start(previous, s, ctx)
                  or rescaled_start(previous, s, multiplicities, ctx))
         return invert_phi(s, multiplicities, ctx, initial=start, min_iterations=1)
-    except NewtonStalled:
+    except (NewtonStalled, SingularJacobian):
         return continuation_invert(s, multiplicities, ctx)
 
 

@@ -397,13 +397,16 @@ def _value_tolerance(target, ctx: PrecisionContext):
 
 
 def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionContext, start=None):
-    """Solve p(x) = target on a monotone lap [lo, hi].
+    """Solve p(x) = target on a monotone lap [lo, hi], or on any bracket where
+    p - target changes sign once, as the gap-ratio equation of
+    :func:`thurston.critvals.solve_gaps` does.
 
     ``lo``/``hi`` may be None for laps extending to -inf/+inf; the bracket is
     then grown outward from the finite end by doubling steps.  ``orientation``
-    is +1 for increasing laps, -1 for decreasing.  The lap may contain
-    isolated points of vanishing derivative (higher-order tangencies); the
-    result satisfies ``|p(x) - target| <= 10 * tau * max(1, |target|)``.
+    is +1 for increasing laps (and for a sign change from - to +), -1 for
+    decreasing.  The lap may contain isolated points of vanishing derivative
+    (higher-order tangencies); the result satisfies
+    ``|p(x) - target| <= 10 * tau * max(1, |target|)``.
 
     Newton starts from ``start`` when it lies strictly inside the bracket
     (a warm start, such as the point's position one pull-back earlier) and

@@ -2,43 +2,35 @@
 
 One step, given marked points x_0..x_n and the combinatorics m:
 
-  1. mapmake:   build the polynomial whose j-th critical value is x_{m_j}
-                (one value per distinct critical index, via the gap map
-                inversion in :mod:`thurston.critvals`, warm-started from
-                the previous step's inversion);
-  2. normalize: find the framing preimages A and B of the interval
-                endpoints in the unbounded first/last laps, searching from
-                the previous step's A and B, and precompose with the
-                increasing affine map sending 0 to A and 1 to B, so the
-                map fixes the unit-interval framing;
-  3. pullback:  move every marked point to the unique preimage of its
-                image point inside its own lap (critical indices go to the
-                matching critical points directly);
-  4. fit:       root-mean-square mismatch eps = sqrt(sum (f(x_j) -
-                x_{m_j})**2) / n at the new points, and eps_core, the
-                same sum over the core indices alone.
+  1. mapmake:   the polynomial whose j-th critical value is x_{m_j}, one
+                per distinct critical index, by the gap map inversion in
+                :mod:`thurston.critvals` from the previous step's;
+  2. normalize: the framing preimages A and B of the interval endpoints in
+                the unbounded first/last laps, searched from the previous
+                step's, and precomposition with the increasing affine map
+                sending 0 to A and 1 to B;
+  3. pullback:  every marked point moves to the preimage of its image point
+                in its own lap (critical indices to the critical points);
+  4. fit:       eps = sqrt(sum (f(x_j) - x_{m_j})**2) / n at the new points,
+                and eps_core, the same sum over the core indices alone.
 
 Steps 2 and 3 invert f on its laps with the solver :func:`_lap_solver`
-picks once per map.  With one critical point c, steps 1-4 keep f as a
-:class:`~thurston.mpnum.PowerMap` v + a (x - c)**d: built as
-v + (sigma/d) x**d, reframed in closed form (a s**d and (c - A)/s, with
-s = B - A), inverted by the root c -+ ((t - v) / a)**(1/d)
+picks once per map.  With one critical point c, f stays a
+:class:`~thurston.mpnum.PowerMap` v + a (x - c)**d through steps 1-4: built
+as v + (sigma/d) x**d, reframed in closed form, inverted by one root
 (:func:`~thurston.mpnum.solve_power`), and expanded into a dense polynomial
-only for the result and for each trace record kept.  With two or more,
-the bracketed Newton search of :func:`~thurston.mpnum.solve_monotone`,
-which steps 2 and 3 start from the previous step's solution.
+only for the result and the trace.  With two or more, the laps are searched
+by :func:`~thurston.mpnum.solve_monotone`, from the previous step's solution.
 
 Iterating contracts toward the unique polynomial realizing the
 combinatorics.  The core (:func:`~thurston.combinatorics.core_indices`)
 alone determines f; the other marked points, passengers, feed nothing back
 and would converge only at 1/|f'| per step around their cycles.  So the run
 iterates until eps_core meets the tolerance, places the passengers on that
-map by one Newton solve (:func:`place_passengers`), and converges once eps
-does too.  Two failure modes are handled along the way: when eps_core stops
-improving the working precision doubles, and when marked points pile up
-(non-expansive edges of the model), the offending points are merged, the
-combinatorics is simplified accordingly, and the run continues on the
-simplified data.
+map (:func:`place_passengers`), and converges once eps does too.  When
+eps_core stops improving the working precision doubles, and when marked
+points pile up (non-expansive edges of the model) they are merged, the
+combinatorics is simplified accordingly, and the run continues on it.
 """
 
 from __future__ import annotations
@@ -301,14 +293,15 @@ def fit_error(c: comb.Combinatorics, f, x: MarkedConfiguration, ctx: PrecisionCo
 
 def place_passengers(c: comb.Combinatorics, normalized: NormalizedMap, x: MarkedConfiguration,
                      core, ctx: PrecisionContext, lap_list: comb.LapStructure):
-    """Newton on x_j = g_j(x_{m_j}) for the passengers j, the indices outside
+    """Solve x_j = g_j(x_{m_j}) for the passengers j, the indices outside
     ``core``, with f and the core fixed; g_j is f's inverse branch on j's lap.
 
-    Each iteration takes one warm-started lap solve y_j = g_j(x_{m_j}) per
-    passenger and moves by :func:`_newton_moves`, then clamps each passenger
-    between its nearest core points, where one that collapses lands, and
-    keeps it from crossing the passenger before it.  It stops when the
-    largest move is below tau or stops shrinking.
+    A passenger whose orbit reaches the core without a passenger cycle takes
+    one warm-started lap solve, images first.  The others take Newton, one
+    solve each per iteration and the moves of :func:`_newton_moves`, until
+    the largest move is below tau or stops shrinking.  Each passenger is
+    clamped between its nearest core points, where one that collapses lands,
+    and at the end, in index order, kept from crossing the one before it.
     """
     n, m, points = c.n, c.m, list(x.points)
     passengers = [j for j in range(n + 1) if j not in core]
@@ -316,38 +309,58 @@ def place_passengers(c: comb.Combinatorics, normalized: NormalizedMap, x: Marked
     solve = _lap_solver(f, normalized.critical_points, ctx)
     slope = (PowerMap(f.center, 0 * f.value, f.degree * f.lead, f.degree - 1)  # d a (x - c)**(d-1)
              if isinstance(f, PowerMap) else f.derivative())
-    laps = [lap_list.lap_of(j, n) for j in passengers]
-    ends = [(max(k for k in core if k < j), min(k for k in core if k > j)) for j in passengers]
+    ends = {j: (max(k for k in core if k < j), min(k for k in core if k > j)) for j in passengers}
+
+    def place(j, value):
+        a, b = ends[j]
+        points[j] = min(max(value, points[a]), points[b])
+
+    def pulled(j):
+        lap = lap_list.lap_of(j, n)
+        lo = points[0 if lap.left is None else lap.left]
+        hi = points[n if lap.right is None else lap.right]
+        return solve(points[m[j]], lo, hi, lap.orientation, start=points[j])
+
+    settled = set(core)  # the core and the passengers placed so far
+    for j in passengers:
+        path = []  # the orbit of j up to a settled index or a repeat
+        while j not in settled and j not in path:
+            path, j = path + [j], m[j]
+        if j in settled:
+            for i in reversed(path):
+                place(i, pulled(i))
+                settled.add(i)
+    cyclic = [j for j in passengers if j not in settled]
     previous = None
-    for _ in range(PLACEMENT_ITERATIONS):
+    for _ in range(PLACEMENT_ITERATIONS if cyclic else 0):
         rise, inverse = {}, {}
-        for j, lap in zip(passengers, laps):
-            lo = points[0 if lap.left is None else lap.left]
-            hi = points[n if lap.right is None else lap.right]
-            y = solve(points[m[j]], lo, hi, lap.orientation, start=points[j])
+        for j in cyclic:
+            y = pulled(j)
             df = slope(y)
             rise[j], inverse[j] = y - points[j], (1 / df if df else 0)
         dx = _newton_moves(m, rise, inverse)
-        for j, (a, b) in zip(passengers, ends):
-            points[j] = min(max(points[j] + dx[j], points[a]), points[b])
-            if j - 1 in dx:
-                points[j] = max(points[j], points[j - 1])
-        size = max(map(abs, dx.values()), default=0)
+        for j in cyclic:
+            place(j, points[j] + dx[j])
+        size = max(map(abs, dx.values()))
         if size <= ctx.tau or (previous is not None and size >= previous):
             break
         previous = size
+    for j in passengers:
+        if j - 1 in ends:
+            points[j] = max(points[j], points[j - 1])
     return MarkedConfiguration(tuple(points), step=x.step)
 
 
 def _newton_moves(m, rise, inverse) -> dict:
     """The Newton move dx_j = rise_j + inverse_j dx_{m_j} of each passenger j
-    (the keys of ``rise``: y_j - x_j; inverse_j is 1/f'(y_j), or 0 where
-    f'(y_j) = 0), with dx = 0 on the core: back-substituted along chains, and
-    A / (1 - B) around a cycle, B the product of its inverses (rise if B = 1)."""
+    on or leading into a passenger cycle (the keys of ``rise``, which m maps
+    into themselves; rise_j is y_j - x_j, inverse_j is 1/f'(y_j), or 0 where
+    f'(y_j) = 0): A / (1 - B) around a cycle, B the product of its inverses
+    (rise if B = 1), back-substituted along the chains into it."""
     dx = {}
     for j in rise:
-        path = [j]  # the orbit of j up to the core, a solved passenger or a repeat
-        while m[path[-1]] in rise and m[path[-1]] not in dx and m[path[-1]] not in path:
+        path = [j]  # the orbit of j up to a solved passenger or a repeat
+        while m[path[-1]] not in dx and m[path[-1]] not in path:
             path.append(m[path[-1]])
         k = m[path[-1]]
         if k in path:  # a passenger cycle through k
@@ -357,7 +370,7 @@ def _newton_moves(m, rise, inverse) -> dict:
             dx[k] = rise[k] if b == 1 else a / (1 - b)
         for i in reversed(path):
             if i not in dx:
-                dx[i] = rise[i] + inverse[i] * dx.get(m[i], 0)
+                dx[i] = rise[i] + inverse[i] * dx[m[i]]
     return dx
 
 

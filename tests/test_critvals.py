@@ -280,6 +280,62 @@ def test_two_critical_points_invert_in_closed_form(digits, k1, k2, mantissa, exp
     assert abs(value - newton) <= bound
 
 
+@pytest.mark.parametrize("mults", [(1, 1, 1), (1, 2, 1), (2, 1, 3), (3, 1, 2), (1, 3, 2), (2, 2, 2), (3, 3, 3)])
+def test_ratio_polynomials_match_symbolic_integrals(mults):
+    # Phi is translation invariant, so put the points at 0, u and u + 1:
+    # delta_2 = 1, and s_i = P_i(u) times B(k1 + k2, k3).
+    ctx = mpnum.PrecisionContext(80)
+    u = sympy.symbols("u", positive=True)
+    k1, k2, k3 = mults
+    g = X**k1 * (X - u) ** k2 * (X - u - 1) ** k3
+    scale = sympy.factorial(k1 + k2) * sympy.factorial(k3) / sympy.factorial(k1 + k2 + k3 + 1)
+    p1, p2 = (
+        sympy.Poly(sympy.expand(critvals._interval_sign(mults, i) * sympy.integrate(g, (X, a, b))
+                                / scale), u)
+        for i, (a, b) in enumerate([(0, u), (u, u + 1)])
+    )
+    tail, head, tail_at_1, head_at_1 = critvals.ratio_polynomials(mults, ctx)
+    assert [m[0] for m in p1.monoms()][-1] == k1 + k2 + 1  # P1 starts at u**(k1 + k2 + 1)
+    for poly, got, shift in ((p1, tail, k1 + k2 + 1), (p2, head, 0)):
+        want = [Fraction(str(c)) for c in reversed(poly.all_coeffs())][shift:]
+        assert len(got) == len(want) and all(ctx.equal(a, b) for a, b in zip(got, want))
+    assert ctx.equal(tail_at_1, Fraction(str(p1.eval(1)))) and ctx.equal(head_at_1, Fraction(str(p2.eval(1))))
+    assert head[0] == 1
+
+
+@given(st.sampled_from([30, 40]), st.tuples(*[st.integers(1, 3)] * 3),
+       st.integers(1000, 9999), st.integers(-3, 1))
+@settings(max_examples=100, deadline=None)
+def test_three_critical_points_invert_by_one_ratio_root(digits, mults, mantissa, exponent):
+    # Gap ratios delta_1/delta_2 from 1e-3 to 1e2, the larger gap 1.  The
+    # ratio is one monotone root, so the small gap keeps its relative digits,
+    # which damped Newton's absolute residual does not promise.
+    ctx, fine = mpnum.PrecisionContext(digits), mpnum.PrecisionContext(80)
+    ratio = Fraction(mantissa, 1000) * Fraction(10) ** exponent
+    exact = (ratio, 1) if ratio <= 1 else (1, 1 / ratio)
+    s = critvals.phi(problem(ctx, exact, mults))
+    result = critvals.solve_gaps(s, mults, ctx)
+    assert result.targets == s and result.problem.gaps == result.gaps
+    values = critvals.phi(critvals.PhiProblem(result.gaps, mults))
+    assert max(abs(v - t) for v, t in zip(values, s)) <= ctx.newton_tol
+    root = critvals.invert_phi(s, mults, fine, initial=[fine.mpf(g) for g in exact])
+    for got, want in zip(result.gaps, root.gaps):
+        assert abs(got - want) <= ctx.mpf(10) ** (6 - digits) * want
+
+
+def test_three_points_ignore_a_degenerate_previous_inversion():
+    # Newton warm-started from gaps (1, 1e-30) met a singular Jacobian; the
+    # gap ratio's root needs none.
+    ctx, mults = ctx40(), (1, 1, 1)
+    gaps = (ctx.mp.mpf(1), ctx.mpf("1e-30"))
+    far = critvals.PhiProblem(gaps, mults)
+    previous = critvals.InversionResult(
+        gaps, 1, (), critvals.phi(far), jacobian=critvals.phi_jacobian(far)
+    )
+    result = critvals.solve_gaps([ctx.mp.mpf(1) / 4] * 2, mults, ctx, previous=previous)
+    assert all(ctx.equal(g, 1) for g in result.gaps)
+
+
 @pytest.mark.parametrize("digits", [40, 80])
 def test_solve_linear_matches_lu_solve(digits):
     ctx = mpnum.PrecisionContext(digits)
@@ -315,7 +371,7 @@ def test_solve_linear_rejects_singular(rows):
 
 def test_warm_start_takes_at_least_one_correction():
     ctx = ctx40()
-    s, mults = [Fraction(1, 7), Fraction(2, 11)], (1, 2, 1)
+    s, mults = [Fraction(1, 7), Fraction(2, 11), Fraction(1, 9)], (1, 2, 1, 2)
     cold = critvals.solve_gaps(s, mults, ctx)
     again = critvals.solve_gaps(s, mults, ctx, previous=cold)
     assert again.iterations == 1
@@ -405,9 +461,9 @@ def test_realize_warm_start_matches_cold():
     # the next pull-back step's values move a little; warm-started from the
     # previous inversion, the same map comes out in at most three steps
     ctx = ctx40()
-    mults = (1, 2, 1)
-    before = tuple(ctx.mpf(v) for v in ("0.8", "0.45", "0.15"))
-    after = tuple(ctx.mpf(v) for v in ("0.8000007", "0.4499995", "0.1500002"))
+    mults = (1, 2, 1, 2)
+    before = tuple(ctx.mpf(v) for v in ("0.8", "0.45", "0.15", "0.6"))
+    after = tuple(ctx.mpf(v) for v in ("0.8000007", "0.4499995", "0.1500002", "0.5999996"))
     previous = critvals.realize_critical_values(
         critvals.CriticalValueSpec(before), mults, 1, ctx
     ).inversion
@@ -426,9 +482,9 @@ def test_realize_warm_start_matches_cold():
 def warm_start_case(ctx):
     """The inversion behind test_realize_warm_start_matches_cold's first map,
     with the value gaps of its second."""
-    mults = (1, 2, 1)
-    before = tuple(ctx.mpf(v) for v in ("0.8", "0.45", "0.15"))
-    after = tuple(ctx.mpf(v) for v in ("0.8000007", "0.4499995", "0.1500002"))
+    mults = (1, 2, 1, 2)
+    before = tuple(ctx.mpf(v) for v in ("0.8", "0.45", "0.15", "0.6"))
+    after = tuple(ctx.mpf(v) for v in ("0.8000007", "0.4499995", "0.1500002", "0.5999996"))
     previous = critvals.realize_critical_values(
         critvals.CriticalValueSpec(before), mults, 1, ctx
     ).inversion
@@ -456,7 +512,7 @@ def test_failed_prediction_falls_back_to_the_rescaled_start(monkeypatch, jacobia
     ctx = ctx40()
     previous, s, mults = warm_start_case(ctx)
     if jacobian == "singular":
-        rows = [[ctx.mp.mpf(1)] * 2] * 2
+        rows = [[ctx.mp.mpf(1)] * 3] * 3
     else:  # a tiny Jacobian predicts a step far out of the orthant
         rows = [[v * ctx.mpf("1e-30") for v in row] for row in previous.jacobian]
     previous = dataclasses.replace(previous, jacobian=rows)
@@ -544,19 +600,20 @@ def spy(monkeypatch, module, name):
 
 
 def test_stalled_warm_start_falls_back_to_path_lifting(monkeypatch):
-    # A previous inversion at gaps (1, 1e-10), far from the solution (1, 1)
-    # of s = (1/4, 1/4): its Euler predictor leaves the positive orthant,
-    # warm Newton from its rescaled gaps stalls at once, and path lifting
-    # solves the problem.  Since the predictor, no run of a valid sequence
-    # with n <= 5, nor of any of the 26,068 with n = 6 and two or more
-    # turning points, stalls warm Newton (0,1,3,0,1,0 used to, at step 11).
-    ctx, mults = ctx40(), (1, 1, 1)
-    gaps = (ctx.mp.mpf(1), ctx.mpf("1e-10"))
+    # A previous inversion at gaps (1, 1e-10, 1), far from the solution
+    # (1, 1, 1) of s = Phi(1, 1, 1): its Euler predictor leaves the positive
+    # orthant, warm Newton from its rescaled gaps stalls at once, and path
+    # lifting solves the problem.  Since the predictor, no run of a valid
+    # sequence with n <= 5, nor of any of the 26,068 with n = 6 and two or
+    # more turning points, stalls warm Newton (0,1,3,0,1,0 used to, at step 11).
+    ctx, mults = ctx40(), (1, 1, 1, 1)
+    one = ctx.mp.mpf(1)
+    gaps = (one, ctx.mpf("1e-10"), one)
     far = critvals.PhiProblem(gaps, mults)
     previous = critvals.InversionResult(
         gaps, 1, (), critvals.phi(far), jacobian=critvals.phi_jacobian(far)
     )
-    s = [ctx.mp.mpf(1) / 4] * 2
+    s = list(critvals.phi(critvals.PhiProblem((one,) * 3, mults)))
     assert critvals.predicted_start(previous, s, ctx) is None
     inversions = spy(monkeypatch, critvals, "invert_phi")
     lifts = spy(monkeypatch, critvals, "continuation_invert")
@@ -574,13 +631,33 @@ def test_stalled_warm_start_falls_back_to_path_lifting(monkeypatch):
     assert max(abs(v - t) for v, t in zip(values, s)) <= ctx.mpf(10) ** (6 - ctx.digits)
 
 
+def test_singular_warm_start_falls_back_to_path_lifting(monkeypatch):
+    # Gaps (1, 1e-30, 1) make the previous Jacobian and the one at the
+    # rescaled start numerically singular; path lifting solves the problem.
+    ctx, mults = ctx40(), (1, 1, 1, 1)
+    one = ctx.mp.mpf(1)
+    gaps = (one, ctx.mpf("1e-30"), one)
+    far = critvals.PhiProblem(gaps, mults)
+    previous = critvals.InversionResult(
+        gaps, 1, (), critvals.phi(far), jacobian=critvals.phi_jacobian(far)
+    )
+    s = list(critvals.phi(critvals.PhiProblem((one,) * 3, mults)))
+    inversions = spy(monkeypatch, critvals, "invert_phi")
+    lifts = spy(monkeypatch, critvals, "continuation_invert")
+    solved = critvals.solve_gaps(s, mults, ctx, previous=previous)
+    assert isinstance(inversions[0][2], critvals.SingularJacobian)
+    assert len(lifts) == 1 and lifts[0][2] == solved
+    assert all(ctx.equal(g, 1) for g in solved.gaps)
+
+
 def test_reference_runs_invert_with_few_newton_iterations(monkeypatch):
     # A count of the inner work that does not depend on the host's speed:
     # the eight reference runs at their run_tol, whose outer steps are pinned
-    # in test_pullback.  Warm inversions start from the Euler predictor
-    # (3.52 iterations on average from the rescaled start alone), cold ones
-    # from the sum-matched Chebyshev start (52 in total from the one whose
-    # largest value gap is 1).
+    # in test_pullback.  With three critical points or fewer the gap map is
+    # inverted in closed form, so Newton runs only on the maps with four or
+    # five (0,2,1,3,5,3^3,0 and 0,1,5,0,2,1,7,1,0).  Warm inversions start
+    # from the Euler predictor (2.77 iterations on average; 3.77 from the
+    # rescaled start alone), cold ones from the sum-matched Chebyshev start.
     inversions = spy(monkeypatch, critvals, "invert_phi")
     runs = sorted({(row.combinatorics, row.run_tol) for row in ROWS})
     steps = sum(
@@ -593,15 +670,16 @@ def test_reference_runs_invert_with_few_newton_iterations(monkeypatch):
     cold = [result.iterations for _, kwargs, result in inversions
             if kwargs.get("min_iterations", 0) == 0]
     assert len(warm) + len(cold) == len(inversions)
-    assert sum(warm) <= 2.75 * len(warm)
-    assert sum(cold) <= 46
+    assert all(len(args[1]) >= 4 for args, _, _ in inversions)
+    assert sum(warm) <= 3 * len(warm)
+    assert sum(cold) <= 22
 
 
 def test_newton_iteration_cap_raises_typed_errors(monkeypatch):
     monkeypatch.setattr(critvals, "NEWTON_MAX_ITERATIONS", 1)
     with pytest.raises(critvals.NewtonStalled):
-        critvals.invert_phi([Fraction(1, 7), Fraction(2, 11)], (1, 2, 1), ctx40())
+        critvals.invert_phi([Fraction(1, 7), Fraction(2, 11), Fraction(1, 9)], (1, 2, 1, 2), ctx40())
     with pytest.raises(thurston.PullbackError) as info:
-        thurston.run(thurston.parse("0,3^4,2^3,1,4"))
-    assert str(info.value).startswith("step 1 (0,3^4,2^3,1,4):")
+        thurston.run(thurston.parse("0,2,1,3,5,3^3,0"))
+    assert str(info.value).startswith("step 1 (0,2,1,3,5,3^3,0):")
     assert isinstance(info.value.__cause__, critvals.NewtonStalled)

@@ -424,6 +424,42 @@ def test_passengers_are_placed_to_working_precision(text):
         assert abs(f(x[j]) - x[c.m[j]]) <= 10 * ctx.tau, j
 
 
+@pytest.mark.parametrize("text", ["0,2,3,4,0", "0,2,3,2,4"])
+def test_a_chain_passenger_costs_one_lap_solve(monkeypatch, text):
+    # Every passenger here reaches the core without a passenger cycle (in
+    # 0,2,3,4,0, x_1 maps onto the passenger x_2 and x_2 onto the core point
+    # x_3), so one lap solve each on the final map, images first, places
+    # them exactly; Newton is left for passenger cycles.
+    c = comb.parse(text)
+    passengers = sorted(set(range(c.n + 1)) - comb.core_indices(c))
+    lap_solver, place = pullback._lap_solver, pullback.place_passengers
+    solves, costs = [], []
+
+    def counted(f, critical_points, ctx):
+        solve = lap_solver(f, critical_points, ctx)
+
+        def counting(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+        return counting
+
+    def placing(*args):
+        before = len(solves)
+        placed = place(*args)
+        costs.append(len(solves) - before)
+        return placed
+
+    monkeypatch.setattr(pullback, "_lap_solver", counted)
+    monkeypatch.setattr(pullback, "place_passengers", placing)
+    result = pullback.run(c)
+    assert result.converged and not result.collapsed
+    assert costs and all(cost == len(passengers) for cost in costs)
+    ctx = mpnum.PrecisionContext(result.digits)
+    x = result.configuration.points
+    for j in passengers:
+        assert abs(result.polynomial(x[j]) - x[c.m[j]]) <= 10 * ctx.tau, j
+
+
 def test_warm_started_run_converges_deep():
     # accepting a rescaled start without a Newton correction roughly doubles
     # this run (158 steps); with one it takes about 80
@@ -572,3 +608,37 @@ def test_every_small_multimodal_sequence_converges_framed():
     assert len(sequences) == 172
     for c in sequences:
         assert_converges_framed(c)
+
+
+def three_critical_point_sequences(n):
+    """Valid default-degree sequences on n + 1 points whose maps have three critical points."""
+    return [c for c in small_sequences(n, lambda turning: True)
+            if c.n == n and len(c.critical_points()) == 3]
+
+
+def test_every_n4_sequence_with_three_critical_points_converges_framed():
+    # their gap maps are inverted by one root in the gap ratio
+    sequences = three_critical_point_sequences(4)
+    assert len(sequences) == 60
+    for c in sequences:
+        assert_converges_framed(c)
+
+
+# The n = 5 sequences with three critical points whose collapse merges onto
+# an invalid combinatorics (ROADMAP item 1).
+COLLAPSE_CASCADES = {
+    "0,1,2,0,1,0", "0,1,3,0,1,0", "0,1,4,0,1,0", "0,1,5,0,1,0",
+    "5,4,5,0,4,5", "5,4,5,1,4,5", "5,4,5,2,4,5", "5,4,5,3,4,5",
+}
+
+
+@pytest.mark.sweep
+def test_every_n5_sequence_with_three_critical_points_converges_framed():
+    sequences = three_critical_point_sequences(5)
+    assert len(sequences) == 880
+    for c in sequences:
+        if comb.render(c) in COLLAPSE_CASCADES:
+            with pytest.raises(pullback.PullbackError, match="merged combinatorics .* is invalid"):
+                pullback.run(c)
+        else:
+            assert_converges_framed(c)
