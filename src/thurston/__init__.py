@@ -25,7 +25,6 @@ from .combinatorics import (
     validate,
 )
 from .critvals import (
-    CriticalValueSpec,
     InversionResult,
     NewtonStalled,
     PhiProblem,
@@ -55,7 +54,6 @@ from .pullback import (
     RunOptions,
     RunResult,
     StepRecord,
-    critical_value_vector,
     detect_collapse,
     fit_error,
     init_configuration,

@@ -26,7 +26,7 @@ import click
 from . import combinatorics as comb
 from . import pullback
 from ._table import ROWS
-from .mpnum import MIN_DIGITS, PrecisionContext
+from .mpnum import MIN_DIGITS, Polynomial, PrecisionContext
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -112,14 +112,6 @@ def result_document(
     return doc
 
 
-def serialize_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=False)
-
-
-def parse_document(text: str) -> dict:
-    return json.loads(text)
-
-
 def _emit(payload: str, out):
     if out:
         with open(out, "w") as handle:
@@ -128,6 +120,20 @@ def _emit(payload: str, out):
                 handle.write("\n")
     else:
         click.echo(payload)
+
+
+def _load_result(path) -> dict:
+    """A stored result document; anything else is a usage error naming the problem."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not JSON, or not text
+        raise click.UsageError(f"--result {path} is not JSON: {exc}") from exc
+    keys = ["coefficients", "working_digits", "combinatorics", "marked_points"]
+    missing = [k for k in keys if k not in doc] if isinstance(doc, dict) else keys
+    if missing:
+        raise click.UsageError(f"--result {path} is not a result document: no {', '.join(missing)}")
+    return doc
 
 
 def _poly_text(doc) -> str:
@@ -199,7 +205,7 @@ def validate(combinatorics_text, fmt):
     c = _parse_or_exit(combinatorics_text)
     report = comb.validate(c)
     if fmt == "json":
-        click.echo(serialize_document(report.to_dict()))
+        click.echo(json.dumps(report.to_dict(), indent=2))
     else:
         status = "pass" if report.passed else "fail"
         expansive = {True: "yes", False: "no", None: "n/a"}[report.expansive]
@@ -232,7 +238,7 @@ def run_command(combinatorics_text, tol, max_iter, digits, max_digits, trace, ou
     result = _run_or_exit(c, options)
     doc = result_document(combinatorics_text, result, options, include_trace=trace)
     if fmt == "json":
-        _emit(serialize_document(doc), out)
+        _emit(json.dumps(doc, indent=2), out)
     else:
         lines = [
             f"combinatorics: {doc['combinatorics']} (degree {doc['degree']})",
@@ -263,8 +269,7 @@ def plot(combinatorics_text, result_path, tol, max_iter, digits, max_digits, sam
     if samples < 2:
         raise click.BadParameter("need at least 2 samples")
     if result_path:
-        with open(result_path) as fh:
-            doc = parse_document(fh.read())
+        doc = _load_result(result_path)
     elif combinatorics_text:
         c = _parse_or_exit(combinatorics_text)
         options = pullback.RunOptions(tol=tol, max_iter=max_iter,
@@ -281,8 +286,6 @@ def plot(combinatorics_text, result_path, tol, max_iter, digits, max_digits, sam
         sys.exit(EXIT_NO_CONVERGENCE)
 
     ctx = PrecisionContext(max(doc["working_digits"], 15))
-    from .mpnum import Polynomial
-
     f = Polynomial(tuple(ctx.mpf(s) for s in doc["coefficients"]))
     final = comb.parse(doc["combinatorics"])
     lines = ["x,f(x)"]
@@ -369,7 +372,7 @@ def table(jobs, out, fmt):
     results = sorted((r for batch in reports for r in batch), key=lambda r: order[r["key"]])
 
     if fmt == "json":
-        _emit(serialize_document({"schema": "thurston.table.v1", "rows": results}), out)
+        _emit(json.dumps({"schema": "thurston.table.v1", "rows": results}, indent=2), out)
     else:
         lines = []
         for res in results:

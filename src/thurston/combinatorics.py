@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 _ITEM_RE = re.compile(r"^(-?\d+)(?:\^(-?\d+))?$")
@@ -79,6 +80,20 @@ class Combinatorics:
                 return True
             k = self.m[k]
         return False
+
+    @cached_property
+    def _laps(self) -> LapStructure:
+        bounds = [None, *self.turning_points(), None]
+        out = []
+        for left, right in zip(bounds, bounds[1:]):
+            start = 0 if left is None else left
+            orientation = 1 if self.m[start + 1] > self.m[start] else -1
+            out.append(Lap(left, right, orientation))
+        return LapStructure(tuple(out))
+
+    @cached_property
+    def _core(self) -> frozenset:
+        return frozenset({0, self.n}.union(*mapping_pattern(self).orbits))
 
 
 def _turning_indices(m) -> tuple:
@@ -141,11 +156,6 @@ class Lap:
     right: Optional[int]
     orientation: int
 
-    def contains_index(self, j: int, n: int) -> bool:
-        lo = -1 if self.left is None else self.left
-        hi = n + 1 if self.right is None else self.right
-        return lo < j < hi
-
 
 @dataclass(frozen=True)
 class LapStructure:
@@ -160,24 +170,18 @@ class LapStructure:
     def last_orientation(self) -> int:
         return self.laps[-1].orientation
 
-    def lap_of(self, j: int, n: int) -> Lap:
+    def lap_of(self, j: int) -> Lap:
         """The lap whose open interior contains the non-turning index j."""
         for lap in self.laps:
-            if lap.contains_index(j, n):
+            if (lap.left is None or lap.left < j) and (lap.right is None or j < lap.right):
                 return lap
         raise CombinatoricsError(f"index {j} is a lap boundary, not interior to a lap")
 
 
 def laps(c: Combinatorics) -> LapStructure:
-    """Lap decomposition; odd-degree critical points do not bound laps."""
-    turning = c.turning_points()
-    bounds = [None, *turning, None]
-    out = []
-    for left, right in zip(bounds, bounds[1:]):
-        start = 0 if left is None else left
-        orientation = 1 if c.m[start + 1] > c.m[start] else -1
-        out.append(Lap(left, right, orientation))
-    return LapStructure(tuple(out))
+    """Lap decomposition; odd-degree critical points do not bound laps.
+    Built once per combinatorics and kept on it."""
+    return c._laps
 
 
 def edge_images(c: Combinatorics) -> list:
@@ -192,39 +196,21 @@ def edge_images(c: Combinatorics) -> list:
 def expansiveness(c: Combinatorics) -> tuple:
     """Per-edge expansiveness flags.
 
-    An edge is expansive when one of its endpoints is critical, or when some
-    iterated PL image of it covers an edge with a critical endpoint.  Images
-    of edges are unions of consecutive edges and critical points sit at
-    vertices, so reachability over the edge graph decides this exactly.
+    An edge is expansive when one of its endpoints is critical, or when its
+    PL image covers an expansive edge: the least set of edges closed under
+    these two rules, grown to its fixpoint.  Images of edges are unions of
+    consecutive edges and critical points sit at vertices, so this decides
+    exactly whether some iterated image covers an edge with a critical
+    endpoint.
     """
-    images = edge_images(c)
-    critical = set(c.critical_points())
-
-    def boundary_critical(e):
-        return e in critical or (e + 1) in critical
-
-    flags = []
-    for start in range(c.n):
-        if boundary_critical(start):
-            flags.append(True)
-            continue
-        seen, frontier = set(), {start}
-        hit = False
-        while frontier and not hit:
-            nxt = set()
-            for e in frontier:
-                for img in images[e]:
-                    if img in seen:
-                        continue
-                    seen.add(img)
-                    if boundary_critical(img):
-                        hit = True
-                        break
-                    nxt.add(img)
-                if hit:
-                    break
-            frontier = nxt
-        flags.append(hit)
+    images, critical = edge_images(c), set(c.critical_points())
+    flags = [e in critical or e + 1 in critical for e in range(c.n)]
+    grown = True
+    while grown:
+        grown = False
+        for e, covered in enumerate(images):
+            if not flags[e] and any(flags[i] for i in covered):
+                flags[e] = grown = True
     return tuple(flags)
 
 
@@ -372,8 +358,9 @@ def core_indices(c: Combinatorics) -> frozenset:
     """The postcritical core: 0, n, the critical indices and the forward orbits
     of their images.  It is closed under j -> m_j and holds every lap end, so
     the core points alone determine the map; the other marked points, the
-    passengers, feed nothing back into it."""
-    return frozenset({0, c.n}.union(*mapping_pattern(c).orbits))
+    passengers, feed nothing back into it.  Built once per combinatorics and
+    kept on it."""
+    return c._core
 
 
 def merge_map(n: int, groups) -> list:

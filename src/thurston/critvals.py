@@ -13,7 +13,8 @@ between consecutive critical values.  It is a diffeomorphism of the open
 positive orthant onto itself and homogeneous of degree ``1 + sum(k_i)``
 (the total degree of the antiderivative), so inverting it reduces
 "construct a polynomial with these critical values" to a well-behaved
-root-finding problem.
+root-finding problem.  :func:`realize_critical_values` takes the values as
+a plain sequence, in the order of the critical points.
 
 With two critical points Phi is the Beta integral s = delta**(K+1) B(k_1, k_2),
 K = k_1 + k_2 and B(a, b) = a! b! / (a + b + 1)!, so the gap is one (K+1)-th
@@ -446,39 +447,23 @@ def solve_gaps(s, multiplicities, ctx: PrecisionContext, previous=None) -> Inver
 
 
 @dataclass(frozen=True)
-class CriticalValueSpec:
-    """Prescribed values v_1..v_r at the distinct critical points, in order."""
-
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.values:
-            raise ValueError("need at least one critical value")
-
-    @property
-    def r(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class RealizedMap:
     """A polynomial (a :class:`PowerMap` if r = 1) with its centered critical points."""
 
     polynomial: Polynomial | PowerMap
     critical_points: tuple
-    gaps: tuple
     inversion: InversionResult
 
 
 def realize_critical_values(
-    spec: CriticalValueSpec,
+    values,
     multiplicities,
     last_lap_orientation: int,
     ctx: PrecisionContext,
     previous: Optional[InversionResult] = None,
 ) -> RealizedMap:
-    """The polynomial (unique up to affine precomposition) with these values.
+    """The polynomial (unique up to affine precomposition) whose critical
+    values, in order, are ``values``.
 
     The derivative is ``sigma * prod (x - c_i)**k_i`` with sigma the
     orientation of the final lap; the value differences must alternate
@@ -488,7 +473,9 @@ def realize_critical_values(
     (see :func:`solve_gaps`).
     """
     mults = tuple(int(k) for k in multiplicities)
-    values = tuple(ctx.mpf(v) for v in spec.values)
+    values = tuple(ctx.mpf(v) for v in values)
+    if not values:
+        raise ValueError("need at least one critical value")
     sigma = 1 if last_lap_orientation > 0 else -1
     r = len(values)
     if len(mults) != r:
@@ -498,7 +485,7 @@ def realize_critical_values(
         # the antiderivative of sigma * x**k through (0, v)
         zero, degree = ctx.mp.mpf(0), mults[0] + 1
         f = PowerMap(zero, values[0], ctx.mp.mpf(sigma) / degree, degree)
-        return RealizedMap(f, (zero,), (), InversionResult((), 0, ()))
+        return RealizedMap(f, (zero,), InversionResult((), 0, ()))
 
     for i in range(r - 1):
         diff = values[i + 1] - values[i]
@@ -525,4 +512,4 @@ def realize_critical_values(
                 "constructed map misses a prescribed critical value by "
                 f"{ctx.format(abs(f(point) - value), 6)}"
             )
-    return RealizedMap(f, points, inversion.gaps, inversion)
+    return RealizedMap(f, points, inversion)

@@ -14,6 +14,11 @@ One step, given marked points x_0..x_n and the combinatorics m:
   4. fit:       eps = sqrt(sum (f(x_j) - x_{m_j})**2) / n at the new points,
                 and eps_core, the same sum over the core indices alone.
 
+Each step reads the laps and the core from the combinatorics, which builds
+them once and keeps them (:func:`~thurston.combinatorics.laps`,
+:func:`~thurston.combinatorics.core_indices`); it is given only the points,
+the context and the previous step's solutions.
+
 Steps 2 and 3 invert f on its laps with the solver :func:`_lap_solver`
 picks once per map.  With one critical point c, f stays a
 :class:`~thurston.mpnum.PowerMap` v + a (x - c)**d through steps 1-4: built
@@ -68,7 +73,6 @@ class MarkedConfiguration:
     """Marked points 0 = x_0 <= ... <= x_n = 1 at some step of the run."""
 
     points: tuple
-    step: int = 0
 
     def __post_init__(self):
         pts = tuple(self.points)
@@ -146,30 +150,26 @@ class RunResult:
 def init_configuration(c: comb.Combinatorics, ctx: PrecisionContext) -> MarkedConfiguration:
     """Equally spaced marked points x_j = j/n."""
     n = c.n
-    return MarkedConfiguration(tuple(ctx.mp.mpf(j) / n for j in range(n + 1)), step=0)
-
-
-def critical_value_vector(c: comb.Combinatorics, x: MarkedConfiguration) -> critvals.CriticalValueSpec:
-    """One prescribed value per distinct critical index: v = x_{m_j}."""
-    return critvals.CriticalValueSpec(tuple(x.points[c.m[j]] for j in c.critical_points()))
+    return MarkedConfiguration(tuple(ctx.mp.mpf(j) / n for j in range(n + 1)))
 
 
 def mapmake(
     c: comb.Combinatorics,
-    values: critvals.CriticalValueSpec,
+    x: MarkedConfiguration,
     ctx: PrecisionContext,
-    lap_list: Optional[comb.LapStructure] = None,
     previous: Optional[critvals.InversionResult] = None,
 ) -> critvals.RealizedMap:
-    """A polynomial with these critical values; critical points not yet framed.
+    """A polynomial whose value at the critical point of each distinct
+    critical index j is x_{m_j}; critical points not yet framed.
 
-    ``lap_list`` is ``comb.laps(c)``, computed here when not given.
     ``previous`` is the previous step's inversion for the same
     combinatorics, which warm-starts this one.
     """
-    sigma = (comb.laps(c) if lap_list is None else lap_list).last_orientation()
+    crit = c.critical_points()
+    values = tuple(x.points[c.m[j]] for j in crit)
     # multiplicity as a root of the derivative = local degree - 1
-    multiplicities = tuple(c.local_degree[j] - 1 for j in c.critical_points())
+    multiplicities = tuple(c.local_degree[j] - 1 for j in crit)
+    sigma = comb.laps(c).last_orientation()
     return critvals.realize_critical_values(values, multiplicities, sigma, ctx, previous)
 
 
@@ -192,11 +192,19 @@ def _lap_solver(f, critical_points, ctx: PrecisionContext):
     return solve
 
 
+def _lap_preimage(solve, laps: comb.LapStructure, j: int, bounds, target, start):
+    """The solution of f(x) = target on the lap of index j, between
+    ``bounds`` (marked points 0..n) at the lap's ends, started from ``start``."""
+    lap = laps.lap_of(j)
+    lo = bounds[0 if lap.left is None else lap.left]
+    hi = bounds[-1 if lap.right is None else lap.right]
+    return solve(target, lo, hi, lap.orientation, start=start)
+
+
 def normalize(
     c: comb.Combinatorics,
     realized: critvals.RealizedMap,
     ctx: PrecisionContext,
-    lap_list: Optional[comb.LapStructure] = None,
     previous: Optional[NormalizedMap] = None,
 ) -> NormalizedMap:
     """Precompose with the affine map that frames the unit interval.
@@ -208,18 +216,15 @@ def normalize(
     in by it.  ``previous``, the previous step's map for the same
     combinatorics, gives the solves their starts.
     """
-    n = c.n
     f_raw = realized.polynomial
-    lap_list = comb.laps(c) if lap_list is None else lap_list
-    turning = set(c.turning_points())
-    crit = c.critical_points()
-    turning_pts = [p for j, p in zip(crit, realized.critical_points) if j in turning]
+    first, *_, last = comb.laps(c)
+    crit_at = dict(zip(c.critical_points(), realized.critical_points))
     target_low = ctx.mp.mpf(0 if c.m[0] == 0 else 1)
-    target_high = ctx.mp.mpf(0 if c.m[n] == 0 else 1)
+    target_high = ctx.mp.mpf(0 if c.m[c.n] == 0 else 1)
     solve = _lap_solver(f_raw, realized.critical_points, ctx)
     low, high = (None, None) if previous is None else (previous.frame_low, previous.frame_high)
-    A = solve(target_low, None, turning_pts[0], lap_list.laps[0].orientation, start=low)
-    B = solve(target_high, turning_pts[-1], None, lap_list.last_orientation(), start=high)
+    A = solve(target_low, None, crit_at[first.right], first.orientation, start=low)
+    B = solve(target_high, crit_at[last.left], None, last.orientation, start=high)
     if not B > A:
         raise PullbackError("framing points came out in the wrong order")
 
@@ -237,7 +242,6 @@ def pullback_step(
     normalized: NormalizedMap,
     prev: MarkedConfiguration,
     ctx: PrecisionContext,
-    lap_list: Optional[comb.LapStructure] = None,
 ) -> MarkedConfiguration:
     """Pull every marked point back through its lap.
 
@@ -246,27 +250,18 @@ def pullback_step(
     solves f(x'_k) = prev[m_k] inside the lap that contains k, warm-started
     from prev[k] where the solver searches.
     """
-    n = c.n
-    f = normalized.polynomial
-    lap_list = comb.laps(c) if lap_list is None else lap_list
-    zero, one = ctx.mp.mpf(0), ctx.mp.mpf(1)
-    crit_at = dict(zip(c.critical_points(), normalized.critical_points))
-    turning_at = {j: crit_at[j] for j in c.turning_points()}
-    solve = _lap_solver(f, normalized.critical_points, ctx)
-
+    n, laps = c.n, comb.laps(c)
+    solve = _lap_solver(normalized.polynomial, normalized.critical_points, ctx)
     new = [None] * (n + 1)
-    new[0], new[n] = zero, one
+    for j, point in zip(c.critical_points(), normalized.critical_points):
+        new[j] = point
+    new[0], new[n] = ctx.mp.mpf(0), ctx.mp.mpf(1)
     for j in range(1, n):
-        if j in crit_at:
-            new[j] = crit_at[j]
-            continue
-        lap = lap_list.lap_of(j, n)
-        lo = zero if lap.left is None else turning_at[lap.left]
-        hi = one if lap.right is None else turning_at[lap.right]
-        new[j] = solve(prev.points[c.m[j]], lo, hi, lap.orientation, start=prev.points[j])
+        if new[j] is None:
+            new[j] = _lap_preimage(solve, laps, j, new, prev.points[c.m[j]], prev.points[j])
 
     try:  # the endpoints are pinned, so only the order check can fail
-        return MarkedConfiguration(tuple(new), step=prev.step + 1)
+        return MarkedConfiguration(tuple(new))
     except ValueError as exc:
         raise PullbackError("pulled-back configuration is out of order") from exc
 
@@ -292,9 +287,9 @@ def fit_error(c: comb.Combinatorics, f, x: MarkedConfiguration, ctx: PrecisionCo
 
 
 def place_passengers(c: comb.Combinatorics, normalized: NormalizedMap, x: MarkedConfiguration,
-                     core, ctx: PrecisionContext, lap_list: comb.LapStructure):
-    """Solve x_j = g_j(x_{m_j}) for the passengers j, the indices outside
-    ``core``, with f and the core fixed; g_j is f's inverse branch on j's lap.
+                     ctx: PrecisionContext):
+    """Solve x_j = g_j(x_{m_j}) for the passengers j, the indices outside the
+    core, with f and the core fixed; g_j is f's inverse branch on j's lap.
 
     A passenger whose orbit reaches the core without a passenger cycle takes
     one warm-started lap solve, images first.  The others take Newton, one
@@ -304,6 +299,7 @@ def place_passengers(c: comb.Combinatorics, normalized: NormalizedMap, x: Marked
     and at the end, in index order, kept from crossing the one before it.
     """
     n, m, points = c.n, c.m, list(x.points)
+    core, laps = comb.core_indices(c), comb.laps(c)
     passengers = [j for j in range(n + 1) if j not in core]
     f = normalized.polynomial
     solve = _lap_solver(f, normalized.critical_points, ctx)
@@ -316,10 +312,7 @@ def place_passengers(c: comb.Combinatorics, normalized: NormalizedMap, x: Marked
         points[j] = min(max(value, points[a]), points[b])
 
     def pulled(j):
-        lap = lap_list.lap_of(j, n)
-        lo = points[0 if lap.left is None else lap.left]
-        hi = points[n if lap.right is None else lap.right]
-        return solve(points[m[j]], lo, hi, lap.orientation, start=points[j])
+        return _lap_preimage(solve, laps, j, points, points[m[j]], points[j])
 
     settled = set(core)  # the core and the passengers placed so far
     for j in passengers:
@@ -348,7 +341,7 @@ def place_passengers(c: comb.Combinatorics, normalized: NormalizedMap, x: Marked
     for j in passengers:
         if j - 1 in ends:
             points[j] = max(points[j], points[j - 1])
-    return MarkedConfiguration(tuple(points), step=x.step)
+    return MarkedConfiguration(tuple(points))
 
 
 def _newton_moves(m, rise, inverse) -> dict:
@@ -378,16 +371,12 @@ def detect_collapse(x: MarkedConfiguration, threshold) -> tuple:
     """Maximal runs of consecutive indices whose successive gaps all sit
     below ``threshold``, as tuples of indices."""
     groups = []
-    current = None
     for j, gap in enumerate(x.gaps()):
         if gap < threshold:
-            if current and current[-1] == j:
-                current.append(j + 1)
+            if groups and groups[-1][-1] == j:
+                groups[-1].append(j + 1)
             else:
-                current = [j, j + 1]
-                groups.append(current)
-        else:
-            current = None
+                groups.append([j, j + 1])
     return tuple(tuple(g) for g in groups)
 
 
@@ -400,7 +389,7 @@ def _merged_configuration(x: MarkedConfiguration, groups, ctx: PrecisionContext)
     span = hi - lo
     pts = [(p - lo) / span for p in points]
     pts[0], pts[-1] = ctx.mp.mpf(0), ctx.mp.mpf(1)
-    return MarkedConfiguration(tuple(pts), step=x.step)
+    return MarkedConfiguration(tuple(pts))
 
 
 def _dense(f) -> Optional[Polynomial]:
@@ -432,9 +421,6 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
     ctx = PrecisionContext(options.start_digits)
     tol = ctx.mpf(options.tol)
     threshold = _collapse_threshold(ctx, c.n)
-    expansive = report.expansive_edges
-    lap_list = comb.laps(c)
-    core = comb.core_indices(c)
     inversion = framed = None  # the previous step's, while the combinatorics holds
 
     x = init_configuration(c, ctx)
@@ -452,13 +438,13 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
     while step < options.max_iter:
         step += 1
         try:
-            realized = mapmake(c, critical_value_vector(c, x), ctx, lap_list, inversion)
-            normalized = normalize(c, realized, ctx, lap_list, framed)
-            new_x = pullback_step(c, normalized, x, ctx, lap_list)
+            realized = mapmake(c, x, ctx, inversion)
+            normalized = normalize(c, realized, ctx, framed)
+            new_x = pullback_step(c, normalized, x, ctx)
             f = normalized.polynomial
-            eps, eps_core = fit_error(c, f, new_x, ctx, core)
+            eps, eps_core = fit_error(c, f, new_x, ctx, comb.core_indices(c))
             if eps_core <= tol:
-                new_x = place_passengers(c, normalized, new_x, core, ctx, lap_list)
+                new_x = place_passengers(c, normalized, new_x, ctx)
                 eps = fit_error(c, f, new_x, ctx)
         except (PullbackError, ArithmeticError) as exc:
             raise PullbackError(f"step {step} ({comb.render(c)}): {exc}") from exc
@@ -470,20 +456,18 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
 
         # Collapse bookkeeping: persistent sub-threshold gaps, or hitting the
         # tolerance while gaps are degenerate, both force a merge.
-        below = {j for j, gap in enumerate(new_x.gaps()) if gap < threshold}
+        groups = detect_collapse(new_x, threshold)
+        below = {j for g in groups for j in g[:-1]}  # the sub-threshold gaps
         gap_streak = {j: gap_streak.get(j, 0) + 1 for j in below}
         persistent = any(v >= COLLAPSE_PERSISTENCE for v in gap_streak.values())
         if below and (persistent or eps <= tol):
-            groups = detect_collapse(new_x, threshold)
-            flat = [j for g in groups for j in g[:-1]]
-            if expansive is not None and any(expansive[j] for j in flat):
+            if any(flag for j, flag in enumerate(comb.expansiveness(c)) if j in below):
                 raise PullbackError(
                     f"step {step}: an expansive edge fell below the collapse "
                     "threshold; the configuration is numerically inconsistent"
                 )
             simplified = comb.simplify(c, groups)
-            sub_report = comb.validate(simplified)
-            if not sub_report.passed:
+            if not comb.validate(simplified).passed:
                 raise PullbackError(
                     f"step {step}: merged combinatorics {comb.render(simplified)} is invalid"
                 )
@@ -492,10 +476,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
             )
             x = _merged_configuration(new_x, groups, ctx)
             c = simplified
-            lap_list = comb.laps(c)
-            core = comb.core_indices(c)
             inversion = framed = None
-            expansive = sub_report.expansive_edges
             threshold = _collapse_threshold(ctx, c.n)
             gap_streak = {}
             window = []
@@ -515,7 +496,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
             tol = ctx.mpf(options.tol)
             threshold = _collapse_threshold(ctx, c.n)
             interior = tuple(ctx.mpf(p) for p in x.points[1:-1])
-            x = MarkedConfiguration((ctx.mp.mpf(0), *interior, ctx.mp.mpf(1)), step=x.step)
+            x = MarkedConfiguration((ctx.mp.mpf(0), *interior, ctx.mp.mpf(1)))
             precision_history.append((step + 1, new_digits))
             window = []
 

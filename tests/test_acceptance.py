@@ -268,9 +268,7 @@ def test_criterion_7_property_suites(
         for i in range(r - 1):
             sign = sigma * (1 if sum(mults[i + 1:]) % 2 == 0 else -1)
             v.append(v[-1] + sign * ctx.mpf(rng.uniform(0.05, 0.9)))
-        realized = critvals.realize_critical_values(
-            critvals.CriticalValueSpec(tuple(v)), mults, sigma, ctx
-        )
+        realized = critvals.realize_critical_values(tuple(v), mults, sigma, ctx)
         for point, value in zip(realized.critical_points, v):
             if abs(realized.polynomial(point) - value) > ctx.mpf("1e-12") * max(1, abs(value)):
                 failures.append("realize-postcondition")
@@ -296,7 +294,7 @@ def test_criterion_7_property_suites(
     for result in (run_cubic_exact, run_quintic, run_collapse_sextic):
         rctx = ctx_of(result)
         c, x = result.combinatorics, result.configuration
-        realized = pullback.mapmake(c, pullback.critical_value_vector(c, x), rctx)
+        realized = pullback.mapmake(c, x, rctx)
         normalized = pullback.normalize(c, realized, rctx)
         moved = pullback.pullback_step(c, normalized, x, rctx)
         drift = max(abs(a - b) for a, b in zip(moved.points, x.points))

@@ -64,8 +64,9 @@ def test_run_document_round_trips(tmp_path):
     result = invoke("run", "0,1,0", "--out", str(out))
     assert result.exit_code == 0
     text = out.read_text()
-    doc = cli.parse_document(text)
-    assert cli.parse_document(cli.serialize_document(doc)) == doc
+    doc = json.loads(text)
+    assert json.loads(json.dumps(doc)) == doc
+    assert text == json.dumps(doc, indent=2) + "\n"
 
 
 def test_run_reports_collapse():
@@ -169,6 +170,19 @@ def test_plot_from_stored_document(tmp_path):
     samples = [line for line in lines if not line.startswith("#")][1:]
     assert len(samples) == 5
     assert abs(float(samples[-1].split(",")[1]) - 1.0) < 1e-9  # f(1) = 1
+
+
+@pytest.mark.parametrize("text,problem", [
+    ("not a document", "is not JSON"),
+    ('{"coefficients": ["0", "1"]}', "no working_digits, combinatorics, marked_points"),
+    ('["0", "1"]', "is not a result document"),
+])
+def test_plot_rejects_a_stored_file_that_is_not_a_result_document(tmp_path, text, problem):
+    path = tmp_path / "d.json"
+    path.write_text(text)
+    result = invoke("plot", "--result", str(path))
+    assert result.exit_code == 2
+    assert problem in result.output
 
 
 # ---------------------------------------------------------------- table

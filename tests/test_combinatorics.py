@@ -209,6 +209,16 @@ def test_lap_count_and_alternation(c):
     assert all(a == -b for a, b in zip(orientations, orientations[1:]))
 
 
+def test_laps_and_core_are_kept_on_the_combinatorics():
+    c = comb.parse("0,3,2,1,4")
+    assert comb.laps(c) is comb.laps(c)
+    assert comb.core_indices(c) is comb.core_indices(c)
+    # equal combinatorics compare and hash as before; each keeps its own
+    other = comb.parse("0,3,2,1,4")
+    assert other == c and hash(other) == hash(c)
+    assert comb.laps(other) == comb.laps(c) and comb.laps(other) is not comb.laps(c)
+
+
 # ---------------------------------------------------------------- patterns
 
 def test_mapping_pattern_period_four():

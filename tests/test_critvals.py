@@ -446,8 +446,7 @@ def test_realize_recovers_known_cubic():
     f = mpnum.Polynomial((ctx.mp.mpf(0), ctx.mp.mpf(6), ctx.mp.mpf(-15), ctx.mp.mpf(10)))
     c1 = (5 - ctx.mp.sqrt(5)) / 10
     c2 = (5 + ctx.mp.sqrt(5)) / 10
-    spec = critvals.CriticalValueSpec((f(c1), f(c2)))
-    realized = critvals.realize_critical_values(spec, (1, 1), 1, ctx)
+    realized = critvals.realize_critical_values((f(c1), f(c2)), (1, 1), 1, ctx)
     p1, p2 = realized.critical_points
     # the affine map nu with nu(c1)=p1, nu(c2)=p2 turns realized back into f
     a = (p2 - p1) / (c2 - c1)
@@ -464,16 +463,13 @@ def test_realize_warm_start_matches_cold():
     mults = (1, 2, 1, 2)
     before = tuple(ctx.mpf(v) for v in ("0.8", "0.45", "0.15", "0.6"))
     after = tuple(ctx.mpf(v) for v in ("0.8000007", "0.4499995", "0.1500002", "0.5999996"))
-    previous = critvals.realize_critical_values(
-        critvals.CriticalValueSpec(before), mults, 1, ctx
-    ).inversion
-    spec = critvals.CriticalValueSpec(after)
-    cold = critvals.realize_critical_values(spec, mults, 1, ctx)
-    warm = critvals.realize_critical_values(spec, mults, 1, ctx, previous=previous)
+    previous = critvals.realize_critical_values(before, mults, 1, ctx).inversion
+    cold = critvals.realize_critical_values(after, mults, 1, ctx)
+    warm = critvals.realize_critical_values(after, mults, 1, ctx, previous=previous)
     assert 1 <= warm.inversion.iterations <= 3 < cold.inversion.iterations
     tol = ctx.mpf(10) ** (6 - ctx.digits)
     assert warm.inversion.residuals[-1] <= tol
-    for got, want in zip(warm.gaps, cold.gaps):
+    for got, want in zip(warm.inversion.gaps, cold.inversion.gaps):
         assert abs(got - want) <= tol
     for got, want in zip(warm.polynomial.coefficients, cold.polynomial.coefficients):
         assert abs(got - want) <= tol
@@ -485,9 +481,7 @@ def warm_start_case(ctx):
     mults = (1, 2, 1, 2)
     before = tuple(ctx.mpf(v) for v in ("0.8", "0.45", "0.15", "0.6"))
     after = tuple(ctx.mpf(v) for v in ("0.8000007", "0.4499995", "0.1500002", "0.5999996"))
-    previous = critvals.realize_critical_values(
-        critvals.CriticalValueSpec(before), mults, 1, ctx
-    ).inversion
+    previous = critvals.realize_critical_values(before, mults, 1, ctx).inversion
     return previous, [abs(b - a) for a, b in zip(after, after[1:])], mults
 
 
@@ -539,8 +533,7 @@ def test_prediction_from_a_coarser_context():
 
 def test_realize_single_critical_point():
     ctx = ctx40()
-    spec = critvals.CriticalValueSpec((ctx.mpf(Fraction(1, 2)),))
-    realized = critvals.realize_critical_values(spec, (1,), -1, ctx)
+    realized = critvals.realize_critical_values((ctx.mpf(Fraction(1, 2)),), (1,), -1, ctx)
     f = realized.polynomial
     assert realized.critical_points == (ctx.mp.mpf(0),)
     assert ctx.equal(f(ctx.mp.mpf(0)), ctx.mpf(Fraction(1, 2)))
@@ -551,9 +544,7 @@ def test_realize_quintic_multiplicities():
     # spatial order high-low-low with multiplicities (1,2,1), increasing last lap
     ctx = ctx40()
     values = (ctx.mpf("0.8"), ctx.mpf("0.45"), ctx.mpf("0.15"))
-    realized = critvals.realize_critical_values(
-        critvals.CriticalValueSpec(values), (1, 2, 1), 1, ctx
-    )
+    realized = critvals.realize_critical_values(values, (1, 2, 1), 1, ctx)
     f = realized.polynomial
     assert f.degree == 5
     for point, value in zip(realized.critical_points, values):
@@ -565,18 +556,20 @@ def test_realize_rejects_bad_sign_pattern():
     ctx = ctx40()
     values = (ctx.mpf("0.2"), ctx.mpf("0.5"))  # increasing, but the middle lap
     with pytest.raises(ValueError):             # must decrease when sigma=+1, k=(1,1)
-        critvals.realize_critical_values(
-            critvals.CriticalValueSpec(values), (1, 1), 1, ctx
-        )
+        critvals.realize_critical_values(values, (1, 1), 1, ctx)
 
 
 def test_realize_rejects_equal_adjacent_values():
     ctx = ctx40()
     values = (ctx.mpf("0.4"), ctx.mpf("0.4"))
     with pytest.raises(ValueError):
-        critvals.realize_critical_values(
-            critvals.CriticalValueSpec(values), (1, 1), 1, ctx
-        )
+        critvals.realize_critical_values(values, (1, 1), 1, ctx)
+
+
+
+def test_realize_rejects_no_values():
+    with pytest.raises(ValueError, match="at least one critical value"):
+        critvals.realize_critical_values((), (), 1, ctx40())
 
 
 # ---------------------------------------------------------------- inside a run

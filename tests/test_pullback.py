@@ -51,38 +51,50 @@ def test_configuration_invariants():
         )
 
 
-def test_critical_value_vector_quintic_dedupes_multiplicity():
+def realized_values(realized):
+    return tuple(realized.polynomial(p) for p in realized.critical_points)
+
+
+def assert_values(ctx, got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert abs(a - b) <= ctx.mpf("1e-30")
+
+
+def test_mapmake_quintic_dedupes_multiplicity():
     c = comb.parse("0,2,6^2,4,3^3,1^2,4,7")
     ctx = ctx40()
     x = pullback.init_configuration(c, ctx)
-    spec = pullback.critical_value_vector(c, x)
+    realized = pullback.mapmake(c, x, ctx)
     # distinct critical indices 2, 4, 5 give values x6, x3, x1 (one entry for
     # the degree-three point, not two)
-    assert spec.r == 3
-    assert spec.values == (x.points[6], x.points[3], x.points[1])
+    assert len(realized.critical_points) == 3
+    assert_values(ctx, realized_values(realized), (x.points[6], x.points[3], x.points[1]))
     assert c.critical_points() == (2, 4, 5)
     assert tuple(c.local_degree[j] - 1 for j in c.critical_points()) == (1, 2, 1)
 
 
-def test_critical_value_vector_simple_cases():
+def test_mapmake_values_simple_cases():
     ctx = ctx40()
     c = comb.parse("0,3,2,1,4")
     x = pullback.init_configuration(c, ctx)
-    spec = pullback.critical_value_vector(c, x)
-    assert spec.values == (x.points[3], x.points[1])
+    realized = pullback.mapmake(c, x, ctx)
+    assert_values(ctx, realized_values(realized), (x.points[3], x.points[1]))
 
     c = comb.parse("0,1,0")
     x = pullback.init_configuration(c, ctx)
-    assert pullback.critical_value_vector(c, x).values == (x.points[1],)
+    assert realized_values(pullback.mapmake(c, x, ctx)) == (x.points[1],)
 
 
 def test_mapmake_prescribes_values():
     ctx = ctx40()
     c = comb.parse("0,3,2,1,4")
-    spec = critvals.CriticalValueSpec((ctx.mpf(Fraction(3, 4)), ctx.mpf(Fraction(1, 4))))
-    realized = pullback.mapmake(c, spec, ctx)
+    # x_{m_1} = x_3 = 3/4 and x_{m_3} = x_1 = 1/4
+    x = pullback.MarkedConfiguration(tuple(ctx.mpf(Fraction(j, 4)) for j in range(5)))
+    values = (ctx.mpf(Fraction(3, 4)), ctx.mpf(Fraction(1, 4)))
+    realized = pullback.mapmake(c, x, ctx)
     f = realized.polynomial
-    for point, value in zip(realized.critical_points, spec.values):
+    for point, value in zip(realized.critical_points, values):
         assert abs(f(point) - value) <= ctx.mpf("1e-30")
         assert abs(f.derivative()(point)) <= ctx.mpf("1e-30")
     assert realized.critical_points[0] < realized.critical_points[1]
@@ -91,7 +103,7 @@ def test_mapmake_prescribes_values():
 def test_mapmake_single_value_tent():
     ctx = ctx40()
     c = comb.parse("0,1,0")
-    realized = pullback.mapmake(c, critvals.CriticalValueSpec((ctx.mpf("0.5"),)), ctx)
+    realized = pullback.mapmake(c, pullback.init_configuration(c, ctx), ctx)
     # single critical value: quadratic with maximum 1/2
     assert realized.polynomial.degree == 2
     assert ctx.equal(realized.polynomial(realized.critical_points[0]), ctx.mpf("0.5"))
@@ -104,7 +116,7 @@ def test_normalize_identity_when_already_framed():
     coeffs = (ctx.mp.mpf(0), ctx.mp.mpf(4), ctx.mp.mpf(-12), ctx.mp.mpf(16), ctx.mp.mpf(-8))
     f_raw = mpnum.Polynomial(coeffs)
     realized = critvals.RealizedMap(
-        f_raw, (ctx.mp.mpf(1) / 2,), (), critvals.InversionResult((), 0, ())
+        f_raw, (ctx.mp.mpf(1) / 2,), critvals.InversionResult((), 0, ())
     )
     normalized = pullback.normalize(c, realized, ctx)
     assert abs(normalized.frame_low) <= 10 * ctx.tau
@@ -120,7 +132,7 @@ def test_normalize_affine_round_trip():
     f = mpnum.Polynomial(coeffs)
     stretched = mpnum.affine_substitute(f, ctx.mp.mpf(0), ctx.mp.mpf(1) / 2)  # f(x/2)
     realized = critvals.RealizedMap(
-        stretched, (ctx.mp.mpf(1),), (), critvals.InversionResult((), 0, ())
+        stretched, (ctx.mp.mpf(1),), critvals.InversionResult((), 0, ())
     )
     normalized = pullback.normalize(c, realized, ctx)
     assert abs(normalized.frame_low) <= 10 * ctx.tau
@@ -136,7 +148,7 @@ def test_normalize_boundary_critical_framing_point():
     ctx = ctx40()
     c = comb.parse("0,2,0^3")
     x = pullback.init_configuration(c, ctx)
-    realized = pullback.mapmake(c, pullback.critical_value_vector(c, x), ctx)
+    realized = pullback.mapmake(c, x, ctx)
     normalized = pullback.normalize(c, realized, ctx)
     f = normalized.polynomial
     assert abs(f(ctx.mp.mpf(0))) <= 10 * ctx.tau
@@ -165,7 +177,7 @@ def test_pullback_step_tent_goes_to_critical_point():
     ctx = ctx40()
     c = comb.parse("0,1,0")
     x = pullback.init_configuration(c, ctx)
-    realized = pullback.mapmake(c, pullback.critical_value_vector(c, x), ctx)
+    realized = pullback.mapmake(c, x, ctx)
     normalized = pullback.normalize(c, realized, ctx)
     moved = pullback.pullback_step(c, normalized, x, ctx)
     assert moved.points[1] == normalized.critical_points[0]
@@ -175,7 +187,7 @@ def test_pullback_first_step_moves_points():
     ctx = ctx40()
     c = comb.parse("6,2^4,3,4,5,1,0")
     x = pullback.init_configuration(c, ctx)
-    realized = pullback.mapmake(c, pullback.critical_value_vector(c, x), ctx)
+    realized = pullback.mapmake(c, x, ctx)
     normalized = pullback.normalize(c, realized, ctx)
     moved = pullback.pullback_step(c, normalized, x, ctx)
     shift = max(abs(a - b) for a, b in zip(moved.points, x.points))
@@ -204,7 +216,7 @@ def test_fit_error_first_quintic_step():
     ctx = ctx40()
     c = comb.parse("0,2,6^2,4,3^3,1^2,4,7")
     x = pullback.init_configuration(c, ctx)
-    realized = pullback.mapmake(c, pullback.critical_value_vector(c, x), ctx)
+    realized = pullback.mapmake(c, x, ctx)
     normalized = pullback.normalize(c, realized, ctx)
     moved = pullback.pullback_step(c, normalized, x, ctx)
     eps = pullback.fit_error(c, normalized.polynomial, moved, ctx)
@@ -305,6 +317,22 @@ def test_run_collapse_both_ends():
     assert result.collapse_events[0].groups == ((0, 1), (7, 8))
 
 
+def test_run_builds_laps_once_per_combinatorics(monkeypatch):
+    # every step looks the laps up; only the original and the merged
+    # combinatorics build them
+    built, structure = [], comb.LapStructure
+
+    def counted(laps):
+        built.append(laps)
+        return structure(laps)
+
+    monkeypatch.setattr(comb, "LapStructure", counted)
+    result = pullback.run(comb.parse("0,4,3,2,1,2,0"))
+    assert result.converged and len(result.collapse_events) == 1
+    assert result.iterations > 2
+    assert built == [comb.laps(result.original).laps, comb.laps(result.combinatorics).laps]
+
+
 def test_run_collapse_with_explicit_threshold(monkeypatch):
     # a looser threshold merges earlier but lands on the same limit
     strict = pullback.run(comb.parse("0,1,5,0,2,1,7,1,0"))
@@ -333,7 +361,7 @@ def test_one_extra_step_is_idempotent_at_the_limit():
     ctx = mpnum.PrecisionContext(result.digits)
     c = result.combinatorics
     x = result.configuration
-    realized = pullback.mapmake(c, pullback.critical_value_vector(c, x), ctx)
+    realized = pullback.mapmake(c, x, ctx)
     normalized = pullback.normalize(c, realized, ctx)
     moved = pullback.pullback_step(c, normalized, x, ctx)
     drift = max(abs(a - b) for a, b in zip(moved.points, x.points))
@@ -524,15 +552,14 @@ def test_power_map_frames_as_the_dense_antiderivative(text):
     sigma = comb.laps(c).last_orientation()
     x = pullback.init_configuration(c, ctx)
     for _ in range(3):
-        spec = pullback.critical_value_vector(c, x)
-        realized = pullback.mapmake(c, spec, ctx)
+        realized = pullback.mapmake(c, x, ctx)
         f = realized.polynomial
         assert isinstance(f, mpnum.PowerMap)
         zero = ctx.mp.mpf(0)
         slope = mpnum.Polynomial((zero,) * (f.degree - 1) + (ctx.mp.mpf(sigma),))
         dense = critvals.RealizedMap(
-            mpnum.antiderivative(slope, zero, spec.values[0]), realized.critical_points,
-            realized.gaps, realized.inversion,
+            mpnum.antiderivative(slope, zero, x.points[c.m[c.critical_points()[0]]]),
+            realized.critical_points, realized.inversion,
         )
         closed, via_dense = pullback.normalize(c, realized, ctx), pullback.normalize(c, dense, ctx)
         assert isinstance(closed.polynomial, mpnum.PowerMap)

@@ -445,10 +445,8 @@ def test_realized_map_is_the_expanded_product_bit_for_bit(case):
     # realize_critical_values takes f' from the inversion's final Phi
     # problem, whose monic product Newton already expanded
     ctx, mults, sigma, values = case
-    realized = critvals.realize_critical_values(
-        critvals.CriticalValueSpec(values), mults, sigma, ctx
-    )
-    points = centered_points(critvals.PhiProblem(realized.gaps, mults))
+    realized = critvals.realize_critical_values(values, mults, sigma, ctx)
+    points = centered_points(critvals.PhiProblem(realized.inversion.gaps, mults))
     assert same(realized.critical_points, points)
     g = expand_roots(ctx.mp.mpf(sigma), points, mults)
     assert same(realized.polynomial.coefficients, antiderivative(g, points[0], values[0]))
@@ -459,20 +457,18 @@ def test_framing_from_the_previous_map_agrees_with_a_cold_one(text):
     # the first steps of a run, framing each map with and without the
     # previous step's A and B as starts
     c, ctx = comb.parse(text), mpnum.PrecisionContext(40)
-    lap_list = comb.laps(c)
     x = pullback.init_configuration(c, ctx)
     inversion = previous = None
     for _ in range(4):
-        values = pullback.critical_value_vector(c, x)
-        realized = pullback.mapmake(c, values, ctx, lap_list, inversion)
+        realized = pullback.mapmake(c, x, ctx, inversion)
         f = realized.polynomial
-        cold = pullback.normalize(c, realized, ctx, lap_list)
-        warm = pullback.normalize(c, realized, ctx, lap_list, previous)
+        cold = pullback.normalize(c, realized, ctx)
+        warm = pullback.normalize(c, realized, ctx, previous)
         bound = 10 * ctx.tau
         for end, index in (("frame_low", 0), ("frame_high", c.n)):
             target = 0 if c.m[index] == 0 else 1
             a, b = getattr(cold, end), getattr(warm, end)
             assert abs(f(a) - target) <= bound and abs(f(b) - target) <= bound
             assert abs(a - b) <= bound * max(1, abs(a))
-        x = pullback.pullback_step(c, warm, x, ctx, lap_list)
+        x = pullback.pullback_step(c, warm, x, ctx)
         inversion, previous = realized.inversion, warm
