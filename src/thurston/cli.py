@@ -212,7 +212,8 @@ def validate(combinatorics_text, fmt):
         click.echo(f"{comb.render(c)}: {status}, degree {report.total_degree}, "
                    f"expansive: {expansive}")
         for k, ok in sorted(report.conditions.items()):
-            click.echo(f"  condition {k}: {'ok' if ok else 'FAIL'}")
+            verdict = "ok" if ok else "FAIL" if k in report.REQUIRED else "not met (advisory)"
+            click.echo(f"  condition {k}: {verdict}")
         for warning in report.warnings:
             click.echo(f"  warning: {warning}")
         if report.passed:

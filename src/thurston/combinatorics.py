@@ -234,9 +234,11 @@ class ValidationReport:
     expansive_edges: Optional[tuple]
     warnings: tuple
 
+    REQUIRED = (1, 2, 3, 6)  # the conditions that decide ``passed``; the others are advisory
+
     @property
     def passed(self) -> bool:
-        return all(self.conditions[k] for k in (1, 2, 3, 6))
+        return all(self.conditions[k] for k in self.REQUIRED)
 
     @property
     def expansive(self) -> Optional[bool]:

@@ -15,21 +15,22 @@ into a :class:`Polynomial` only when its coefficients are read.
 The inner loops run on integer pairs (m, e), the value m * 2**e: Horner's
 rule (:func:`pair_horner`, behind ``Polynomial.__call__``), the other
 ``pair_*`` kernels that the gap map in :mod:`thurston.critvals` builds on,
-:func:`affine_substitute` and :func:`solve_monotone`.  Each operation is
-exact integer arithmetic rounded once to nearest, ties to even: the same bits
-as mpmath's correctly rounded raw operations.  Done in the mpf object code's
-order at its precision, every result is bit-identical to it.  Values become
-pairs only inside the kernels, where inf and nan are refused.
+and :func:`affine_substitute`.  Each operation is exact integer arithmetic
+rounded once to nearest, ties to even: the same bits as mpmath's correctly
+rounded raw operations.  Done in the mpf object code's order at its
+precision, every result is bit-identical to it.  Values become pairs only
+inside the kernels, where inf and nan are refused.
 
 Two solvers invert a map on a single monotone lap, both to the residual
 ``10 * tau * max(1, |target|)``: :func:`solve_power` with one n-th root when
 there is one critical point, and otherwise :func:`solve_monotone`, a
 bisection/Newton hybrid on a bracket that doubles outward on laps extending
 to infinity (targets may sit arbitrarily close to critical values, where
-the derivative underflows and bare Newton crawls or escapes).  Its Newton
-may be warm-started from a point inside the lap, such as a marked point's
-position one pull-back earlier; a warm start takes at least one correction
-unless it solves the equation exactly.
+the derivative underflows and bare Newton crawls or escapes).  It runs in
+block fixed point on plain ints (:func:`block_horner`), each evaluation off
+by at most (d + 1) 2**(d - 31) times the residual bound.  Its Newton may
+start from a point inside the lap, such as a marked point's position one
+pull-back earlier.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ NEWTON_TOL_SHIFT = 6  # the gap-map inversion's residual target is 10**(-digits 
 
 # Outward doublings allowed when bracketing a root on an unbounded lap.
 BRACKET_DOUBLINGS = 200
+_GUARD_BITS = 32  # bits of the lap solver's value grid below its residual bound
 
 _CONTEXTS = {}  # digits -> the one mpmath context every PrecisionContext shares
 
@@ -396,6 +398,23 @@ def _value_tolerance(target, ctx: PrecisionContext):
     return ctx.solve_tol  # 10 * tau * 1 is exact
 
 
+def to_block(pair, unit) -> int:
+    """The integer nearest the value of ``pair`` over ``2**unit`` (a tie rounds up)."""
+    m, e = pair
+    if e >= unit:
+        return m << (e - unit)
+    return (m + (1 << (unit - e - 1))) >> (unit - e)
+
+
+def block_horner(descending, x, shift):
+    """Horner's rule on integer coefficients of one grid, leading first, and the
+    integer x * 2**shift: ``acc * x >> shift`` plus each next coefficient."""
+    acc = 0
+    for c in descending:
+        acc = (acc * x >> shift) + c
+    return acc
+
+
 def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionContext, start=None):
     """Solve p(x) = target on a monotone lap [lo, hi], or on any bracket where
     p - target changes sign once, as the gap-ratio equation of
@@ -408,84 +427,82 @@ def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionCon
     (higher-order tangencies); the result satisfies
     ``|p(x) - target| <= 10 * tau * max(1, |target|)``.
 
-    Newton starts from ``start`` when it lies strictly inside the bracket
-    (a warm start, such as the point's position one pull-back earlier) and
-    from the bracket's midpoint otherwise.  A warm start is returned
-    unchanged only if its residual is exactly 0; otherwise it takes at
-    least one correction even when it already meets the tolerance, so that
-    a point which moves less than the tolerance per step still moves.
+    In block fixed point: x is an integer over 2**(prec + 32), rounded to
+    ``prec`` bits; the coefficients C_i, the target and the bound are integers
+    over 2**E, 32 bits below the bound, and p' has coefficients i * C_i.
+    Horner is then within 1.5 (d + 1) max(1, |x|)**d units of 2**E.  E drops d
+    bits per doubling of a bracket reaching |x| >= 2, and the residual test
+    allows for the (d + 1) 2**(d + 1) units left, so the exact residual meets
+    the bound.  A lap end that meets it is returned as the caller's own value.
+
+    Newton starts from ``start`` if it lies strictly inside the bracket (such
+    as the point's position one pull-back earlier), else from the midpoint.
+    Such a warm start takes a correction, unless its grid residual is 0 or the
+    correction is below its last bit, so that a slow point still moves.
     """
     if lo is None and hi is None:
         raise ValueError("at least one lap end must be finite")
     mp, prec = ctx.mp, ctx.mp.prec
-    kind, coefficients = p._raw_horner
-    slopes = p.derivative()._raw_horner[1]
-    p_prec = kind.context.prec
+    shift = prec + _GUARD_BITS  # the fractional bits of x
 
-    def value(q, x):  # at the coefficients' precision, as Polynomial.__call__ evaluates
-        return pair_horner(q, pair_round(*x, p_prec), p_prec)
+    def own(v):  # v as an mpf of ctx (the caller's own if it is one), and on x's grid
+        v = v if type(v) is mp.mpf else ctx.mpf(v)
+        return v, to_block(to_pair(v._mpf_), -shift)  # to_pair refuses inf and nan
 
-    def box(x):
-        return mp.make_mpf(to_raw(x))
+    def fit(x):  # x rounded to prec significant bits, to nearest
+        n = x.bit_length() - prec
+        return (x + (1 << (n - 1))) >> n << n if n > 0 else x
 
-    def finite(v):  # refuses inf and nan
-        return to_pair(ctx.mpf(v)._mpf_)
+    target = own(target)[0]
+    start = None if start is None else own(start)[1]
+    bound = to_pair(_value_tolerance(target._mpf_, ctx))
+    descending, degree = p._raw_horner[1], p.degree
 
-    target = finite(target)
-    start = None if start is None else finite(start)
+    def value_grid(wide):  # coefficients, slopes, target, allowed residual; |x| < 2**(wide + 1)
+        unit = bound[1] + bound[0].bit_length() - 1 - _GUARD_BITS - degree * wide
+        values = [to_block(c, unit) for c in descending]
+        slopes = [(degree - i) * c for i, c in enumerate(values[:-1])]
+        allowed = to_block(bound, unit) - ((degree + 1) << (degree * (wide + 1) + 1))
+        return values, slopes, to_block(to_pair(target._mpf_), unit), allowed
+
+    values, slopes, goal, allowed = value_grid(0)
     sense = 1 if orientation > 0 else -1
 
     def grow(anchor, direction, side):
-        # the first end anchor + direction * 2**k at which p is past the target, and p there
+        # the first end anchor + direction * 2**k at which p is past the target
         for k in range(BRACKET_DOUBLINGS):
-            end = pair_add(anchor, (direction, k), prec)
-            at = value(coefficients, end)
-            if sense * direction * pair_cmp(at, target) >= 0:
-                return end, at
+            end = pair_add(to_pair(anchor._mpf_), (direction, k), prec)
+            if sense * direction * (block_horner(values, to_block(end, -shift), shift) - goal) >= 0:
+                return own(mp.make_mpf(to_raw(end)))
         raise RootBracketError(f"bracket expansion cap reached {side} the lap")
 
-    if lo is None:
-        lo, plo = grow(finite(hi), -1, "below")
-    else:
-        lo = finite(lo)
-        plo = value(coefficients, lo)
-    if hi is None:
-        hi, phi = grow(lo, 1, "above")
-    else:
-        hi = finite(hi)
-        phi = value(coefficients, hi)
+    lo, low = grow(own(hi)[0], -1, "below") if lo is None else own(lo)
+    hi, high = grow(lo, 1, "above") if hi is None else own(hi)
+    if (wide := (max(-low, high) >> shift).bit_length() - 1) > 0:
+        values, slopes, goal, allowed = value_grid(wide)
 
-    value_tol = to_pair(_value_tolerance(to_raw(target), ctx))
-    flo = pair_sub(plo, target, prec)
-    fhi = pair_sub(phi, target, prec)
+    flo, fhi = (block_horner(values, end, shift) - goal for end in (low, high))
     for end, f in ((lo, flo), (hi, fhi)):
-        if pair_cmp((abs(f[0]), f[1]), value_tol) <= 0:
-            return box(end)
-    high_positive = fhi[0] > 0
-    if (flo[0] > 0) == high_positive:
-        raise RootBracketError(
-            f"target {ctx.format(box(target), 8)} outside lap range "
-            f"[{ctx.format(box(plo), 8)}, {ctx.format(box(phi), 8)}]"
-        )
+        if abs(f) <= allowed:
+            return end
+    high_positive = fhi > 0
+    if (flo > 0) == high_positive:
+        raise RootBracketError(f"target {ctx.format(target, 8)} outside lap range "
+                               f"[{ctx.format(p(lo), 8)}, {ctx.format(p(hi), 8)}]")
 
-    m, e = pair_add(lo, hi, prec)
-    x = (m, e - 1)  # the midpoint
-    correct = False  # whether x must be corrected before it may be returned
-    if start is not None and pair_cmp(lo, start) < 0 and pair_cmp(start, hi) < 0:
-        x, correct = start, True
+    correct = start is not None and low < start < high  # a warm start must be corrected
+    x = start if correct else fit(low + high >> 1)  # else the midpoint
     for _ in range(300 + 4 * ctx.digits):
-        fx = pair_sub(value(coefficients, x), target, prec)
-        if not fx[0] or (not correct and pair_cmp((abs(fx[0]), fx[1]), value_tol) <= 0):
-            return box(x)
+        fx = block_horner(values, x, shift) - goal
+        if not fx or (not correct and abs(fx) <= allowed):
+            return mp.make_mpf(to_raw((x, -shift)))
         correct = False
-        lo, hi = (lo, x) if (fx[0] > 0) == high_positive else (x, hi)
-        slope = value(slopes, x)
-        candidate = pair_sub(x, pair_div(fx, slope, prec), prec) if slope[0] else lo
-        if pair_cmp(lo, candidate) < 0 and pair_cmp(candidate, hi) < 0:
-            x = candidate  # the Newton step, if it stays strictly inside the bracket
-        else:
-            m, e = pair_add(lo, hi, prec)
-            x = (m, e - 1)
+        low, high = (low, x) if (fx > 0) == high_positive else (x, high)
+        slope = block_horner(slopes, x, shift)
+        newton = fit(x - (fx << shift) // slope) if slope else low
+        if newton == x and abs(fx) <= allowed:  # the correction is below x's last bit
+            return mp.make_mpf(to_raw((x, -shift)))
+        x = newton if low < newton < high else fit(low + high >> 1)  # else bisect
     raise RootBracketError("root refinement failed to meet tolerance")
 
 

@@ -27,8 +27,20 @@ def test_validate_warns_on_non_expansive():
     assert "edge [2,3] is not expansive" in result.output
 
 
+def test_validate_prints_advisory_conditions_as_advisory():
+    # x2 of 0,3,2,1,4 is neither critical nor postcritical: condition 5 is
+    # not met, but it is advisory and the sequence passes
+    result = invoke("validate", "0,3,2,1,4")
+    assert result.exit_code == 0
+    assert "0,3,2,1,4: pass" in result.output
+    assert "condition 5: not met (advisory)" in result.output
+    assert "FAIL" not in result.output
+
+
 def test_validate_hard_failure():
-    assert invoke("validate", "1,2,0").exit_code == 2
+    result = invoke("validate", "1,2,0")
+    assert result.exit_code == 2
+    assert "FAIL" in result.output
 
 
 def test_validate_parse_failure():

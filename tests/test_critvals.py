@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import thurston
@@ -305,6 +305,10 @@ def test_ratio_polynomials_match_symbolic_integrals(mults):
 
 @given(st.sampled_from([30, 40]), st.tuples(*[st.integers(1, 3)] * 3),
        st.integers(1000, 9999), st.integers(-3, 1))
+# A lap solver whose value grid follows the largest coefficient, not the
+# residual bound, loses the small gap's relative digits on these two.
+@example(30, (2, 2, 2), 1000, -3)
+@example(40, (3, 3, 3), 1000, -3)
 @settings(max_examples=100, deadline=None)
 def test_three_critical_points_invert_by_one_ratio_root(digits, mults, mantissa, exponent):
     # Gap ratios delta_1/delta_2 from 1e-3 to 1e2, the larger gap 1.  The

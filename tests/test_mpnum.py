@@ -329,15 +329,15 @@ def square(ctx):
 
 
 def count_evaluations(monkeypatch):
-    """Points at which solve_monotone, or any Polynomial, evaluates from now on."""
+    """Points at which solve_monotone evaluates p or p' from now on."""
     points = []
-    horner = mpnum.pair_horner
+    horner = mpnum.block_horner
 
-    def counted(descending, x, prec):
-        points.append(mpmath.mp.make_mpf(mpnum.to_raw(x)))
-        return horner(descending, x, prec)
+    def counted(descending, x, shift):
+        points.append(mpmath.mp.make_mpf(mpnum.to_raw((x, -shift))))
+        return horner(descending, x, shift)
 
-    monkeypatch.setattr(mpnum, "pair_horner", counted)
+    monkeypatch.setattr(mpnum, "block_horner", counted)
     return points
 
 
@@ -372,6 +372,46 @@ def test_solve_exact_warm_start_is_returned(monkeypatch):
     root = mpnum.solve_monotone(square(ctx), ctx.mpf(Fraction(1, 4)), 0, 2, 1, ctx, start=start)
     assert root == start
     assert points[2:] == [start]  # after the lap ends, only the start
+
+
+@pytest.mark.parametrize("degree", [3, 7])
+@pytest.mark.parametrize("side", [-1, 1])
+def test_solve_far_root_on_an_unbounded_lap(degree, side):
+    # x**d + x = target far out on the lap from 0 toward side * inf: the
+    # bracket doubles at least 10 times, and the residual still meets its
+    # bound relative to the target
+    ctx = mpnum.PrecisionContext(80)
+    p = mpnum.Polynomial((ctx.mp.mpf(0), ctx.mp.mpf(1)) + (ctx.mp.mpf(0),) * (degree - 2)
+                         + (ctx.mp.mpf(1),))
+    target = side * ctx.mpf(3000) ** degree
+    lo, hi = (0, None) if side > 0 else (None, 0)
+    root = mpnum.solve_monotone(p, target, lo, hi, 1, ctx)
+    assert abs(root) >= 2**10
+    assert abs(p(root) - target) <= 10 * ctx.tau * abs(target)
+
+
+def exact(value) -> Fraction:
+    return Fraction(*mpmath.libmp.to_rational(value._mpf_))
+
+
+@given(st.sampled_from([15, 40, 80]), st.integers(0, 12), st.data())
+@settings(max_examples=200, deadline=None)
+def test_block_evaluation_error_bound(digits, degree, data):
+    # On the lap solver's grids, Horner in block fixed point lies within
+    # 1.5 (d + 1) max(1, |x|)**d units of the exact value of p at x
+    ctx = mpnum.PrecisionContext(digits)
+    spread = st.builds(lambda m, e: Fraction(m, 1000) * Fraction(10) ** e,
+                       st.integers(-9999, 9999), st.integers(-30, 30))
+    coefficients = [ctx.mpf(data.draw(spread)) for _ in range(degree + 1)]
+    x = ctx.mpf(data.draw(st.fractions(-256, 256, max_denominator=10**6)))
+    shift = ctx.mp.prec + mpnum._GUARD_BITS
+    bound = mpnum.to_pair(ctx.solve_tol)
+    unit = bound[1] + bound[0].bit_length() - 1 - mpnum._GUARD_BITS
+    descending = [mpnum.to_block(mpnum.to_pair(c._mpf_), unit) for c in reversed(coefficients)]
+    got = mpnum.block_horner(descending, mpnum.to_block(mpnum.to_pair(x._mpf_), -shift), shift)
+    want = sum(exact(c) * exact(x) ** i for i, c in enumerate(coefficients))
+    error = abs(got * Fraction(2) ** unit - want) / Fraction(2) ** unit  # in grid units
+    assert error <= Fraction(3, 2) * (degree + 1) * max(1, abs(exact(x))) ** degree
 
 
 # ---------------------------------------------------------------- pair arithmetic

@@ -1,18 +1,25 @@
-"""The raw-tuple kernels against the object arithmetic they replace.
+"""The raw-tuple and integer kernels against the object arithmetic they replace.
 
 The oracles below are the mpf-object versions of ``solve_monotone``,
 ``centered_points``, ``phi``, ``phi_jacobian``, ``solve_linear``,
-``affine_substitute`` and ``fit_error``, with the object polynomial helpers they relied on.  The raw kernels must do the same
-operations in the same order with the same rounding, so every output must
-have the same ``_mpf_`` tuple, and every failure the same exception type and
-message.
+``affine_substitute`` and ``fit_error``, with the object polynomial helpers
+they relied on.  The raw kernels do the same operations in the same order
+with the same rounding, so every output must have the same ``_mpf_`` tuple,
+and every failure the same exception type and message.
+
+``solve_monotone`` runs in block fixed point instead, so it is held to
+agreement: the same outcome, the same exception type and message on
+failure, and on success two roots inside the lap that both meet the
+residual bound and whose values differ by at most twice it.  An exact warm
+start, and a lap end that meets the bound, come back bit for bit.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import to_rational
 
 from thurston import combinatorics as comb
 from thurston import critvals, mpnum, pullback
@@ -369,13 +376,44 @@ def lap_problems(draw):
     return inside, (p, target, lo, hi, orientation, ctx), start
 
 
+def cubic_lap(target, start):
+    """x**3 - 3x on its decreasing lap [-1, 1], as :func:`lap_problems` draws a case."""
+    ctx = mpnum.PrecisionContext(40)
+    p = mpnum.Polynomial(tuple(ctx.mpf(c) for c in (0, -3, 0, 1)))
+    return True, (p, ctx.mpf(target), ctx.mpf(-1), ctx.mpf(1), -1, ctx), ctx.mpf(start)
+
+
+def exact_residual(p, x, target):
+    """p(x) - target in exact rational arithmetic."""
+    def exact(v):
+        return Fraction(*to_rational(v._mpf_))
+
+    return sum(exact(c) * exact(x) ** i for i, c in enumerate(p.coefficients)) - exact(target)
+
+
 @given(lap_problems())
+@example(cubic_lap(Fraction(-11, 8), Fraction(1, 2)))  # an exact warm start
+@example(cubic_lap(Fraction(2) - Fraction(1, 10**37), Fraction(1, 2)))  # the lap end -1
 @settings(max_examples=300, deadline=None)
-def test_lap_solve_is_bit_identical(case):
+def test_lap_solve_agrees_with_the_object_solver(case):
     inside, args, start = case
+    p, target, lo, hi, _, ctx = args
     got = outcome(mpnum.solve_monotone, *args, start=start)
-    assert got[0] == ("ok" if inside else "raised")
-    assert_same_outcome(got, outcome(solve_monotone, *args, start=start))
+    want = outcome(solve_monotone, *args, start=start)
+    assert got[0] == want[0] == ("ok" if inside else "raised")
+    if got[0] == "raised":
+        assert got[1] == want[1]
+        return
+    (x, oracle), target = (got[1], want[1]), ctx.mpf(target)
+    bound = 10 * ctx.tau * max(1, abs(target))
+    for root in (x, oracle):
+        assert (lo is None or lo <= root) and (hi is None or root <= hi)
+        assert abs(p(root) - target) <= bound
+    assert abs(p(x) - p(oracle)) <= 2 * bound
+    if any(abs(p(end) - target) <= bound for end in (lo, hi) if end is not None):
+        assert same(x, oracle)
+    elif None not in (lo, hi, start) and lo < start < hi and not exact_residual(p, start, target):
+        assert same(x, oracle) and same(x, start)
 
 
 def test_unbracketable_targets_raise_the_same_error():

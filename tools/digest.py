@@ -1,6 +1,6 @@
 """One hash over the full output of a fixed corpus of runs.
 
-    python tools/digest.py [SRC_DIR]
+    python tools/digest.py [--answers] [SRC_DIR]
 
 imports ``thurston`` from SRC_DIR (default: this repository's ``src``) and
 runs, with ``keep_trace``:
@@ -19,17 +19,31 @@ exception's type and message instead.  The script prints
 
 Two source trees that print the same line computed the same bits on the
 whole corpus.  It takes under a minute.
+
+With ``--answers`` it prints one line per run instead, for a change that is
+not meant to be bit-identical: the text, the tolerance, then either the
+outcome (converged or not), the outer steps, the final combinatorics, the
+steps of the collapse events and the coefficients to 30 significant digits
+of the largest, or ``error`` with the exception's type and message.
+``diff`` between the outputs of two source trees shows exactly which runs
+changed.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
 import sys
+from decimal import Decimal
 from pathlib import Path
 
-SRC = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parents[1] / "src")
-sys.path.insert(0, str(SRC.resolve()))
+parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+parser.add_argument("--answers", action="store_true", help="one line per run, not one hash")
+parser.add_argument("src", nargs="?", type=Path,
+                    default=Path(__file__).resolve().parents[1] / "src")
+ARGS = parser.parse_args()
+sys.path.insert(0, str(ARGS.src.resolve()))
 
 import thurston  # noqa: E402
 from thurston import combinatorics as comb  # noqa: E402
@@ -70,18 +84,45 @@ def fields(result) -> list:
     ]
 
 
+def to_digits(values, digits=30) -> list:
+    """Each value in decimal, rounded at the last of ``digits`` significant
+    digits of the largest, so that a value that is 0 up to rounding (the
+    constant term of a map fixing 0) prints as 0."""
+    ctx = values[-1].context
+    top = max(map(abs, values)) or 1
+    exponent = int(ctx.floor(ctx.log10(top))) - digits + 1
+    scale = ctx.mpf(10) ** exponent
+    return [str(Decimal(f"{int(ctx.nint(v / scale))}e{exponent}")) for v in values]
+
+
+def answer(result) -> str:
+    """What a run found, without the bits of its path there."""
+    f = result.polynomial
+    coefficients = f and to_digits(f.coefficients)
+    return (f"{'converged' if result.converged else 'not-converged'} steps {result.iterations} "
+            f"final {comb.render(result.combinatorics)} "
+            f"collapses {[e.step for e in result.collapse_events]} coefficients {coefficients}")
+
+
 def main() -> None:
     digest = hashlib.sha256()
     runs = errors = 0
     for text, options in corpus():
         try:
-            out = fields(thurston.run(thurston.parse(text), options))
+            result = thurston.run(thurston.parse(text), options)
+            out = answer(result) if ARGS.answers else fields(result)
         except Exception as exc:  # noqa: BLE001 - the failure is part of the output
             out = [type(exc).__name__, str(exc)]
+            if ARGS.answers:
+                out = f"error {out[0]}: {out[1]}"
             errors += 1
         runs += 1
-        digest.update(f"{text} {options.tol} {out!r}\n".encode())
-    print(f"{runs} runs, {errors} errors, sha256 {digest.hexdigest()}")
+        if ARGS.answers:
+            print(f"{text} tol {options.tol} {out}")
+        else:
+            digest.update(f"{text} {options.tol} {out!r}\n".encode())
+    if not ARGS.answers:
+        print(f"{runs} runs, {errors} errors, sha256 {digest.hexdigest()}")
 
 
 if __name__ == "__main__":
