@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import operator
 import os
 import sys
 
@@ -134,6 +135,26 @@ def _load_result(path) -> dict:
     if missing:
         raise click.UsageError(f"--result {path} is not a result document: no {', '.join(missing)}")
     return doc
+
+
+def _plotted(doc) -> tuple:
+    """The context, map, combinatorics and marked points (x, f(x)) of a result
+    document; a malformed field is a usage error that names it."""
+    def read(name, convert):
+        try:
+            return convert(doc[name])
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise click.UsageError(f"malformed {name} in the result document: {exc}") from exc
+
+    def marked(values):
+        if len(values) != final.n + 1:
+            raise ValueError(f"{len(values)} points, but the combinatorics has {final.n + 1}")
+        return [(xj, f(xj)) for xj in map(ctx.mpf, values)]  # f refuses inf and nan
+
+    ctx = PrecisionContext(max(read("working_digits", operator.index), 15))
+    f = read("coefficients", lambda values: Polynomial(tuple(ctx.mpf(v) for v in values)))
+    final = read("combinatorics", comb.parse)
+    return ctx, f, final, read("marked_points", marked)
 
 
 def _poly_text(doc) -> str:
@@ -286,20 +307,17 @@ def plot(combinatorics_text, result_path, tol, max_iter, digits, max_digits, sam
         click.echo("document holds no polynomial", err=True)
         sys.exit(EXIT_NO_CONVERGENCE)
 
-    ctx = PrecisionContext(max(doc["working_digits"], 15))
-    f = Polynomial(tuple(ctx.mpf(s) for s in doc["coefficients"]))
-    final = comb.parse(doc["combinatorics"])
+    ctx, f, final, points = _plotted(doc)
     lines = ["x,f(x)"]
     for i in range(samples):
         xval = ctx.mp.mpf(i) / (samples - 1)
         lines.append(f"{ctx.format(xval, PLOT_DIGITS)},{ctx.format(f(xval), PLOT_DIGITS)}")
     lines.append("# marked,j,x,image_index,image_x,local_degree")
-    for j, point in enumerate(doc["marked_points"]):
-        xj = ctx.mpf(point)
+    for j, (xj, image) in enumerate(points):
         lines.append(
             "# marked,%d,%s,%d,%s,%d" % (
                 j, ctx.format(xj, PLOT_DIGITS), final.m[j],
-                ctx.format(f(xj), PLOT_DIGITS), final.local_degree[j],
+                ctx.format(image, PLOT_DIGITS), final.local_degree[j],
             )
         )
     _emit("\n".join(lines), out)

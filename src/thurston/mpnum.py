@@ -170,7 +170,8 @@ class Polynomial:
 class PowerMap:
     """``value + lead * (x - center)**degree`` in mpfs of one context: a map with one
     critical point that evaluates like a :class:`Polynomial`, whose ``coefficients``
-    and ``derivative()`` come from one cached expansion, :attr:`expanded`."""
+    come from one cached expansion, :attr:`expanded`, and whose ``derivative()`` is
+    the closed form ``degree * lead * (x - center)**(degree - 1)``."""
 
     center: object
     value: object
@@ -204,8 +205,8 @@ class PowerMap:
     def coefficients(self) -> tuple:
         return self.expanded.coefficients
 
-    def derivative(self) -> Polynomial:
-        return self.expanded.derivative()
+    def derivative(self) -> "PowerMap":
+        return PowerMap(self.center, 0 * self.value, self.degree * self.lead, self.degree - 1)
 
 
 # ---------------------------------------------------------------- pair arithmetic

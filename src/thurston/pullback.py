@@ -56,7 +56,7 @@ STALL_FACTOR = 0.5
 # Gaps below COLLAPSE_THRESHOLD / n for COLLAPSE_PERSISTENCE steps merge their points.
 COLLAPSE_THRESHOLD = "1e-8"
 COLLAPSE_PERSISTENCE = 3
-# Newton iterations at most in one placement of the passengers.
+# Newton iterations at most in one placement of a passenger cycle.
 PLACEMENT_ITERATIONS = 30
 
 
@@ -291,80 +291,60 @@ def place_passengers(c: comb.Combinatorics, normalized: NormalizedMap, x: Marked
     """Solve x_j = g_j(x_{m_j}) for the passengers j, the indices outside the
     core, with f and the core fixed; g_j is f's inverse branch on j's lap.
 
-    A passenger whose orbit reaches the core without a passenger cycle takes
-    one warm-started lap solve, images first.  The others take Newton, one
-    solve each per iteration and the moves of :func:`_newton_moves`, until
-    the largest move is below tau or stops shrinking.  Each passenger is
-    clamped between its nearest core points, where one that collapses lands,
-    and at the end, in index order, kept from crossing the one before it.
+    Each passenger takes one warm-started lap solve from its image, images
+    first.  Where the orbit walk closes a passenger cycle (j, m_j, ..., last),
+    x_j comes first, by scalar Newton on x = G(x), G = g_j o ... o g_last with
+    slope the product of the 1/f' (0 where f' = 0), until the move is within
+    the solver's resolution 10 tau max(1, |x_j|) / |f'(x_j)| (tau where
+    f' = 0) or stops shrinking.  Every passenger is clamped between its nearest
+    core points, where one that collapses lands, and at the end, in index
+    order, kept from crossing the one before it.
     """
-    n, m, points = c.n, c.m, list(x.points)
+    m, points = c.m, list(x.points)
     core, laps = comb.core_indices(c), comb.laps(c)
-    passengers = [j for j in range(n + 1) if j not in core]
-    f = normalized.polynomial
-    solve = _lap_solver(f, normalized.critical_points, ctx)
-    slope = (PowerMap(f.center, 0 * f.value, f.degree * f.lead, f.degree - 1)  # d a (x - c)**(d-1)
-             if isinstance(f, PowerMap) else f.derivative())
+    passengers = [j for j in range(c.n + 1) if j not in core]
+    solve = _lap_solver(normalized.polynomial, normalized.critical_points, ctx)
+    slope = normalized.polynomial.derivative()
     ends = {j: (max(k for k in core if k < j), min(k for k in core if k > j)) for j in passengers}
 
     def place(j, value):
         a, b = ends[j]
         points[j] = min(max(value, points[a]), points[b])
 
-    def pulled(j):
-        return _lap_preimage(solve, laps, j, points, points[m[j]], points[j])
+    def newton(cycle):
+        j, previous = cycle[0], ctx.mp.inf
+        for _ in range(PLACEMENT_ITERATIONS):
+            y, gain = points[j], 1
+            for i in reversed(cycle):
+                y = _lap_preimage(solve, laps, i, points, y, points[i])
+                df = slope(y)
+                gain = gain / df if df else 0
+                if i != j:
+                    place(i, y)
+            move = y - points[j] if gain == 1 else (y - points[j]) / (1 - gain)
+            place(j, points[j] + move)
+            resolution = 10 * ctx.tau * max(1, abs(y)) / abs(df) if df else ctx.tau
+            if abs(move) <= resolution or abs(move) >= previous:
+                break
+            previous = abs(move)
 
     settled = set(core)  # the core and the passengers placed so far
     for j in passengers:
         path = []  # the orbit of j up to a settled index or a repeat
         while j not in settled and j not in path:
             path, j = path + [j], m[j]
-        if j in settled:
-            for i in reversed(path):
-                place(i, pulled(i))
+        if j not in settled:  # the walk closed a passenger cycle at j
+            newton(path[path.index(j):])
+            settled.add(j)
+        for i in reversed(path):
+            if i not in settled:
+                target = points[m[i]]
+                place(i, _lap_preimage(solve, laps, i, points, target, points[i]))
                 settled.add(i)
-    cyclic = [j for j in passengers if j not in settled]
-    previous = None
-    for _ in range(PLACEMENT_ITERATIONS if cyclic else 0):
-        rise, inverse = {}, {}
-        for j in cyclic:
-            y = pulled(j)
-            df = slope(y)
-            rise[j], inverse[j] = y - points[j], (1 / df if df else 0)
-        dx = _newton_moves(m, rise, inverse)
-        for j in cyclic:
-            place(j, points[j] + dx[j])
-        size = max(map(abs, dx.values()))
-        if size <= ctx.tau or (previous is not None and size >= previous):
-            break
-        previous = size
     for j in passengers:
         if j - 1 in ends:
             points[j] = max(points[j], points[j - 1])
     return MarkedConfiguration(tuple(points))
-
-
-def _newton_moves(m, rise, inverse) -> dict:
-    """The Newton move dx_j = rise_j + inverse_j dx_{m_j} of each passenger j
-    on or leading into a passenger cycle (the keys of ``rise``, which m maps
-    into themselves; rise_j is y_j - x_j, inverse_j is 1/f'(y_j), or 0 where
-    f'(y_j) = 0): A / (1 - B) around a cycle, B the product of its inverses
-    (rise if B = 1), back-substituted along the chains into it."""
-    dx = {}
-    for j in rise:
-        path = [j]  # the orbit of j up to a solved passenger or a repeat
-        while m[path[-1]] not in dx and m[path[-1]] not in path:
-            path.append(m[path[-1]])
-        k = m[path[-1]]
-        if k in path:  # a passenger cycle through k
-            a, b = 0, 1
-            for i in path[path.index(k):]:
-                a, b = a + b * rise[i], b * inverse[i]
-            dx[k] = rise[k] if b == 1 else a / (1 - b)
-        for i in reversed(path):
-            if i not in dx:
-                dx[i] = rise[i] + inverse[i] * dx[m[i]]
-    return dx
 
 
 def detect_collapse(x: MarkedConfiguration, threshold) -> tuple:

@@ -197,6 +197,27 @@ def test_plot_rejects_a_stored_file_that_is_not_a_result_document(tmp_path, text
     assert problem in result.output
 
 
+@pytest.mark.parametrize("field,change", [
+    ("coefficients", lambda doc: ["abc"] + doc["coefficients"][1:]),
+    ("coefficients", lambda doc: ["inf"] + doc["coefficients"][1:]),
+    ("working_digits", lambda doc: "x"),
+    ("combinatorics", lambda doc: "0,9,1"),
+    ("marked_points", lambda doc: doc["marked_points"] + ["1"]),
+    ("marked_points", lambda doc: doc["marked_points"][:-1]),
+    ("marked_points", lambda doc: doc["marked_points"][:-1] + ["nan"]),
+], ids=["coefficient abc", "coefficient inf", "digits x", "combinatorics", "one more point",
+        "one point fewer", "point nan"])
+def test_plot_names_a_malformed_field_of_a_stored_document(tmp_path, field, change):
+    path = tmp_path / "res.json"
+    invoke("run", "0,3,2,1,4", "--out", str(path))
+    doc = json.loads(path.read_text())
+    doc[field] = change(doc)
+    path.write_text(json.dumps(doc))
+    result = invoke("plot", "--result", str(path))
+    assert result.exit_code == 2
+    assert f"malformed {field}" in result.output
+
+
 # ---------------------------------------------------------------- table
 
 def test_table_runs_all_reference_rows():

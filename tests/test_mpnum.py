@@ -614,12 +614,17 @@ def test_power_map_evaluates_as_its_expansion(case):
     ctx, f, x = case
     p = f.expanded
     assert type(p) is mpnum.Polynomial and (p.degree, p.lead) == (f.degree, f.lead)
-    assert f.coefficients == p.coefficients and f.derivative() is p.derivative()
+    assert f.coefficients == p.coefficients
     assert f(x)._mpf_ == (f.value + f.lead * (x - f.center) ** f.degree)._mpf_
     assert f(f.center)._mpf_ == f.value._mpf_
     # Horner on the expansion loses what its terms cancel
     size = sum(abs(coefficient * x**i) for i, coefficient in enumerate(p.coefficients))
     assert abs(f(x) - p(x)) <= 10 * ctx.tau * max(1, size)
+    # the closed-form derivative d a (x - c)**(d-1) against the expansion's
+    df, dp = f.derivative(), p.derivative()
+    assert (df.center, df.value, df.lead, df.degree) == (f.center, 0, f.degree * f.lead, f.degree - 1)
+    size = sum(abs(coefficient * x**i) for i, coefficient in enumerate(dp.coefficients))
+    assert abs(df(x) - dp(x)) <= 10 * ctx.tau * max(1, size)
 
 
 @given(
