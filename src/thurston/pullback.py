@@ -295,10 +295,10 @@ def place_passengers(c: comb.Combinatorics, normalized: NormalizedMap, x: Marked
     first.  Where the orbit walk closes a passenger cycle (j, m_j, ..., last),
     x_j comes first, by scalar Newton on x = G(x), G = g_j o ... o g_last with
     slope the product of the 1/f' (0 where f' = 0), until the move is within
-    the solver's resolution 10 tau max(1, |x_j|) / |f'(x_j)| (tau where
-    f' = 0) or stops shrinking.  Every passenger is clamped between its nearest
-    core points, where one that collapses lands, and at the end, in index
-    order, kept from crossing the one before it.
+    the solver's resolution 10 tau / |f'(x_j)| (tau where f' = 0) or stops
+    shrinking.  Every passenger is clamped between its nearest core points,
+    where one that collapses lands, and at the end, in index order, kept from
+    crossing the one before it.
     """
     m, points = c.m, list(x.points)
     core, laps = comb.core_indices(c), comb.laps(c)
@@ -323,7 +323,7 @@ def place_passengers(c: comb.Combinatorics, normalized: NormalizedMap, x: Marked
                     place(i, y)
             move = y - points[j] if gain == 1 else (y - points[j]) / (1 - gain)
             place(j, points[j] + move)
-            resolution = 10 * ctx.tau * max(1, abs(y)) / abs(df) if df else ctx.tau
+            resolution = 10 * ctx.tau / abs(df) if df else ctx.tau
             if abs(move) <= resolution or abs(move) >= previous:
                 break
             previous = abs(move)

@@ -438,12 +438,14 @@ def test_nudged_passenger_is_placed_not_iterated(monkeypatch):
     assert result.converged and result.iterations <= 90
 
 
-@pytest.mark.parametrize("text", [
-    "0,3,2,1,4", "6,5,4,3,2,3,6", "0,2,1,3,4,3,0",
-    # passenger cycles longer than one: a 2-cycle, a 2-cycle with a chain
-    # into it, a 3-cycle and a 4-cycle
-    "0,3,4,1,0", "0,2,4,5,2,0", "0,2,4,5,1,0", "0,2,3,5,6,1,0",
-])
+# Passenger cycles longer than one: a 2-cycle, a 2-cycle with a chain into
+# it, a 3-cycle and a 4-cycle.  Each fits at rounding level at step 1, where
+# the closed form the run fits and the dense expansion it returns agree only
+# to rounding.
+PASSENGER_CYCLES = ["0,3,4,1,0", "0,2,4,5,2,0", "0,2,4,5,1,0", "0,2,3,5,6,1,0"]
+
+
+@pytest.mark.parametrize("text", ["0,3,2,1,4", "6,5,4,3,2,3,6", "0,2,1,3,4,3,0", *PASSENGER_CYCLES])
 def test_passengers_are_placed_to_working_precision(text):
     c = comb.parse(text)
     core = comb.core_indices(c)
@@ -453,10 +455,10 @@ def test_passengers_are_placed_to_working_precision(text):
     ctx = mpnum.PrecisionContext(result.digits)
     f, x = result.polynomial, result.configuration.points
     fit = pullback.fit_error(c, f, result.configuration, ctx)
-    if len(c.critical_points()) > 1:
-        assert result.fit == fit
-    else:  # the run fit its closed form; the dense expansion agrees to rounding
+    if text in PASSENGER_CYCLES:
         assert abs(result.fit - fit) <= 10 * ctx.tau
+    else:
+        assert result.fit == fit
     for j in set(range(c.n + 1)) - core:
         assert abs(f(x[j]) - x[c.m[j]]) <= 10 * ctx.tau, j
 
@@ -509,7 +511,11 @@ def test_a_chain_passenger_costs_one_lap_solve(monkeypatch, text):
         assert abs(result.polynomial(x[j]) - x[c.m[j]]) <= 10 * ctx.tau, j
 
 
-@pytest.mark.parametrize("text", ["4,1,0,4,0", "0,3,2,1,4", "6,5,4,3,2,3,6"])
+@pytest.mark.parametrize("text", [
+    "4,1,0,4,0", "0,3,2,1,4", "6,5,4,3,2,3,6",
+    # a 2-cycle and a 3-cycle, whose Newton composes several solves
+    "0,3,4,1,0", "0,2,4,5,1,0",
+])
 def test_placement_does_not_depend_on_the_solvers_bits(monkeypatch, text):
     # The lap solver promises a residual within 10 tau, so x within
     # 10 tau / |f'(x)|, not its last bits.  Moving every root of a placement
