@@ -16,10 +16,8 @@ cross the tool boundary.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import operator
-import os
 import sys
 
 import click
@@ -143,7 +141,7 @@ def _plotted(doc) -> tuple:
     def read(name, convert):
         try:
             return convert(doc[name])
-        except (ValueError, TypeError, AttributeError) as exc:
+        except (ValueError, TypeError) as exc:
             raise click.UsageError(f"malformed {name} in the result document: {exc}") from exc
 
     def marked(values):
@@ -284,12 +282,11 @@ def run_command(combinatorics_text, tol, max_iter, digits, max_digits, trace, ou
 @click.option("--result", "result_path", type=click.Path(exists=True, dir_okay=False),
               help="Sample a stored result document instead of running.")
 @_with_run_options
-@click.option("--samples", default=201, show_default=True, help="Grid sample count.")
+@click.option("--samples", default=201, show_default=True, type=click.IntRange(min=2),
+              help="Grid sample count.")
 @click.option("--out", type=click.Path(dir_okay=False), help="Write CSV here.")
 def plot(combinatorics_text, result_path, tol, max_iter, digits, max_digits, samples, out):
     """Emit CSV samples (x, f(x)) of the converged map plus its marked points."""
-    if samples < 2:
-        raise click.BadParameter("need at least 2 samples")
     if result_path:
         doc = _load_result(result_path)
     elif combinatorics_text:
@@ -353,8 +350,8 @@ def _row_report(row, result: pullback.RunResult) -> dict:
 
 
 def _run_reference_rows(keys: tuple) -> list:
-    """Worker: one run serves every reference row in ``keys``, which share
-    a combinatorics and a tolerance."""
+    """One run serves every reference row in ``keys``, which share a
+    combinatorics and a tolerance."""
     rows = [row for row in ROWS if row.key in keys]
     try:
         c = comb.parse(rows[0].combinatorics)
@@ -367,26 +364,15 @@ def _run_reference_rows(keys: tuple) -> list:
 
 
 @main.command()
-@click.option("--jobs", default=0, show_default="cpu count",
-              help="Parallel row workers; 1 forces serial.")
 @click.option("--out", type=click.Path(dir_okay=False), help="Write JSON report here.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
               show_default=True)
-def table(jobs, out, fmt):
+def table(out, fmt):
     """Recompute all published reference rows and show deviations."""
     runs = {}
     for row in ROWS:
         runs.setdefault((row.combinatorics, row.run_tol), []).append(row.key)
-    batches = [tuple(keys) for keys in runs.values()]
-    workers = jobs if jobs > 0 else min(len(batches), os.cpu_count() or 1)
-    if workers > 1:
-        try:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(_run_reference_rows, batches))
-        except (OSError, concurrent.futures.process.BrokenProcessPool):
-            reports = [_run_reference_rows(b) for b in batches]
-    else:
-        reports = [_run_reference_rows(b) for b in batches]
+    reports = [_run_reference_rows(tuple(keys)) for keys in runs.values()]
     order = {row.key: i for i, row in enumerate(ROWS)}
     results = sorted((r for batch in reports for r in batch), key=lambda r: order[r["key"]])
 

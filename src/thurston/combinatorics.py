@@ -111,6 +111,8 @@ def default_degrees(m: Sequence[int]) -> tuple:
 
 def parse(text: str) -> Combinatorics:
     """Parse the comma-separated text form, defaulting unstated degrees."""
+    if not isinstance(text, str):
+        raise ParseError(f"expected comma-separated text, got {type(text).__name__}")
     items = [item.strip() for item in text.split(",")]
     if len(items) < 2 or any(not item for item in items):
         raise ParseError(f"expected comma-separated items, got {text!r}")

@@ -9,8 +9,10 @@ mpmath context, built on first use and never modified (nothing writes its
 Polynomials are dense coefficient vectors in the monomial basis, ascending
 powers, in mpfs of one context; degrees stay small (around twelve).  A map
 with one critical point is exactly ``value + lead * (x - center)**degree``;
-a :class:`PowerMap` evaluates and reframes it in that form and expands it
-into a :class:`Polynomial` only when its coefficients are read.
+a :class:`PowerMap` evaluates, inverts and reframes it in that form and
+expands it into a :class:`Polynomial` only when its coefficients are read.
+Both kinds offer ``solve`` (one lap's inverse) and ``precompose`` (an
+affine change of variable), so callers never ask which kind they hold.
 
 The inner loops run on integer pairs (m, e), the value m * 2**e: Horner's
 rule (:func:`pair_horner`, behind ``Polynomial.__call__``), the other
@@ -22,8 +24,8 @@ precision, every result is bit-identical to it.  Values become pairs only
 inside the kernels, where inf and nan are refused.
 
 Two solvers invert a map on a single monotone lap, both to the residual
-``10 * tau * max(1, |target|)``: :func:`solve_power` with one n-th root when
-there is one critical point, and otherwise :func:`solve_monotone`, a
+``10 * tau * max(1, |target|)``: :func:`solve_power` with one n-th root, a
+``PowerMap``'s ``solve``, and :func:`solve_monotone`, a ``Polynomial``'s, a
 bisection/Newton hybrid on a bracket that doubles outward on laps extending
 to infinity (targets may sit arbitrarily close to critical values, where
 the derivative underflows and bare Newton crawls or escapes).  It runs in
@@ -165,13 +167,22 @@ class Polynomial:
             return Polynomial((self.coefficients[0] * 0,))
         return Polynomial(tuple(c * (i + 1) for i, c in enumerate(self.coefficients[1:])))
 
+    def solve(self, target, lo, hi, orientation, ctx: PrecisionContext, start=None):
+        """x with self(x) = target on a monotone lap, by :func:`solve_monotone` from ``start``."""
+        return solve_monotone(self, target, lo, hi, orientation, ctx, start=start)
+
+    def precompose(self, offset, scale) -> "Polynomial":
+        """The polynomial x |-> self(offset + scale * x), by :func:`affine_substitute`."""
+        return affine_substitute(self, offset, scale)
+
 
 @dataclass(frozen=True)
 class PowerMap:
     """``value + lead * (x - center)**degree`` in mpfs of one context: a map with one
     critical point that evaluates like a :class:`Polynomial`, whose ``coefficients``
-    come from one cached expansion, :attr:`expanded`, and whose ``derivative()`` is
-    the closed form ``degree * lead * (x - center)**(degree - 1)``."""
+    come from one cached expansion, :attr:`expanded`, and whose ``derivative()``,
+    ``solve`` and ``precompose`` stay in closed form: the derivative is
+    ``degree * lead * (x - center)**(degree - 1)``."""
 
     center: object
     value: object
@@ -190,6 +201,16 @@ class PowerMap:
         out = object.__new__(kind)
         out._mpf_ = mpf_add(self.value._mpf_, rise, prec, rounding)
         return out
+
+    def solve(self, target, lo, hi, orientation, ctx: PrecisionContext, start=None):
+        """x with self(x) = target on a monotone lap, by :func:`solve_power` on the side
+        of ``center`` where the lap has ``orientation``: one root, so ``start`` goes unused."""
+        side = orientation * self._lead_sign
+        return solve_power(self, target, self.center, self.value, side, ctx, lo, hi)
+
+    @cached_property
+    def _lead_sign(self) -> int:
+        return 1 if self.lead > 0 else -1
 
     def precompose(self, offset, scale) -> "PowerMap":
         """The map x |-> self(offset + scale * x), in closed form."""

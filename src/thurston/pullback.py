@@ -19,13 +19,13 @@ them once and keeps them (:func:`~thurston.combinatorics.laps`,
 :func:`~thurston.combinatorics.core_indices`); it is given only the points,
 the context and the previous step's solutions.
 
-Steps 2 and 3 invert f on its laps with the solver :func:`_lap_solver`
-picks once per map.  With one critical point c, f stays a
-:class:`~thurston.mpnum.PowerMap` v + a (x - c)**d through steps 1-4: built
-as v + (sigma/d) x**d, reframed in closed form, inverted by one root
-(:func:`~thurston.mpnum.solve_power`), and expanded into a dense polynomial
-only for the result and the trace.  With two or more, the laps are searched
-by :func:`~thurston.mpnum.solve_monotone`, from the previous step's solution.
+Steps 2 and 3 invert f on its laps by its own ``solve``, and step 2 reframes
+it by its own ``precompose``.  With one critical point c, f is a
+:class:`~thurston.mpnum.PowerMap` v + a (x - c)**d, built as v + (sigma/d)
+x**d, reframed in closed form and inverted by one root; the run reports it as
+it is, and its ``coefficients`` expand it when first read.  With two or more,
+f is a dense :class:`~thurston.mpnum.Polynomial` whose laps are searched from
+the previous step's solution.
 
 Iterating contracts toward the unique polynomial realizing the
 combinatorics.  The core (:func:`~thurston.combinatorics.core_indices`)
@@ -47,9 +47,7 @@ from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_sqrt, m
 
 from . import combinatorics as comb
 from . import critvals
-from .mpnum import (
-    Polynomial, PowerMap, PrecisionContext, affine_substitute, solve_monotone, solve_power, unboxed
-)
+from .mpnum import Polynomial, PowerMap, PrecisionContext, unboxed
 
 STALL_WINDOW = 4
 STALL_FACTOR = 0.5
@@ -104,7 +102,7 @@ class NormalizedMap:
 @dataclass(frozen=True)
 class StepRecord:
     step: int
-    polynomial: Polynomial
+    polynomial: Polynomial | PowerMap  # the map the step iterated
     configuration: MarkedConfiguration
     fit: object
     digits: int
@@ -131,7 +129,7 @@ class RunOptions:
 class RunResult:
     combinatorics: comb.Combinatorics  # final (possibly simplified)
     original: comb.Combinatorics
-    polynomial: Optional[Polynomial]
+    polynomial: Optional[Polynomial | PowerMap]  # the map the run iterated last
     configuration: Optional[MarkedConfiguration]
     iterations: int
     fit: object
@@ -173,32 +171,13 @@ def mapmake(
     return critvals.realize_critical_values(values, multiplicities, sigma, ctx, previous)
 
 
-def _lap_solver(f, critical_points, ctx: PrecisionContext):
-    """``solve(target, lo, hi, orientation, start=None)`` for f(x) = target on a lap.
-
-    One critical point c: :func:`solve_power` on the side orientation * sign(a) of c,
-    with f(c) (a PowerMap's ``value``) once per map.  More: :func:`solve_monotone` from ``start``.
-    """
-    if len(critical_points) == 1:
-        (center,) = critical_points
-        value = f(center)
-        lead_sign = 1 if f.lead > 0 else -1
-
-        def solve(target, lo, hi, orientation, start=None):
-            return solve_power(f, target, center, value, orientation * lead_sign, ctx, lo, hi)
-    else:
-        def solve(target, lo, hi, orientation, start=None):
-            return solve_monotone(f, target, lo, hi, orientation, ctx, start=start)
-    return solve
-
-
-def _lap_preimage(solve, laps: comb.LapStructure, j: int, bounds, target, start):
+def _lap_preimage(f, laps: comb.LapStructure, j: int, bounds, target, start, ctx: PrecisionContext):
     """The solution of f(x) = target on the lap of index j, between
     ``bounds`` (marked points 0..n) at the lap's ends, started from ``start``."""
     lap = laps.lap_of(j)
     lo = bounds[0 if lap.left is None else lap.left]
     hi = bounds[-1 if lap.right is None else lap.right]
-    return solve(target, lo, hi, lap.orientation, start=start)
+    return f.solve(target, lo, hi, lap.orientation, ctx, start=start)
 
 
 def normalize(
@@ -221,18 +200,14 @@ def normalize(
     crit_at = dict(zip(c.critical_points(), realized.critical_points))
     target_low = ctx.mp.mpf(0 if c.m[0] == 0 else 1)
     target_high = ctx.mp.mpf(0 if c.m[c.n] == 0 else 1)
-    solve = _lap_solver(f_raw, realized.critical_points, ctx)
     low, high = (None, None) if previous is None else (previous.frame_low, previous.frame_high)
-    A = solve(target_low, None, crit_at[first.right], first.orientation, start=low)
-    B = solve(target_high, crit_at[last.left], None, last.orientation, start=high)
+    A = f_raw.solve(target_low, None, crit_at[first.right], first.orientation, ctx, start=low)
+    B = f_raw.solve(target_high, crit_at[last.left], None, last.orientation, ctx, start=high)
     if not B > A:
         raise PullbackError("framing points came out in the wrong order")
 
     scale = B - A
-    if isinstance(f_raw, PowerMap):
-        f = f_raw.precompose(A, scale)
-    else:
-        f = affine_substitute(f_raw, A, scale)
+    f = f_raw.precompose(A, scale)
     moved = tuple((p - A) / scale for p in realized.critical_points)
     return NormalizedMap(f, moved, A, B)
 
@@ -250,15 +225,14 @@ def pullback_step(
     solves f(x'_k) = prev[m_k] inside the lap that contains k, warm-started
     from prev[k] where the solver searches.
     """
-    n, laps = c.n, comb.laps(c)
-    solve = _lap_solver(normalized.polynomial, normalized.critical_points, ctx)
+    n, laps, f = c.n, comb.laps(c), normalized.polynomial
     new = [None] * (n + 1)
     for j, point in zip(c.critical_points(), normalized.critical_points):
         new[j] = point
     new[0], new[n] = ctx.mp.mpf(0), ctx.mp.mpf(1)
     for j in range(1, n):
         if new[j] is None:
-            new[j] = _lap_preimage(solve, laps, j, new, prev.points[c.m[j]], prev.points[j])
+            new[j] = _lap_preimage(f, laps, j, new, prev.points[c.m[j]], prev.points[j], ctx)
 
     try:  # the endpoints are pinned, so only the order check can fail
         return MarkedConfiguration(tuple(new))
@@ -303,8 +277,8 @@ def place_passengers(c: comb.Combinatorics, normalized: NormalizedMap, x: Marked
     m, points = c.m, list(x.points)
     core, laps = comb.core_indices(c), comb.laps(c)
     passengers = [j for j in range(c.n + 1) if j not in core]
-    solve = _lap_solver(normalized.polynomial, normalized.critical_points, ctx)
-    slope = normalized.polynomial.derivative()
+    f = normalized.polynomial
+    slope = f.derivative()
     ends = {j: (max(k for k in core if k < j), min(k for k in core if k > j)) for j in passengers}
 
     def place(j, value):
@@ -316,7 +290,7 @@ def place_passengers(c: comb.Combinatorics, normalized: NormalizedMap, x: Marked
         for _ in range(PLACEMENT_ITERATIONS):
             y, gain = points[j], 1
             for i in reversed(cycle):
-                y = _lap_preimage(solve, laps, i, points, y, points[i])
+                y = _lap_preimage(f, laps, i, points, y, points[i], ctx)
                 df = slope(y)
                 gain = gain / df if df else 0
                 if i != j:
@@ -339,7 +313,7 @@ def place_passengers(c: comb.Combinatorics, normalized: NormalizedMap, x: Marked
         for i in reversed(path):
             if i not in settled:
                 target = points[m[i]]
-                place(i, _lap_preimage(solve, laps, i, points, target, points[i]))
+                place(i, _lap_preimage(f, laps, i, points, target, points[i], ctx))
                 settled.add(i)
     for j in passengers:
         if j - 1 in ends:
@@ -370,10 +344,6 @@ def _merged_configuration(x: MarkedConfiguration, groups, ctx: PrecisionContext)
     pts = [(p - lo) / span for p in points]
     pts[0], pts[-1] = ctx.mp.mpf(0), ctx.mp.mpf(1)
     return MarkedConfiguration(tuple(pts))
-
-
-def _dense(f) -> Optional[Polynomial]:
-    return f.expanded if isinstance(f, PowerMap) else f
 
 
 def _collapse_threshold(ctx: PrecisionContext, n: int):
@@ -432,7 +402,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
         residuals.append(eps)
         window.append(eps_core)
         if options.keep_trace:
-            trace.append(StepRecord(step, _dense(f), new_x, eps, ctx.digits))
+            trace.append(StepRecord(step, f, new_x, eps, ctx.digits))
 
         # Collapse bookkeeping: persistent sub-threshold gaps, or hitting the
         # tolerance while gaps are degenerate, both force a merge.
@@ -481,7 +451,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
             window = []
 
     return RunResult(
-        combinatorics=c, original=original, polynomial=_dense(f), configuration=x,
+        combinatorics=c, original=original, polynomial=f, configuration=x,
         iterations=step, fit=eps, converged=converged, digits=ctx.digits,
         precision_history=tuple(precision_history),
         collapse_events=tuple(collapse_events), residuals=tuple(residuals),

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from thurston import cli
+from thurston._table import ROWS
 
 
 def invoke(*args, env=None):
@@ -218,10 +219,17 @@ def test_plot_names_a_malformed_field_of_a_stored_document(tmp_path, field, chan
     assert f"malformed {field}" in result.output
 
 
+@pytest.mark.parametrize("samples", ["1", "-3"])
+def test_plot_refuses_fewer_than_two_samples(samples):
+    result = CliRunner().invoke(cli.main, ["plot", "0,1,0", "--samples", samples])
+    assert result.exit_code == 2
+    assert "--samples" in result.output
+
+
 # ---------------------------------------------------------------- table
 
 def test_table_runs_all_reference_rows():
-    result = invoke("table", "--format", "json", "--jobs", "0")
+    result = invoke("table", "--format", "json")
     doc = json.loads(result.output)
     assert result.exit_code == 0
     rows = {r["key"]: r for r in doc["rows"]}
@@ -242,3 +250,20 @@ def test_table_runs_all_reference_rows():
     assert "framing-inconsistent" in rows["degree 7"]["note"]
     assert rows["collapse quartic"]["collapse"] == ["0,3,2,1,2,0"]
     assert rows["collapse sextic"]["collapse"] == ["0,4,0,1,0,6,0"]
+
+
+def test_table_keeps_row_order_when_one_run_fails(monkeypatch):
+    failing = ROWS[0].combinatorics
+    run = cli.pullback.run
+
+    def sometimes(c, options):
+        if cli.comb.render(c) == failing:
+            raise cli.pullback.PullbackError("no luck")
+        return run(c, options)
+
+    monkeypatch.setattr(cli.pullback, "run", sometimes)
+    result = invoke("table", "--format", "json")
+    rows = json.loads(result.output)["rows"]
+    assert result.exit_code == 4
+    assert [r["key"] for r in rows] == [row.key for row in ROWS]
+    assert all(r["ok"] == (row.combinatorics != failing) for r, row in zip(rows, ROWS))

@@ -83,7 +83,10 @@ def test_parse_minimal_tent():
     assert c.local_degree == (1, 2, 1)
 
 
-@pytest.mark.parametrize("bad", ["", "0", "0,,1", "0,x,1", "0,1,", "0,1^,0"])
+@pytest.mark.parametrize("bad", [
+    "", "0", "0,,1", "0,x,1", "0,1,", "0,1^,0",
+    5, None, ["0", "1", "0"], b"0,1,0",  # not text
+])
 def test_parse_syntax_errors(bad):
     with pytest.raises(comb.ParseError):
         comb.parse(bad)

@@ -641,3 +641,33 @@ def test_power_map_reframes_as_affine_substitution(case, offset, scale):
     assert type(got) is mpnum.PowerMap and got.degree == want.degree
     for g, w in zip(got.coefficients, want.coefficients):
         assert abs(g - w) <= ctx.mpf("1e-30")
+
+
+@given(
+    closed_forms(decades=1),
+    st.fractions(0, 2, max_denominator=1000).filter(bool),
+    st.fractions(-1, 1, max_denominator=1000),
+    st.fractions(Fraction(1, 2), 2, max_denominator=1000),
+)
+@settings(max_examples=100, deadline=None)
+def test_each_map_kind_solves_and_reframes_by_its_own_kernel(case, r, offset, scale):
+    # PowerMap.solve is solve_power on the side orientation * sign(lead) of its
+    # critical point; Polynomial.solve and .precompose are solve_monotone and
+    # affine_substitute.  Same bits on both laps.
+    ctx, f, _ = case
+    p = f.expanded
+    r, offset, scale = ctx.mpf(r), ctx.mpf(offset), ctx.mpf(scale)
+    for side in (-1, 1):
+        target = f(f.center + side * r)
+        lo, hi = (f.center, None) if side > 0 else (None, f.center)
+        orientation = side * (1 if f.lead > 0 else -1)
+        got = f.solve(target, lo, hi, orientation, ctx)
+        want = mpnum.solve_power(f, target, f.center, f(f.center), side, ctx, lo, hi)
+        assert got._mpf_ == want._mpf_
+        start = f.center + side * r / 2
+        got = p.solve(target, lo, hi, orientation, ctx, start=start)
+        want = mpnum.solve_monotone(p, target, lo, hi, orientation, ctx, start=start)
+        assert got._mpf_ == want._mpf_
+    got, want = p.precompose(offset, scale), mpnum.affine_substitute(p, offset, scale)
+    assert type(got) is mpnum.Polynomial
+    assert [c._mpf_ for c in got.coefficients] == [c._mpf_ for c in want.coefficients]
