@@ -17,7 +17,6 @@ cross the tool boundary.
 from __future__ import annotations
 
 import json
-import operator
 import sys
 
 import click
@@ -137,9 +136,11 @@ def _load_result(path) -> dict:
 
 def _plotted(doc) -> tuple:
     """The context, map, combinatorics and marked points (x, f(x)) of a result
-    document; a malformed field is a usage error that names it."""
-    def read(name, convert):
+    document; a field of the wrong JSON type or value is a usage error that names it."""
+    def read(name, kind, convert):
         try:
+            if type(doc[name]) is not kind:  # a bool is no integer here
+                raise TypeError(f"expected {kind.__name__}, got {type(doc[name]).__name__}")
             return convert(doc[name])
         except (ValueError, TypeError) as exc:
             raise click.UsageError(f"malformed {name} in the result document: {exc}") from exc
@@ -149,10 +150,10 @@ def _plotted(doc) -> tuple:
             raise ValueError(f"{len(values)} points, but the combinatorics has {final.n + 1}")
         return [(xj, f(xj)) for xj in map(ctx.mpf, values)]  # f refuses inf and nan
 
-    ctx = PrecisionContext(max(read("working_digits", operator.index), 15))
-    f = read("coefficients", lambda values: Polynomial(tuple(ctx.mpf(v) for v in values)))
-    final = read("combinatorics", comb.parse)
-    return ctx, f, final, read("marked_points", marked)
+    ctx = PrecisionContext(max(read("working_digits", int, int), 15))
+    f = read("coefficients", list, lambda values: Polynomial(tuple(map(ctx.mpf, values))))
+    final = read("combinatorics", str, comb.parse)
+    return ctx, f, final, read("marked_points", list, marked)
 
 
 def _poly_text(doc) -> str:
@@ -300,7 +301,7 @@ def plot(combinatorics_text, result_path, tol, max_iter, digits, max_digits, sam
         doc = result_document(combinatorics_text, result, options)
     else:
         raise click.UsageError("give a combinatorics sequence or --result FILE")
-    if not doc.get("coefficients"):
+    if doc["coefficients"] is None:
         click.echo("document holds no polynomial", err=True)
         sys.exit(EXIT_NO_CONVERGENCE)
 

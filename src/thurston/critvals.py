@@ -180,14 +180,14 @@ def phi_jacobian(problem: PhiProblem) -> tuple:
     return tuple(zip(*columns))
 
 
-def chebyshev_init(r: int, multiplicities, ctx: PrecisionContext, s) -> tuple:
+def chebyshev_init(multiplicities, ctx: PrecisionContext, s) -> tuple:
     """Starting gaps for the inversion of Phi at the value gaps ``s``.
 
     Gap pattern of the critical points of the degree r+1 first-kind
-    Chebyshev polynomial (scaled by 2/4**(1/r)), then rescaled by
-    homogeneity so that the components of Phi sum to sum(s).
+    Chebyshev polynomial, r = len(multiplicities) (scaled by 2/4**(1/r)),
+    then rescaled by homogeneity so that the components of Phi sum to sum(s).
     """
-    if r < 2:
+    if (r := len(multiplicities)) < 2:
         raise ValueError("need at least two distinct critical points")
     mp = ctx.mp
     scale = 2 / mp.mpf(4) ** (mp.mpf(1) / r)
@@ -282,7 +282,7 @@ def invert_phi(
     """
     s, mults = _checked_targets(s, multiplicities, ctx)
     if initial is None:
-        gaps = chebyshev_init(len(mults), mults, ctx, s)
+        gaps = chebyshev_init(mults, ctx, s)
     else:
         gaps = tuple(ctx.mpf(g) for g in initial)
     tol = ctx.newton_tol
@@ -324,7 +324,7 @@ def continuation_invert(s, multiplicities, ctx: PrecisionContext) -> InversionRe
     contract.
     """
     s, mults = _checked_targets(s, multiplicities, ctx)
-    start = chebyshev_init(len(mults), mults, ctx, s)
+    start = chebyshev_init(mults, ctx, s)
     y0 = phi(PhiProblem(start, mults))
     rhs = [b - a for a, b in zip(y0, s)]
 

@@ -24,15 +24,15 @@ precision, every result is bit-identical to it.  Values become pairs only
 inside the kernels, where inf and nan are refused.
 
 Two solvers invert a map on a single monotone lap, both to the residual
-``10 * tau * max(1, |target|)``: :func:`solve_power` with one n-th root, a
-``PowerMap``'s ``solve``, and :func:`solve_monotone`, a ``Polynomial``'s, a
-bisection/Newton hybrid on a bracket that doubles outward on laps extending
-to infinity (targets may sit arbitrarily close to critical values, where
-the derivative underflows and bare Newton crawls or escapes).  It runs in
-block fixed point on plain ints (:func:`block_horner`), each evaluation off
-by at most (d + 1) 2**(d - 31) times the residual bound.  Its Newton may
-start from a point inside the lap, such as a marked point's position one
-pull-back earlier.
+``10 * tau * max(1, |target|)``: a ``PowerMap``'s ``solve`` by one n-th root,
+and :func:`solve_monotone`, a ``Polynomial``'s, a bisection/Newton hybrid on
+a bracket that doubles outward on laps extending to infinity (targets may
+sit arbitrarily close to critical values, where the derivative underflows
+and bare Newton crawls or escapes).  It runs in block fixed point on plain
+ints (:func:`block_horner`), each evaluation off by at most
+(d + 1) 2**(d - 31) times the residual bound.  Its Newton may start from a
+point inside the lap, such as a marked point's position one pull-back
+earlier.
 """
 
 from __future__ import annotations
@@ -138,10 +138,6 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    @property
-    def lead(self):
-        return self.coefficients[-1]
-
     def __call__(self, x):
         kind, descending = self._raw_horner
         if type(x) is not kind:
@@ -203,10 +199,50 @@ class PowerMap:
         return out
 
     def solve(self, target, lo, hi, orientation, ctx: PrecisionContext, start=None):
-        """x with self(x) = target on a monotone lap, by :func:`solve_power` on the side
-        of ``center`` where the lap has ``orientation``: one root, so ``start`` goes unused."""
-        side = orientation * self._lead_sign
-        return solve_power(self, target, self.center, self.value, side, ctx, lo, hi)
+        """x with self(x) = target on a monotone lap by one n-th root, so ``start`` goes
+        unused: x = center + side * ((target - value) / lead)**(1/degree), where ``side``
+        = ``orientation`` * sign(lead) is -1 left of ``center`` and +1 right of it.
+        ``lo`` and ``hi``, where given, bound the lap.
+
+        The residual contract is :func:`solve_monotone`'s.  A target within its
+        tolerance of ``value`` returns ``center``, and a root beyond ``lo`` or ``hi``
+        that end if the end meets it.  Any other target outside the lap's range
+        (beyond ``value`` or past a lap end) raises :class:`RootBracketError`; an odd
+        degree, or an infinite or nan target, center, value or lead, raises ValueError.
+        """
+        if self.degree % 2:
+            raise ValueError(f"closed-form lap inversion needs an even degree, got {self.degree}")
+        mp, box = ctx.mp, ctx.mp.make_mpf
+        prec, rounding = mp._prec_rounding
+        target, center, value, lead = unboxed(mp.mpf, (target, self.center, self.value, self.lead))
+        for raw in (target, center, value, lead):
+            to_pair(raw)  # refuses inf and nan
+        value_tol = _value_tolerance(target, ctx)
+        rise = mpf_sub(target, value, prec, rounding)
+        if mpf_le(mpf_abs(rise, prec, rounding), value_tol):
+            return box(center)
+        ratio = mpf_div(rise, lead, prec, rounding)
+        if mpf_lt(ratio, fzero):
+            raise RootBracketError(
+                f"target {ctx.format(box(target), 8)} lies beyond the critical value "
+                f"{ctx.format(box(value), 8)}"
+            )
+        step = (mpf_sqrt(ratio, prec, rounding) if self.degree == 2  # the common case, 2-3x faster
+                else mpf_nthroot(ratio, self.degree, prec, rounding))
+        x = (mpf_add if orientation * self._lead_sign > 0 else mpf_sub)(center, step, prec, rounding)
+        for end, outside in ((lo, mpf_lt), (hi, mpf_gt)):
+            if end is None:
+                continue
+            (end,) = unboxed(mp.mpf, (end,))
+            if outside(x, end):
+                miss = mpf_sub(self(box(end))._mpf_, target, prec, rounding)
+                if mpf_le(mpf_abs(miss, prec, rounding), value_tol):
+                    return box(end)
+                raise RootBracketError(
+                    f"target {ctx.format(box(target), 8)} outside lap range: its root "
+                    f"{ctx.format(box(x), 8)} lies beyond the lap end {ctx.format(box(end), 8)}"
+                )
+        return box(x)
 
     @cached_property
     def _lead_sign(self) -> int:
@@ -526,63 +562,3 @@ def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionCon
             return mp.make_mpf(to_raw((x, -shift)))
         x = newton if low < newton < high else fit(low + high >> 1)  # else bisect
     raise RootBracketError("root refinement failed to meet tolerance")
-
-
-def solve_power(
-    p, target, center, value, side, ctx: PrecisionContext, lo=None, hi=None
-):
-    """Solve p(x) = target on one side of p's only critical point, in closed form.
-
-    p, a :class:`PowerMap` or a :class:`Polynomial`, must be
-    ``value + lead * (x - center)**d`` up to the rounding of its
-    coefficients, with d = deg p even, ``lead`` its leading coefficient and
-    ``value = p(center)``, which the caller computes once per map.  The
-    root is then x = center + side * ((target - value) / lead)**(1/d), one
-    n-th root in place of :func:`solve_monotone`'s search; ``side`` is -1
-    on the lap left of ``center`` and +1 on the lap right of it.  ``lo`` and
-    ``hi``, where given, bound the lap.
-
-    The residual contract is :func:`solve_monotone`'s,
-    ``|p(x) - target| <= 10 * tau * max(1, |target|)``.  A target within
-    that tolerance of ``value`` returns ``center``; a root beyond ``lo`` or
-    ``hi`` returns that end if the end meets the tolerance.  Any other
-    target outside the lap's range, on the wrong side of ``value`` or past
-    a lap end, raises :class:`RootBracketError`; an infinite or nan
-    target, center, value or lead raises ValueError.
-    """
-    if p.degree % 2:
-        raise ValueError(f"closed-form lap inversion needs an even degree, got {p.degree}")
-    mp = ctx.mp
-    prec, rounding = mp._prec_rounding
-    box = mp.make_mpf
-    target, center, value, lead = unboxed(mp.mpf, (target, center, value, p.lead))
-    for raw in (target, center, value, lead):
-        to_pair(raw)  # refuses inf and nan
-    value_tol = _value_tolerance(target, ctx)
-    rise = mpf_sub(target, value, prec, rounding)
-    if mpf_le(mpf_abs(rise, prec, rounding), value_tol):
-        return box(center)
-    ratio = mpf_div(rise, lead, prec, rounding)
-    if mpf_lt(ratio, fzero):
-        raise RootBracketError(
-            f"target {ctx.format(box(target), 8)} lies beyond the critical value "
-            f"{ctx.format(box(value), 8)}"
-        )
-    if p.degree == 2:
-        step = mpf_sqrt(ratio, prec, rounding)  # the common case, 2-3x faster
-    else:
-        step = mpf_nthroot(ratio, p.degree, prec, rounding)
-    x = (mpf_add if side > 0 else mpf_sub)(center, step, prec, rounding)
-    for end, outside in ((lo, mpf_lt), (hi, mpf_gt)):
-        if end is None:
-            continue
-        (end,) = unboxed(mp.mpf, (end,))
-        if outside(x, end):
-            miss = mpf_sub(p(box(end))._mpf_, target, prec, rounding)
-            if mpf_le(mpf_abs(miss, prec, rounding), value_tol):
-                return box(end)
-            raise RootBracketError(
-                f"target {ctx.format(box(target), 8)} outside lap range: its root "
-                f"{ctx.format(box(x), 8)} lies beyond the lap end {ctx.format(box(end), 8)}"
-            )
-    return box(x)

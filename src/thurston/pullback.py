@@ -346,10 +346,6 @@ def _merged_configuration(x: MarkedConfiguration, groups, ctx: PrecisionContext)
     return MarkedConfiguration(tuple(pts))
 
 
-def _collapse_threshold(ctx: PrecisionContext, n: int):
-    return ctx.mpf(COLLAPSE_THRESHOLD) / n
-
-
 def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
     """Iterate mapmake -> normalize -> pullback -> fit until the core fits,
     then place the passengers (:func:`place_passengers`), to convergence.
@@ -360,7 +356,8 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
     involved points and the run continues on the simplified combinatorics;
     reaching the fit tolerance while gaps sit below the threshold triggers
     the same merge, so a collapsing run never reports a degenerate
-    configuration as its answer.
+    configuration as its answer.  The tolerance and the threshold
+    (``COLLAPSE_THRESHOLD / n``) are worked out again only on an escalation or merge.
     """
     report = comb.validate(c)
     if not report.passed:
@@ -369,24 +366,21 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
 
     original = c
     ctx = PrecisionContext(options.start_digits)
-    tol = ctx.mpf(options.tol)
-    threshold = _collapse_threshold(ctx, c.n)
+    limits = None  # the context and combinatorics that tol and threshold were worked out for
     inversion = framed = None  # the previous step's, while the combinatorics holds
 
     x = init_configuration(c, ctx)
-    residuals = []
+    residuals, collapse_events, trace = [], [], []
     window = []  # eps_core since last escalation or merge
     precision_history = [(1, ctx.digits)]
-    collapse_events = []
-    trace = []
-    gap_streak = {}
-    f = None
-    eps = None
-    converged = False
+    gap_streak, f, eps, converged = {}, None, None, False
 
     step = 0
     while step < options.max_iter:
         step += 1
+        if limits != (ctx, c):
+            limits = (ctx, c)
+            tol, threshold = ctx.mpf(options.tol), ctx.mpf(COLLAPSE_THRESHOLD) / c.n
         try:
             realized = mapmake(c, x, ctx, inversion)
             normalized = normalize(c, realized, ctx, framed)
@@ -424,12 +418,8 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
             collapse_events.append(
                 CollapseEvent(step, groups, before=comb.render(c), after=comb.render(simplified))
             )
-            x = _merged_configuration(new_x, groups, ctx)
-            c = simplified
-            inversion = framed = None
-            threshold = _collapse_threshold(ctx, c.n)
-            gap_streak = {}
-            window = []
+            x, c = _merged_configuration(new_x, groups, ctx), simplified
+            inversion, framed, gap_streak, window = None, None, {}, []
             continue
 
         x = new_x
@@ -441,13 +431,9 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
             and window[-1] > window[-1 - STALL_WINDOW] * STALL_FACTOR
             and ctx.digits < options.max_digits
         ):
-            new_digits = min(2 * ctx.digits, options.max_digits)
-            ctx = PrecisionContext(new_digits)
-            tol = ctx.mpf(options.tol)
-            threshold = _collapse_threshold(ctx, c.n)
-            interior = tuple(ctx.mpf(p) for p in x.points[1:-1])
-            x = MarkedConfiguration((ctx.mp.mpf(0), *interior, ctx.mp.mpf(1)))
-            precision_history.append((step + 1, new_digits))
+            ctx = PrecisionContext(min(2 * ctx.digits, options.max_digits))
+            x = MarkedConfiguration(tuple(map(ctx.mpf, x.points)))
+            precision_history.append((step + 1, ctx.digits))
             window = []
 
     return RunResult(

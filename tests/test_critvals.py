@@ -197,13 +197,13 @@ def test_jacobian_matches_the_chain_rule_through_centered_points(case):
 def test_chebyshev_init_two_points():
     # with k=(1,1), Phi(d) = d^3/6, so the rescaled start solves d^3/6 = 1
     ctx = ctx40()
-    (rho,) = critvals.chebyshev_init(2, (1, 1), ctx, [1])
+    (rho,) = critvals.chebyshev_init((1, 1), ctx, [1])
     assert ctx.equal(rho, ctx.mp.mpf(6) ** (ctx.mp.mpf(1) / 3))
 
 
 def test_chebyshev_init_three_points_symmetric():
     ctx = ctx40()
-    rho = critvals.chebyshev_init(3, (1, 1, 1), ctx, [1, 1])
+    rho = critvals.chebyshev_init((1, 1, 1), ctx, [1, 1])
     assert ctx.equal(rho[0], rho[1])
     values = critvals.phi(problem(ctx, rho, [1, 1, 1]))
     for v in values:
@@ -214,7 +214,7 @@ def test_chebyshev_init_positive_and_sum_matched():
     ctx = ctx40()
     for r, mults in [(2, (1, 2)), (4, (1, 1, 1, 1)), (5, (2, 1, 3, 1, 2))]:
         s = [Fraction(k, 7) for k in range(1, r)]
-        rho = critvals.chebyshev_init(r, mults, ctx, s)
+        rho = critvals.chebyshev_init(mults, ctx, s)
         assert len(rho) == r - 1
         assert all(g > 0 for g in rho)
         assert ctx.equal(sum(critvals.phi(problem(ctx, rho, mults))), Fraction(r * (r - 1), 14))

@@ -142,7 +142,7 @@ def test_non_finite_values_are_refused(bad):
     with pytest.raises(ValueError, match="finite"):
         f(bad)
     with pytest.raises(ValueError, match="finite"):
-        mpnum.solve_power(f, bad, f.center, f.value, 1, ctx, 0, 1)
+        f.solve(bad, 0, 1, -1, ctx)
 
 
 def test_caches_leave_equality_hash_and_repr_alone():
@@ -506,19 +506,18 @@ def test_evaluation_across_far_apart_magnitudes(digits):
 
 @st.composite
 def power_maps(draw):
-    """p = v + a (x - c)**d expanded, with d even, a of either sign over
-    several decades, a side of c and a root offset r > 0 on it."""
+    """f = v + a (x - c)**d with d even, a of either sign over several
+    decades, the orientation of its lap on a side of c and a root offset
+    r > 0 on that side."""
     ctx = mpnum.PrecisionContext(draw(st.sampled_from([40, 80])))
     d = draw(st.sampled_from([2, 4, 6]))
     a = draw(st.sampled_from([-1, 1])) * ctx.mpf(draw(st.fractions(1, 10))) * (
         ctx.mp.mpf(10) ** draw(st.integers(-3, 3)))
     c = ctx.mpf(draw(st.fractions(-1, 1, max_denominator=1000)))
     v = ctx.mpf(draw(st.fractions(-1, 1, max_denominator=1000)))
-    base = mpnum.expand_roots(a, (c,), (d,))
-    p = mpnum.Polynomial((base.coefficients[0] + v,) + base.coefficients[1:])
     side = draw(st.sampled_from([-1, 1]))
     r = ctx.mpf(draw(st.fractions(0, 2, max_denominator=1000).filter(bool)))
-    return ctx, p, c, side, r
+    return ctx, mpnum.PowerMap(c, v, a, d), side, side * (1 if a > 0 else -1), r
 
 
 def residual_bound(ctx, target):
@@ -528,40 +527,39 @@ def residual_bound(ctx, target):
 @given(power_maps())
 @settings(max_examples=200, deadline=None)
 def test_closed_form_root_meets_the_contract_and_agrees_with_the_search(case):
-    ctx, p, c, side, r = case
-    value, lead = p(c), p.coefficients[-1]
-    target = p(c + side * r)
-    root = mpnum.solve_power(p, target, c, value, side, ctx)
+    ctx, f, side, orientation, r = case
+    c, p = f.center, f.expanded
+    target = f(c + side * r)
+    root = f.solve(target, None, None, orientation, ctx)
     bound = residual_bound(ctx, target)
-    assert abs(p(root) - target) <= bound
+    assert abs(f(root) - target) <= bound
     assert (root - c) * side >= 0
-    # the same lap searched by solve_monotone, unbounded away from c
-    orientation = side * (1 if lead > 0 else -1)
+    # the same lap of the expansion searched by solve_monotone, unbounded away from c
     lo, hi = (c, None) if side > 0 else (None, c)
     searched = mpnum.solve_monotone(p, target, lo, hi, orientation, ctx)
-    # |p(x) - p(y)| >= |lead| |x - y|**d for x, y on one side of c
-    assert abs(p(root) - p(searched)) <= 2 * bound
-    assert abs(root - searched) <= (4 * bound / abs(lead)) ** (ctx.mp.mpf(1) / p.degree)
+    # |f(x) - f(y)| >= |lead| |x - y|**d for x, y on one side of c
+    assert abs(f(root) - p(searched)) <= 2 * bound
+    assert abs(root - searched) <= (4 * bound / abs(f.lead)) ** (ctx.mp.mpf(1) / f.degree)
 
 
 @given(power_maps())
 @settings(max_examples=100, deadline=None)
 def test_closed_form_root_rejects_targets_outside_the_lap(case):
-    ctx, p, c, side, r = case
-    value = p(c)
+    ctx, f, side, orientation, r = case
+    c, value = f.center, f.value
     # beyond the critical value: no preimage on either side
-    beyond = value - (p(c + r) - value)
+    beyond = value - (f(c + r) - value)
     with pytest.raises(mpnum.RootBracketError):
-        mpnum.solve_power(p, beyond, c, value, side, ctx)
+        f.solve(beyond, None, None, orientation, ctx)
     # a bounded lap that stops halfway to the root
-    target = p(c + side * r)
+    target = f(c + side * r)
     lo, hi = (c, c + r / 2) if side > 0 else (c - r / 2, c)
-    if abs(p(c + side * r / 2) - target) > residual_bound(ctx, target):
+    if abs(f(c + side * r / 2) - target) > residual_bound(ctx, target):
         with pytest.raises(mpnum.RootBracketError):
-            mpnum.solve_power(p, target, c, value, side, ctx, lo, hi)
+            f.solve(target, lo, hi, orientation, ctx)
     # ... but a lap that contains it does not stop it
     lo, hi = (c, c + 2 * r) if side > 0 else (c - 2 * r, c)
-    root = mpnum.solve_power(p, target, c, value, side, ctx, lo, hi)
+    root = f.solve(target, lo, hi, orientation, ctx)
     assert lo <= root <= hi
 
 
@@ -569,28 +567,29 @@ def test_closed_form_root_rejects_targets_outside_the_lap(case):
 @settings(max_examples=50, deadline=None)
 def test_closed_form_root_of_the_critical_value_is_the_critical_point(case):
     # t = v, or t within the residual bound of v on either side
-    ctx, p, c, side, _ = case
-    value = p(c)
+    ctx, f, _, orientation, _ = case
     for shift in (0, 1, -1):
-        target = value + shift * residual_bound(ctx, value) / 2
-        root = mpnum.solve_power(p, target, c, value, side, ctx)
-        assert root._mpf_ == c._mpf_
+        target = f.value + shift * residual_bound(ctx, f.value) / 2
+        root = f.solve(target, None, None, orientation, ctx)
+        assert root._mpf_ == f.center._mpf_
 
 
 def test_closed_form_root_returns_a_lap_end_within_tolerance():
     # x^2 = 1 + 1e-39 on [0, 1]: the root lies past 1, but 1 meets the tolerance
     ctx = ctx40()
+    zero, one = ctx.mp.mpf(0), ctx.mp.mpf(1)
+    square = mpnum.PowerMap(zero, zero, one, 2)
     target = 1 + ctx.mpf("1e-39")
-    root = mpnum.solve_power(square(ctx), target, 0, 0, 1, ctx, 0, 1)
-    assert root == 1
-    assert mpnum.solve_power(square(ctx), ctx.mpf(Fraction(1, 4)), 0, 0, -1, ctx) == -0.5
+    assert square.solve(target, 0, 1, 1, ctx) == 1
+    assert square.solve(ctx.mpf(Fraction(1, 4)), None, None, -1, ctx) == -0.5
 
 
 def test_closed_form_root_needs_an_even_degree():
     ctx = ctx40()
-    cube = mpnum.Polynomial((ctx.mp.mpf(0),) * 3 + (ctx.mp.mpf(1),))
-    with pytest.raises(ValueError):
-        mpnum.solve_power(cube, 1, 0, 0, 1, ctx)
+    zero, one = ctx.mp.mpf(0), ctx.mp.mpf(1)
+    line = mpnum.PowerMap(zero, zero, one, 2).derivative()  # 2 x
+    with pytest.raises(ValueError, match="even degree"):
+        line.solve(1, None, None, 1, ctx)
 
 
 # ---------------------------------------------------------------- power maps
@@ -613,7 +612,7 @@ def closed_forms(draw, decades=3):
 def test_power_map_evaluates_as_its_expansion(case):
     ctx, f, x = case
     p = f.expanded
-    assert type(p) is mpnum.Polynomial and (p.degree, p.lead) == (f.degree, f.lead)
+    assert type(p) is mpnum.Polynomial and (p.degree, p.coefficients[-1]) == (f.degree, f.lead)
     assert f.coefficients == p.coefficients
     assert f(x)._mpf_ == (f.value + f.lead * (x - f.center) ** f.degree)._mpf_
     assert f(f.center)._mpf_ == f.value._mpf_
@@ -651,9 +650,9 @@ def test_power_map_reframes_as_affine_substitution(case, offset, scale):
 )
 @settings(max_examples=100, deadline=None)
 def test_each_map_kind_solves_and_reframes_by_its_own_kernel(case, r, offset, scale):
-    # PowerMap.solve is solve_power on the side orientation * sign(lead) of its
-    # critical point; Polynomial.solve and .precompose are solve_monotone and
-    # affine_substitute.  Same bits on both laps.
+    # PowerMap.solve is the closed-form root c + side * ((t - v) / a)**(1/d) on the
+    # side orientation * sign(a) of its critical point; Polynomial.solve and
+    # .precompose are solve_monotone and affine_substitute.  Same bits on both laps.
     ctx, f, _ = case
     p = f.expanded
     r, offset, scale = ctx.mpf(r), ctx.mpf(offset), ctx.mpf(scale)
@@ -662,7 +661,9 @@ def test_each_map_kind_solves_and_reframes_by_its_own_kernel(case, r, offset, sc
         lo, hi = (f.center, None) if side > 0 else (None, f.center)
         orientation = side * (1 if f.lead > 0 else -1)
         got = f.solve(target, lo, hi, orientation, ctx)
-        want = mpnum.solve_power(f, target, f.center, f(f.center), side, ctx, lo, hi)
+        ratio = (target - f.value) / f.lead
+        step = ctx.mp.sqrt(ratio) if f.degree == 2 else ctx.mp.root(ratio, f.degree)
+        want = f.center + side * step
         assert got._mpf_ == want._mpf_
         start = f.center + side * r / 2
         got = p.solve(target, lo, hi, orientation, ctx, start=start)

@@ -333,6 +333,30 @@ def test_run_builds_laps_once_per_combinatorics(monkeypatch):
     assert built == [comb.laps(result.original).laps, comb.laps(result.combinatorics).laps]
 
 
+def test_dense_maps_solve_and_reframe_through_mpnum_by_name(monkeypatch):
+    # Polynomial.solve and .precompose look solve_monotone and
+    # affine_substitute up in mpnum at each call, where a tracer that spans
+    # them by name finds them.  0,4,3,1,2,5 has two critical points and no
+    # passengers: each step solves two framing points and two interior
+    # points and reframes once; with r = 2 no gap-ratio solve is counted.
+    counts = {"solve_monotone": 0, "affine_substitute": 0}
+
+    def counted(name):
+        original = getattr(mpnum, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(mpnum, name, counted(name))
+    result = pullback.run(comb.parse("0,4,3,1,2,5"), pullback.RunOptions(tol="1e-9"))
+    assert result.converged and result.iterations > 2
+    assert counts == {"solve_monotone": 4 * result.iterations,
+                      "affine_substitute": result.iterations}
+
+
 def test_run_collapse_with_explicit_threshold(monkeypatch):
     # a looser threshold merges earlier but lands on the same limit
     strict = pullback.run(comb.parse("0,1,5,0,2,1,7,1,0"))
