@@ -141,6 +141,8 @@ def _plotted(doc) -> tuple:
         try:
             if type(doc[name]) is not kind:  # a bool is no integer here
                 raise TypeError(f"expected {kind.__name__}, got {type(doc[name]).__name__}")
+            if kind is list and any(type(v) is not str for v in doc[name]):
+                raise TypeError("elements must be decimal strings")
             return convert(doc[name])
         except (ValueError, TypeError) as exc:
             raise click.UsageError(f"malformed {name} in the result document: {exc}") from exc

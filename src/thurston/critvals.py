@@ -25,12 +25,12 @@ lies beyond 1, and delta_2 one more root.  With more, damped Newton starts
 from the Chebyshev gap pattern rescaled by homogeneity, or from the Euler
 predictor of a nearby inversion with the same multiplicities
 (:func:`predicted_start`), as the pull-back has from one step to the next.
-Should it stall or meet a singular Jacobian, path lifting
-(:func:`continuation_invert`) takes over; it needs only the Jacobian to stay
-invertible, which it does on the whole positive orthant.  Phi is translation
-invariant, so Jacobian column j sums Phi's derivatives in the points right
-of gap j; the (r-1) x (r-1) Newton systems are solved by Gaussian
-elimination on plain lists.
+Should it stall or meet a singular Jacobian, :func:`continuation_invert`
+follows the straight path from the Chebyshev start's values to s by that
+warm step, halving the step along the path where it fails.  Phi is
+translation invariant, so Jacobian column j sums Phi's derivatives in the
+points right of gap j; the (r-1) x (r-1) Newton systems are solved by
+Gaussian elimination on plain lists.
 
 Phi, its Jacobian and the elimination run on the correctly rounded integer
 pairs of :mod:`thurston.mpnum`, in the operation order and precision of the
@@ -59,7 +59,6 @@ from .mpnum import (
 
 NEWTON_MAX_ITERATIONS = 200
 NEWTON_MAX_HALVINGS = 60
-CONTINUATION_STEPS = 64
 CONTINUATION_MAX_REFINEMENTS = 20
 
 
@@ -195,10 +194,8 @@ def chebyshev_init(multiplicities, ctx: PrecisionContext, s) -> tuple:
         abs(scale * (mp.cos((j + 1) * mp.pi / (r + 1)) - mp.cos(j * mp.pi / (r + 1))))
         for j in range(1, r)
     )
-    problem = PhiProblem(raw, tuple(multiplicities))
-    ratio = sum(ctx.mpf(v) for v in s) / sum(phi(problem))
-    factor = ratio ** (mp.mpf(1) / problem.total_degree())
-    return tuple(factor * g for g in raw)
+    pattern = InversionResult(raw, 0, (), phi(PhiProblem(raw, tuple(multiplicities))))
+    return rescaled_start(pattern, s, multiplicities, ctx)
 
 
 @dataclass(frozen=True)
@@ -315,50 +312,32 @@ def invert_phi(
 
 
 def continuation_invert(s, multiplicities, ctx: PrecisionContext) -> InversionResult:
-    """Invert Phi by lifting the straight path from the start values to s.
+    """Invert Phi by following the straight path from Phi(start) to s.
 
-    Classical fourth-order Runge-Kutta with fixed steps integrates
-    ``dx/dt = Phi'(x)^{-1} (s - Phi(x0))``; if any stage leaves the positive
-    orthant the step size is halved and integration restarts.  The endpoint
-    is polished by :func:`invert_phi`, so both routes meet one residual
-    contract.
+    From the Chebyshev start, with Phi and its Jacobian there, each step
+    is the warm step of :func:`solve_gaps` toward the value gaps a step
+    further along the path.  The first step tries the whole path; a
+    :class:`NewtonStalled` or :class:`SingularJacobian` halves the step, down
+    to 2**-CONTINUATION_MAX_REFINEMENTS, and a success doubles it.  The last
+    step solves for s itself, so both routes meet one residual contract.
     """
     s, mults = _checked_targets(s, multiplicities, ctx)
-    start = chebyshev_init(mults, ctx, s)
-    y0 = phi(PhiProblem(start, mults))
-    rhs = [b - a for a, b in zip(y0, s)]
-
-    class _LeftOrthant(Exception):
-        pass
-
-    def field(x):
-        if any(not g > 0 for g in x):
-            raise _LeftOrthant
-        return solve_linear(phi_jacobian(PhiProblem(tuple(x), mults)), rhs, ctx)
-
-    steps = CONTINUATION_STEPS
-    for _ in range(CONTINUATION_MAX_REFINEMENTS + 1):
-        x = list(start)
-        h = ctx.mp.mpf(1) / steps
+    gaps = chebyshev_init(mults, ctx, s)
+    problem = PhiProblem(gaps, mults)
+    here = InversionResult(gaps, 0, (), phi(problem), phi_jacobian(problem))
+    origin, done, step = here.targets, 0.0, 1.0  # path fractions, dyadic and exact
+    while done < 1:
+        reach = min(done + step, 1.0)
+        targets = s if reach == 1 else tuple(a + reach * (b - a) for a, b in zip(origin, s))
         try:
-            for _ in range(steps):
-                k1 = field(x)
-                k2 = field([xi + h / 2 * ki for xi, ki in zip(x, k1)])
-                k3 = field([xi + h / 2 * ki for xi, ki in zip(x, k2)])
-                k4 = field([xi + h * ki for xi, ki in zip(x, k3)])
-                x = [
-                    xi + h / 6 * (a + 2 * b + 2 * c + d)
-                    for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
-                ]
-                if any(not g > 0 for g in x):
-                    raise _LeftOrthant
-        except _LeftOrthant:
-            steps *= 2
+            here = _warm_step(here, targets, mults, ctx)
+        except (NewtonStalled, SingularJacobian):
+            if step <= 2.0 ** -CONTINUATION_MAX_REFINEMENTS:
+                raise
+            step /= 2
             continue
-        break
-    else:
-        raise NewtonStalled("path lifting kept leaving the positive orthant")
-    return invert_phi(s, mults, ctx, initial=x)
+        done, step = reach, 2 * step
+    return here
 
 
 def rescaled_start(previous: InversionResult, s, multiplicities, ctx: PrecisionContext) -> tuple:
@@ -386,6 +365,12 @@ def predicted_start(previous: InversionResult, s, ctx: PrecisionContext) -> Opti
         return None
     start = tuple(ctx.mpf(g) + d for g, d in zip(previous.gaps, step))
     return start if all(g > 0 for g in start) else None
+
+
+def _warm_step(previous, s, multiplicities, ctx: PrecisionContext) -> InversionResult:
+    """Damped Newton for s from :func:`predicted_start`, else :func:`rescaled_start`."""
+    start = predicted_start(previous, s, ctx) or rescaled_start(previous, s, multiplicities, ctx)
+    return invert_phi(s, multiplicities, ctx, initial=start, min_iterations=1)
 
 
 def _beta(a, b) -> Fraction:  # B(a, b), the integral of t**a (1 - t)**b over [0, 1]
@@ -439,9 +424,7 @@ def solve_gaps(s, multiplicities, ctx: PrecisionContext, previous=None) -> Inver
     try:
         if previous is None:
             return invert_phi(s, multiplicities, ctx)
-        start = (predicted_start(previous, s, ctx)
-                 or rescaled_start(previous, s, multiplicities, ctx))
-        return invert_phi(s, multiplicities, ctx, initial=start, min_iterations=1)
+        return _warm_step(previous, s, multiplicities, ctx)
     except (NewtonStalled, SingularJacobian):
         return continuation_invert(s, multiplicities, ctx)
 

@@ -210,9 +210,15 @@ def test_plot_rejects_a_stored_file_that_is_not_a_result_document(tmp_path, text
     ("coefficients", lambda doc: {"0": 1, "4": 2}),
     ("working_digits", lambda doc: True),
     ("marked_points", lambda doc: "0" * len(doc["marked_points"])),
+    ("coefficients", lambda doc: [True] + doc["coefficients"][1:]),
+    ("coefficients", lambda doc: doc["coefficients"][:-1] + [0.1]),
+    ("marked_points", lambda doc: doc["marked_points"][:-1] + [True]),
+    ("marked_points", lambda doc: [0] + doc["marked_points"][1:]),
+    ("marked_points", lambda doc: doc["marked_points"][:-1] + [None]),
 ], ids=["coefficient abc", "coefficient inf", "digits x", "combinatorics", "one more point",
         "one point fewer", "point nan", "coefficients string", "coefficients object",
-        "digits true", "points string"])
+        "digits true", "points string", "coefficient true", "coefficient number",
+        "point true", "point number", "point null"])
 def test_plot_names_a_malformed_field_of_a_stored_document(tmp_path, field, change):
     path = tmp_path / "res.json"
     invoke("run", "0,3,2,1,4", "--out", str(path))

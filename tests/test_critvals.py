@@ -427,6 +427,28 @@ def test_continuation_with_multiplicity():
     assert ctx.equal(res.gaps[0], 1)
 
 
+def test_continuation_with_tiny_gaps_beside_triple_points():
+    # Two tiny gaps beside triple critical points; the one step over the
+    # whole path takes 70 of the 200 Newton iterations allowed.
+    ctx, mults = ctx40(), (1, 1, 3, 1, 3)
+    s = critvals.phi(problem(ctx, ("1e-4", "1e-6", "0.1", "0.5"), mults))
+    res = critvals.continuation_invert(list(s), mults, ctx)
+    values = critvals.phi(critvals.PhiProblem(res.gaps, mults))
+    assert max(abs(v - t) for v, t in zip(values, s)) <= ctx.newton_tol
+
+
+@pytest.mark.sweep
+def test_continuation_solves_seeded_problems_with_spread_gaps():
+    ctx, rng = ctx40(), random.Random(11)
+    for _ in range(40):
+        r = rng.randint(3, 6)
+        mults = [rng.randint(1, 3) for _ in range(r)]
+        s = critvals.phi(problem(ctx, [10 ** -rng.uniform(0, 3) for _ in range(r - 1)], mults))
+        res = critvals.continuation_invert(list(s), mults, ctx)
+        values = critvals.phi(critvals.PhiProblem(res.gaps, mults))
+        assert max(abs(v - t) for v, t in zip(values, s)) <= ctx.newton_tol
+
+
 def test_inversion_round_trips():
     ctx = ctx40()
     rng = random.Random(23)
