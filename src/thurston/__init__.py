@@ -33,7 +33,6 @@ from .critvals import (
     SingularJacobian,
     centered_points,
     chebyshev_init,
-    continuation_invert,
     invert_phi,
     phi,
     phi_jacobian,

@@ -25,12 +25,10 @@ lies beyond 1, and delta_2 one more root.  With more, damped Newton starts
 from the Chebyshev gap pattern rescaled by homogeneity, or from the Euler
 predictor of a nearby inversion with the same multiplicities
 (:func:`predicted_start`), as the pull-back has from one step to the next.
-Should it stall or meet a singular Jacobian, :func:`continuation_invert`
-follows the straight path from the Chebyshev start's values to s by that
-warm step, halving the step along the path where it fails.  Phi is
-translation invariant, so Jacobian column j sums Phi's derivatives in the
-points right of gap j; the (r-1) x (r-1) Newton systems are solved by
-Gaussian elimination on plain lists.
+Should a warm start stall or meet a singular Jacobian, Newton restarts once
+from the Chebyshev start.  Phi is translation invariant, so Jacobian column
+j sums Phi's derivatives in the points right of gap j; the (r-1) x (r-1)
+Newton systems are solved by Gaussian elimination on plain lists.
 
 Phi, its Jacobian and the elimination run on the correctly rounded integer
 pairs of :mod:`thurston.mpnum`, in the operation order and precision of the
@@ -59,7 +57,6 @@ from .mpnum import (
 
 NEWTON_MAX_ITERATIONS = 200
 NEWTON_MAX_HALVINGS = 60
-CONTINUATION_MAX_REFINEMENTS = 20
 
 
 class NewtonStalled(ArithmeticError):
@@ -209,10 +206,12 @@ class InversionResult:
 
 
 def _checked_targets(s, multiplicities, ctx):
-    s = tuple(ctx.mpf(v) for v in s)
+    s, mults = tuple(ctx.mpf(v) for v in s), tuple(int(k) for k in multiplicities)
+    if len(s) != len(mults) - 1:
+        raise ValueError("need exactly one value gap less than there are critical points")
     if any(not v > 0 for v in s):
         raise ValueError("value gaps must be positive")
-    return s, tuple(int(k) for k in multiplicities)
+    return s, mults
 
 
 def _residual(problem, s):
@@ -271,8 +270,7 @@ def invert_phi(
     ``initial`` defaults to the Chebyshev start.  Steps are halved whenever
     they would push a gap out of the positive orthant or fail to shrink the
     max-norm residual; exhausting the damping budget raises
-    :class:`NewtonStalled`, at which point callers fall back to
-    :func:`continuation_invert`.  The first ``min_iterations`` steps are
+    :class:`NewtonStalled`.  The first ``min_iterations`` steps are
     taken even when the residual already meets the tolerance; a step that
     meets it is then accepted without having to shrink the residual, which
     at the rounding floor it may not.
@@ -311,35 +309,6 @@ def invert_phi(
     raise NewtonStalled(f"no convergence in {NEWTON_MAX_ITERATIONS} iterations")
 
 
-def continuation_invert(s, multiplicities, ctx: PrecisionContext) -> InversionResult:
-    """Invert Phi by following the straight path from Phi(start) to s.
-
-    From the Chebyshev start, with Phi and its Jacobian there, each step
-    is the warm step of :func:`solve_gaps` toward the value gaps a step
-    further along the path.  The first step tries the whole path; a
-    :class:`NewtonStalled` or :class:`SingularJacobian` halves the step, down
-    to 2**-CONTINUATION_MAX_REFINEMENTS, and a success doubles it.  The last
-    step solves for s itself, so both routes meet one residual contract.
-    """
-    s, mults = _checked_targets(s, multiplicities, ctx)
-    gaps = chebyshev_init(mults, ctx, s)
-    problem = PhiProblem(gaps, mults)
-    here = InversionResult(gaps, 0, (), phi(problem), phi_jacobian(problem))
-    origin, done, step = here.targets, 0.0, 1.0  # path fractions, dyadic and exact
-    while done < 1:
-        reach = min(done + step, 1.0)
-        targets = s if reach == 1 else tuple(a + reach * (b - a) for a, b in zip(origin, s))
-        try:
-            here = _warm_step(here, targets, mults, ctx)
-        except (NewtonStalled, SingularJacobian):
-            if step <= 2.0 ** -CONTINUATION_MAX_REFINEMENTS:
-                raise
-            step /= 2
-            continue
-        done, step = reach, 2 * step
-    return here
-
-
 def rescaled_start(previous: InversionResult, s, multiplicities, ctx: PrecisionContext) -> tuple:
     """``previous.gaps`` scaled by t, with t**(1 + sum(k)) = sum(s) / sum(previous.targets).
 
@@ -365,12 +334,6 @@ def predicted_start(previous: InversionResult, s, ctx: PrecisionContext) -> Opti
         return None
     start = tuple(ctx.mpf(g) + d for g, d in zip(previous.gaps, step))
     return start if all(g > 0 for g in start) else None
-
-
-def _warm_step(previous, s, multiplicities, ctx: PrecisionContext) -> InversionResult:
-    """Damped Newton for s from :func:`predicted_start`, else :func:`rescaled_start`."""
-    start = predicted_start(previous, s, ctx) or rescaled_start(previous, s, multiplicities, ctx)
-    return invert_phi(s, multiplicities, ctx, initial=start, min_iterations=1)
 
 
 def _beta(a, b) -> Fraction:  # B(a, b), the integral of t**a (1 - t)**b over [0, 1]
@@ -402,14 +365,15 @@ def solve_gaps(s, multiplicities, ctx: PrecisionContext, previous=None) -> Inver
     multiplicities, starts the search: for r = 3 at its gap ratio (the
     equation is scaled so that its residual bound leaves s_1 off by at most
     about 10 tau relative); for r >= 4 at :func:`predicted_start`, else
-    :func:`rescaled_start`, with at least one Newton correction.
+    :func:`rescaled_start`, with at least one Newton correction.  Without
+    ``previous``, or should that Newton stall or meet a singular Jacobian,
+    Newton runs once from the Chebyshev start, and its errors propagate.
     """
-    if len(multiplicities) == 2:
-        s, (k1, k2) = _checked_targets(s, multiplicities, ctx)
-        gaps = (_beta_root(s[0], k1, k2, ctx),)
-        return InversionResult(gaps, 0, (), s, problem=PhiProblem(gaps, (k1, k2)))
-    if len(multiplicities) == 3:  # u = delta_1 / delta_2 in [0, 1], on x or on -x
-        s, mults = _checked_targets(s, multiplicities, ctx)
+    s, mults = _checked_targets(s, multiplicities, ctx)
+    if len(mults) == 2:
+        gaps = (_beta_root(s[0], *mults, ctx),)
+        return InversionResult(gaps, 0, (), s, problem=PhiProblem(gaps, mults))
+    if len(mults) == 3:  # u = delta_1 / delta_2 in [0, 1], on x or on -x
         _, _, tail_at_1, head_at_1 = ratio_polynomials(mults, ctx)
         mirrored = s[0] * head_at_1 > s[1] * tail_at_1
         (s1, s2), (k1, k2, k3) = (s[::-1], mults[::-1]) if mirrored else (s, mults)
@@ -421,12 +385,13 @@ def solve_gaps(s, multiplicities, ctx: PrecisionContext, previous=None) -> Inver
         second = _beta_root(s2 / Polynomial(head)(u), k1 + k2, k3, ctx)
         gaps = (second, u * second) if mirrored else (u * second, second)
         return InversionResult(gaps, 0, (), s, problem=PhiProblem(gaps, mults))
-    try:
-        if previous is None:
-            return invert_phi(s, multiplicities, ctx)
-        return _warm_step(previous, s, multiplicities, ctx)
-    except (NewtonStalled, SingularJacobian):
-        return continuation_invert(s, multiplicities, ctx)
+    if previous is not None:
+        start = predicted_start(previous, s, ctx) or rescaled_start(previous, s, mults, ctx)
+        try:
+            return invert_phi(s, mults, ctx, initial=start, min_iterations=1)
+        except (NewtonStalled, SingularJacobian):
+            pass
+    return invert_phi(s, mults, ctx)
 
 
 @dataclass(frozen=True)

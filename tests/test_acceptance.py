@@ -252,10 +252,7 @@ def test_criterion_7_property_suites(
         mults = tuple(rng.randint(1, 3) for _ in range(r))
         gaps = tuple(ctx.mpf(rng.uniform(0.1, 1.0)) for _ in range(r - 1))
         s = critvals.phi(critvals.PhiProblem(gaps, mults))
-        try:
-            res = critvals.invert_phi(list(s), mults, ctx)
-        except critvals.NewtonStalled:
-            res = critvals.continuation_invert(list(s), mults, ctx)
+        res = critvals.invert_phi(list(s), mults, ctx)
         if any(abs(a - b) > ctx.mpf("1e-12") for a, b in zip(res.gaps, gaps)):
             failures.append("round-trip")
 

@@ -414,37 +414,24 @@ def test_rescaled_start_coerces_into_a_finer_context():
     assert all(g.context is fine.mp for g in warm.gaps)
 
 
-def test_continuation_agrees_with_newton():
-    ctx = ctx40()
-    newton = critvals.invert_phi([Fraction(1, 6)], (1, 1), ctx)
-    lifted = critvals.continuation_invert([Fraction(1, 6)], (1, 1), ctx)
-    assert abs(newton.gaps[0] - lifted.gaps[0]) <= ctx.mpf("1e-12")
-
-
-def test_continuation_with_multiplicity():
-    ctx = ctx40()
-    res = critvals.continuation_invert([Fraction(1, 12)], (1, 2), ctx)
-    assert ctx.equal(res.gaps[0], 1)
-
-
-def test_continuation_with_tiny_gaps_beside_triple_points():
-    # Two tiny gaps beside triple critical points; the one step over the
-    # whole path takes 70 of the 200 Newton iterations allowed.
+def test_cold_newton_with_tiny_gaps_beside_triple_points():
+    # Two tiny gaps beside triple critical points; Newton from the Chebyshev
+    # start takes 70 of the 200 iterations allowed.
     ctx, mults = ctx40(), (1, 1, 3, 1, 3)
     s = critvals.phi(problem(ctx, ("1e-4", "1e-6", "0.1", "0.5"), mults))
-    res = critvals.continuation_invert(list(s), mults, ctx)
+    res = critvals.invert_phi(list(s), mults, ctx)
     values = critvals.phi(critvals.PhiProblem(res.gaps, mults))
     assert max(abs(v - t) for v, t in zip(values, s)) <= ctx.newton_tol
 
 
 @pytest.mark.sweep
-def test_continuation_solves_seeded_problems_with_spread_gaps():
+def test_cold_newton_solves_seeded_problems_with_spread_gaps():
     ctx, rng = ctx40(), random.Random(11)
     for _ in range(40):
         r = rng.randint(3, 6)
         mults = [rng.randint(1, 3) for _ in range(r)]
         s = critvals.phi(problem(ctx, [10 ** -rng.uniform(0, 3) for _ in range(r - 1)], mults))
-        res = critvals.continuation_invert(list(s), mults, ctx)
+        res = critvals.invert_phi(list(s), mults, ctx)
         values = critvals.phi(critvals.PhiProblem(res.gaps, mults))
         assert max(abs(v - t) for v, t in zip(values, s)) <= ctx.newton_tol
 
@@ -457,10 +444,20 @@ def test_inversion_round_trips():
         mults = [rng.randint(1, 3) for _ in range(r)]
         gaps = [ctx.mpf(rng.uniform(0.1, 1.0)) for _ in range(r - 1)]
         s = critvals.phi(problem(ctx, gaps, mults))
-        for invert in (critvals.invert_phi, critvals.continuation_invert):
-            res = invert(list(s), mults, ctx)
-            for got, want in zip(res.gaps, gaps):
-                assert abs(got - want) <= ctx.mpf("1e-12")
+        res = critvals.invert_phi(list(s), mults, ctx)
+        for got, want in zip(res.gaps, gaps):
+            assert abs(got - want) <= ctx.mpf("1e-12")
+
+
+@pytest.mark.parametrize("invert", [critvals.invert_phi, critvals.solve_gaps])
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("case", ["short", "long", "non-positive"])
+def test_inversions_refuse_malformed_value_gaps(invert, r, case):
+    ctx, gap = ctx40(), Fraction(1, 6)
+    s = {"short": [gap] * (r - 2), "long": [gap] * r, "non-positive": [gap] * (r - 2) + [0]}[case]
+    message = "must be positive" if case == "non-positive" else "one value gap less"
+    with pytest.raises(ValueError, match=message):
+        invert(s, (1,) * r, ctx)
 
 
 # ---------------------------------------------------------------- realization
@@ -618,13 +615,14 @@ def spy(monkeypatch, module, name):
     return calls
 
 
-def test_stalled_warm_start_falls_back_to_path_lifting(monkeypatch):
+def test_stalled_warm_start_restarts_cold(monkeypatch):
     # A previous inversion at gaps (1, 1e-10, 1), far from the solution
     # (1, 1, 1) of s = Phi(1, 1, 1): its Euler predictor leaves the positive
-    # orthant, warm Newton from its rescaled gaps stalls at once, and path
-    # lifting solves the problem.  Since the predictor, no run of a valid
-    # sequence with n <= 5, nor of any of the 26,068 with n = 6 and two or
-    # more turning points, stalls warm Newton (0,1,3,0,1,0 used to, at step 11).
+    # orthant, warm Newton from its rescaled gaps stalls at once, and Newton
+    # from the Chebyshev start solves the problem.  Since the predictor, no
+    # run of a valid sequence with n <= 5, nor of any of the 26,068 with
+    # n = 6 and two or more turning points, stalls warm Newton (0,1,3,0,1,0
+    # used to, at step 11).
     ctx, mults = ctx40(), (1, 1, 1, 1)
     one = ctx.mp.mpf(1)
     gaps = (one, ctx.mpf("1e-10"), one)
@@ -635,24 +633,18 @@ def test_stalled_warm_start_falls_back_to_path_lifting(monkeypatch):
     s = list(critvals.phi(critvals.PhiProblem((one,) * 3, mults)))
     assert critvals.predicted_start(previous, s, ctx) is None
     inversions = spy(monkeypatch, critvals, "invert_phi")
-    lifts = spy(monkeypatch, critvals, "continuation_invert")
     solved = critvals.solve_gaps(s, mults, ctx, previous=previous)
-    stalled = [
-        (args, result) for args, kwargs, result in inversions
-        if kwargs.get("min_iterations") == 1 and isinstance(result, critvals.NewtonStalled)
-    ]
-    assert len(stalled) == 1
-    assert len(lifts) == 1
-    (s_lifted, mults, ctx), _, lifted = lifts[0]
-    assert stalled[0][0][0] is s_lifted is s
-    assert isinstance(lifted, critvals.InversionResult) and lifted == solved
-    values = critvals.phi(critvals.PhiProblem(lifted.gaps, mults))
+    (_, warm, stalled), (args, cold, restarted) = inversions
+    assert warm.get("min_iterations") == 1 and isinstance(stalled, critvals.NewtonStalled)
+    assert len(args) == 3 and "initial" not in cold and restarted is solved
+    values = critvals.phi(critvals.PhiProblem(solved.gaps, mults))
     assert max(abs(v - t) for v, t in zip(values, s)) <= ctx.mpf(10) ** (6 - ctx.digits)
 
 
-def test_singular_warm_start_falls_back_to_path_lifting(monkeypatch):
+def test_singular_warm_start_restarts_cold(monkeypatch):
     # Gaps (1, 1e-30, 1) make the previous Jacobian and the one at the
-    # rescaled start numerically singular; path lifting solves the problem.
+    # rescaled start numerically singular; Newton from the Chebyshev start
+    # solves the problem.
     ctx, mults = ctx40(), (1, 1, 1, 1)
     one = ctx.mp.mpf(1)
     gaps = (one, ctx.mpf("1e-30"), one)
@@ -662,11 +654,22 @@ def test_singular_warm_start_falls_back_to_path_lifting(monkeypatch):
     )
     s = list(critvals.phi(critvals.PhiProblem((one,) * 3, mults)))
     inversions = spy(monkeypatch, critvals, "invert_phi")
-    lifts = spy(monkeypatch, critvals, "continuation_invert")
     solved = critvals.solve_gaps(s, mults, ctx, previous=previous)
-    assert isinstance(inversions[0][2], critvals.SingularJacobian)
-    assert len(lifts) == 1 and lifts[0][2] == solved
+    (_, warm, singular), (args, cold, restarted) = inversions
+    assert warm.get("min_iterations") == 1 and isinstance(singular, critvals.SingularJacobian)
+    assert len(args) == 3 and "initial" not in cold and restarted is solved
     assert all(ctx.equal(g, 1) for g in solved.gaps)
+
+
+def test_unsolvable_problem_gives_up_after_one_newton(monkeypatch):
+    # Newton from the Chebyshev start stalls on these gaps, so solve_gaps
+    # raises after that one call instead of searching further.
+    ctx, mults = ctx40(), (2, 2, 2, 3, 3, 1)
+    s = critvals.phi(problem(ctx, ("4.04e-6", "1.62e-3", "2.82e-5", "1.51e-2", "0.956"), mults))
+    inversions = spy(monkeypatch, critvals, "invert_phi")
+    with pytest.raises(critvals.NewtonStalled):
+        critvals.solve_gaps(list(s), mults, ctx)
+    assert len(inversions) == 1
 
 
 def test_reference_runs_invert_with_few_newton_iterations(monkeypatch):
