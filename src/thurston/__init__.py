@@ -12,11 +12,11 @@ way.
 from .combinatorics import (
     Combinatorics,
     CombinatoricsError,
-    LapStructure,
     MappingPattern,
     ParseError,
     ValidationReport,
     expansiveness,
+    lap_of,
     laps,
     mapping_pattern,
     parse,

@@ -24,7 +24,7 @@ import click
 from . import combinatorics as comb
 from . import pullback
 from ._table import ROWS
-from .mpnum import MIN_DIGITS, Polynomial, PrecisionContext
+from .mpnum import Polynomial, PrecisionContext
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -53,13 +53,8 @@ def _run_or_exit(c, options):
         sys.exit(EXIT_NO_CONVERGENCE)
 
 
-def result_document(
-    text: str,
-    result: pullback.RunResult,
-    options: pullback.RunOptions,
-    include_trace: bool = False,
-) -> dict:
-    """Stable structured form of a finished run."""
+def result_document(text: str, result: pullback.RunResult, options: pullback.RunOptions) -> dict:
+    """Stable structured form of a finished run, with its trace if it kept one."""
     ctx = PrecisionContext(result.digits)
     report = comb.validate(result.original)
     doc = {
@@ -96,7 +91,7 @@ def result_document(
             for ev in result.collapse_events
         ],
     }
-    if include_trace:
+    if result.trace:
         doc["trace"] = [
             {
                 "step": rec.step,
@@ -177,37 +172,12 @@ def main():
     """Critically finite real polynomial maps from combinatorics."""
 
 
-def _positive_tolerance(click_ctx, param, value):
-    """Reject a fit tolerance that is not a finite number above 0."""
-    ctx = PrecisionContext(MIN_DIGITS)
-    try:
-        tol = ctx.mpf(value)
-    except ValueError:
-        tol = None
-    if tol is None or not 0 < tol < ctx.mp.inf:
-        raise click.BadParameter(f"{value!r} is not a positive number")
-    return value
-
-
-def _ceiling_not_below_start(click_ctx, param, value):
-    """Reject a precision ceiling below the starting precision."""
-    digits = click_ctx.params["digits"]
-    if value < digits:
-        raise click.BadParameter(f"{value} is below the starting precision of {digits} digits")
-    return value
-
-
 _run_options = [
-    click.option("--tol", default="1e-10", show_default=True, callback=_positive_tolerance,
-                 help="Fit tolerance."),
-    click.option("--max-iter", default=100, show_default=True, type=click.IntRange(min=1),
-                 help="Iteration cap."),
-    # Eager, so that --max-digits can be checked against it.
+    click.option("--tol", default="1e-10", show_default=True, help="Fit tolerance."),
+    click.option("--max-iter", default=100, show_default=True, help="Iteration cap."),
     click.option("--digits", default=40, show_default=True, envvar="THURSTON_DIGITS",
-                 type=click.IntRange(min=MIN_DIGITS), is_eager=True,
                  help="Starting working precision (decimal digits)."),
     click.option("--max-digits", default=640, show_default=True,
-                 callback=_ceiling_not_below_start,
                  help="Precision ceiling for automatic escalation."),
 ]
 
@@ -216,6 +186,18 @@ def _with_run_options(fn):
     for opt in reversed(_run_options):
         fn = opt(fn)
     return fn
+
+
+def _options(tol, max_iter, digits, max_digits, keep_trace=False) -> pullback.RunOptions:
+    """The run options the flags give; a value RunOptions refuses is a usage
+    error that names its flag."""
+    try:
+        return pullback.RunOptions(tol=tol, max_iter=max_iter, start_digits=digits,
+                                   max_digits=max_digits, keep_trace=keep_trace)
+    except ValueError as exc:
+        field, why = str(exc).split(": ", 1)
+        flag = {"start_digits": "--digits"}.get(field, "--" + field.replace("_", "-"))
+        raise click.BadParameter(why, param_hint=f"'{flag}'") from exc
 
 
 @main.command()
@@ -253,13 +235,10 @@ def validate(combinatorics_text, fmt):
               show_default=True)
 def run_command(combinatorics_text, tol, max_iter, digits, max_digits, trace, out, fmt):
     """Run the pull-back iteration and emit the result document."""
+    options = _options(tol, max_iter, digits, max_digits, keep_trace=trace)
     c = _parse_or_exit(combinatorics_text)
-    options = pullback.RunOptions(
-        tol=tol, max_iter=max_iter, start_digits=digits, max_digits=max_digits,
-        keep_trace=trace,
-    )
     result = _run_or_exit(c, options)
-    doc = result_document(combinatorics_text, result, options, include_trace=trace)
+    doc = result_document(combinatorics_text, result, options)
     if fmt == "json":
         _emit(json.dumps(doc, indent=2), out)
     else:
@@ -290,12 +269,11 @@ def run_command(combinatorics_text, tol, max_iter, digits, max_digits, trace, ou
 @click.option("--out", type=click.Path(dir_okay=False), help="Write CSV here.")
 def plot(combinatorics_text, result_path, tol, max_iter, digits, max_digits, samples, out):
     """Emit CSV samples (x, f(x)) of the converged map plus its marked points."""
+    options = _options(tol, max_iter, digits, max_digits)
     if result_path:
         doc = _load_result(result_path)
     elif combinatorics_text:
         c = _parse_or_exit(combinatorics_text)
-        options = pullback.RunOptions(tol=tol, max_iter=max_iter,
-                                      start_digits=digits, max_digits=max_digits)
         result = _run_or_exit(c, options)
         if not result.converged:
             click.echo("run did not converge; nothing to plot", err=True)

@@ -9,10 +9,13 @@ indices, with a ``^degree`` suffix wherever the degree is not the default
 
 This module parses and validates such sequences, classifies the edges of
 the piecewise-linear model map as expansive or not from the edges each
-edge's image covers, extracts the lap structure (maximal monotone pieces,
-bounded by turning points only), and performs the
-point-merging simplification that describes what a non-expansive sequence
-degenerates to.
+edge's image covers, and performs the point-merging simplification that
+describes what a non-expansive sequence degenerates to.  A combinatorics
+answers its own questions: its laps (maximal monotone pieces, bounded by
+turning points only, :func:`laps`) and the lap of each index
+(:func:`lap_of`), its critical orbits and their cycles
+(:func:`mapping_pattern`) and its postcritical core (:func:`core_indices`)
+are each worked out once and kept on it.
 """
 
 from __future__ import annotations
@@ -72,24 +75,42 @@ class Combinatorics:
     def total_degree(self) -> int:
         return 1 + sum(d - 1 for d in self.local_degree)
 
-    def is_periodic(self, j: int) -> bool:
-        """Whether j returns to itself under iteration of j -> m_j."""
-        k = self.m[j]
-        for _ in range(self.n + 1):
-            if k == j:
-                return True
-            k = self.m[k]
-        return False
-
     @cached_property
-    def _laps(self) -> LapStructure:
+    def _laps(self) -> tuple:
         bounds = [None, *self.turning_points(), None]
         out = []
         for left, right in zip(bounds, bounds[1:]):
             start = 0 if left is None else left
             orientation = 1 if self.m[start + 1] > self.m[start] else -1
             out.append(Lap(left, right, orientation))
-        return LapStructure(tuple(out))
+        return tuple(out)
+
+    @cached_property
+    def _pattern(self) -> MappingPattern:
+        m = self.m
+        visited = set()
+        orbits, cycles = [], []
+        for start in self.critical_points():
+            if start in visited:
+                continue
+            chain = []
+            j = start
+            while j not in visited and j not in chain:
+                chain.append(j)
+                j = m[j]
+            orbits.append(tuple(chain))
+            # Every orbit of j -> m_j enters its cycle within n + 1 steps, whether
+            # the chain closed on itself or ran into an earlier orbit.
+            k = chain[-1]
+            for _ in range(self.n + 1):
+                k = m[k]
+            cycle = [k]
+            while m[cycle[-1]] != k:
+                cycle.append(m[cycle[-1]])
+            p = cycle.index(min(cycle))
+            cycles.append(tuple(cycle[p:] + cycle[:p]))
+            visited.update(chain)
+        return MappingPattern(tuple(orbits), tuple(cycles), self.local_degree)
 
     @cached_property
     def _core(self) -> frozenset:
@@ -123,16 +144,12 @@ def parse(text: str) -> Combinatorics:
             raise ParseError(f"bad item {item!r}")
         m.append(int(match.group(1)))
         explicit.append(int(match.group(2)) if match.group(2) else None)
-    n = len(m) - 1
-    for j, v in enumerate(m):
-        if not 0 <= v <= n:
-            raise ParseError(f"image index m_{j}={v} outside 0..{n}")
-    for j, d in enumerate(explicit):
-        if d is not None and d < 1:
-            raise ParseError(f"explicit local degree {d} at index {j} is below 1")
     defaults = default_degrees(m)
     degrees = tuple(d if d is not None else defaults[j] for j, d in enumerate(explicit))
-    return Combinatorics(tuple(m), degrees)
+    try:
+        return Combinatorics(tuple(m), degrees)
+    except CombinatoricsError as exc:  # an image index out of range or a degree below 1
+        raise ParseError(str(exc)) from exc
 
 
 def render(c: Combinatorics) -> str:
@@ -159,40 +176,18 @@ class Lap:
     orientation: int
 
 
-@dataclass(frozen=True)
-class LapStructure:
-    laps: tuple
-
-    def __len__(self):
-        return len(self.laps)
-
-    def __iter__(self):
-        return iter(self.laps)
-
-    def last_orientation(self) -> int:
-        return self.laps[-1].orientation
-
-    def lap_of(self, j: int) -> Lap:
-        """The lap whose open interior contains the non-turning index j."""
-        for lap in self.laps:
-            if (lap.left is None or lap.left < j) and (lap.right is None or j < lap.right):
-                return lap
-        raise CombinatoricsError(f"index {j} is a lap boundary, not interior to a lap")
-
-
-def laps(c: Combinatorics) -> LapStructure:
-    """Lap decomposition; odd-degree critical points do not bound laps.
+def laps(c: Combinatorics) -> tuple:
+    """The laps, in order; odd-degree critical points do not bound them.
     Built once per combinatorics and kept on it."""
     return c._laps
 
 
-def edge_images(c: Combinatorics) -> list:
-    """For each edge [j, j+1], the set of edges its PL image covers."""
-    out = []
-    for j in range(c.n):
-        lo, hi = sorted((c.m[j], c.m[j + 1]))
-        out.append(set(range(lo, hi)))
-    return out
+def lap_of(c: Combinatorics, j: int) -> Lap:
+    """The lap whose open interior contains the non-turning index j."""
+    for lap in c._laps:
+        if (lap.left is None or lap.left < j) and (lap.right is None or j < lap.right):
+            return lap
+    raise CombinatoricsError(f"index {j} is a lap boundary, not interior to a lap")
 
 
 def expansiveness(c: Combinatorics) -> tuple:
@@ -205,7 +200,8 @@ def expansiveness(c: Combinatorics) -> tuple:
     exactly whether some iterated image covers an edge with a critical
     endpoint.
     """
-    images, critical = edge_images(c), set(c.critical_points())
+    images = [range(*sorted(ends)) for ends in zip(c.m, c.m[1:])]  # the edges each edge covers
+    critical = set(c.critical_points())
     flags = [e in critical or e + 1 in critical for e in range(c.n)]
     grown = True
     while grown:
@@ -276,10 +272,11 @@ def validate(c: Combinatorics) -> ValidationReport:
     for j in range(1, n):
         if (deg[j] % 2 == 0) != (j in turning):
             cond6 = False
+    cycles = mapping_pattern(c).cycles  # a critical endpoint is periodic if it lies on one
     for j in (0, n):
         if deg[j] % 2 == 0:
             cond6 = False
-        elif deg[j] > 1 and c.is_periodic(j):
+        elif deg[j] > 1 and any(j in cycle for cycle in cycles):
             cond6 = False
 
     # Condition 5: every interior point is critical or hit by a critical orbit.
@@ -332,30 +329,8 @@ class MappingPattern:
 
 
 def mapping_pattern(c: Combinatorics) -> MappingPattern:
-    m = c.m
-    visited = set()
-    orbits, cycles = [], []
-    for start in c.critical_points():
-        if start in visited:
-            continue
-        chain = []
-        j = start
-        while j not in visited and j not in chain:
-            chain.append(j)
-            j = m[j]
-        orbits.append(tuple(chain))
-        # Every orbit of j -> m_j enters its cycle within n + 1 steps, whether
-        # the chain closed on itself or ran into an earlier orbit.
-        k = chain[-1]
-        for _ in range(c.n + 1):
-            k = m[k]
-        cycle = [k]
-        while m[cycle[-1]] != k:
-            cycle.append(m[cycle[-1]])
-        p = cycle.index(min(cycle))
-        cycles.append(tuple(cycle[p:] + cycle[:p]))
-        visited.update(chain)
-    return MappingPattern(tuple(orbits), tuple(cycles), c.local_degree)
+    """The critical orbits and their cycles, walked once per combinatorics and kept on it."""
+    return c._pattern
 
 
 def core_indices(c: Combinatorics) -> frozenset:

@@ -95,9 +95,6 @@ class PhiProblem:
     def r(self) -> int:
         return len(self.multiplicities)
 
-    def total_degree(self) -> int:
-        return 1 + sum(self.multiplicities)
-
     @cached_property
     def _centered(self):
         """The first gap's context and precision, and the centered points as pairs."""

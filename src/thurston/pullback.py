@@ -14,10 +14,12 @@ One step, given marked points x_0..x_n and the combinatorics m:
   4. fit:       eps = sqrt(sum (f(x_j) - x_{m_j})**2) / n at the new points,
                 and eps_core, the same sum over the core indices alone.
 
-Each step reads the laps and the core from the combinatorics, which builds
-them once and keeps them (:func:`~thurston.combinatorics.laps`,
+Each step asks the combinatorics for its laps, the lap of each index and
+its core, which it works out once and keeps
+(:func:`~thurston.combinatorics.laps`, :func:`~thurston.combinatorics.lap_of`,
 :func:`~thurston.combinatorics.core_indices`); it is given only the points,
-the context and the previous step's solutions.
+the context and the previous step's :class:`NormalizedMap`, which carries
+the inversion behind it.
 
 Steps 2 and 3 invert f on its laps by its own ``solve``, and step 2 reframes
 it by its own ``precompose``.  With one critical point c, f is a
@@ -47,7 +49,7 @@ from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_sqrt, m
 
 from . import combinatorics as comb
 from . import critvals
-from .mpnum import Polynomial, PowerMap, PrecisionContext, unboxed
+from .mpnum import MIN_DIGITS, Polynomial, PowerMap, PrecisionContext, unboxed
 
 STALL_WINDOW = 4
 STALL_FACTOR = 0.5
@@ -87,9 +89,6 @@ class MarkedConfiguration:
     def n(self) -> int:
         return len(self.points) - 1
 
-    def gaps(self) -> tuple:
-        return tuple(b - a for a, b in zip(self.points, self.points[1:]))
-
 
 @dataclass(frozen=True)
 class NormalizedMap:
@@ -97,6 +96,7 @@ class NormalizedMap:
     critical_points: tuple  # one per critical index, inside [0, 1]
     frame_low: object  # A: preimage of the 0-endpoint target before rescaling
     frame_high: object  # B: preimage of the 1-endpoint target
+    inversion: critvals.InversionResult  # the gap-map inversion behind the map
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,23 @@ class RunOptions:
     start_digits: int = 40
     max_digits: int = 640
     keep_trace: bool = False
+
+    def __post_init__(self):
+        """Refuse a value no run can use, as ValueError("<field>: <why>")."""
+        ctx = PrecisionContext(MIN_DIGITS)
+        try:
+            tol = ctx.mpf(self.tol)
+        except (TypeError, ValueError):
+            tol = None
+        if tol is None or not 0 < tol < ctx.mp.inf:
+            raise ValueError(f"tol: {self.tol!r} is not a positive number")
+        for name, floor in (("max_iter", 1), ("start_digits", MIN_DIGITS),
+                            ("max_digits", self.start_digits)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name}: {value!r} is not an integer")
+            if value < floor:
+                raise ValueError(f"{name}: {value} is below {floor}")
 
 
 @dataclass(frozen=True)
@@ -155,26 +172,27 @@ def mapmake(
     c: comb.Combinatorics,
     x: MarkedConfiguration,
     ctx: PrecisionContext,
-    previous: Optional[critvals.InversionResult] = None,
+    previous: Optional[NormalizedMap] = None,
 ) -> critvals.RealizedMap:
     """A polynomial whose value at the critical point of each distinct
     critical index j is x_{m_j}; critical points not yet framed.
 
-    ``previous`` is the previous step's inversion for the same
-    combinatorics, which warm-starts this one.
+    ``previous`` is the previous step's map for the same combinatorics,
+    whose inversion warm-starts this one.
     """
     crit = c.critical_points()
     values = tuple(x.points[c.m[j]] for j in crit)
     # multiplicity as a root of the derivative = local degree - 1
     multiplicities = tuple(c.local_degree[j] - 1 for j in crit)
-    sigma = comb.laps(c).last_orientation()
-    return critvals.realize_critical_values(values, multiplicities, sigma, ctx, previous)
+    sigma = comb.laps(c)[-1].orientation
+    inversion = None if previous is None else previous.inversion
+    return critvals.realize_critical_values(values, multiplicities, sigma, ctx, inversion)
 
 
-def _lap_preimage(f, laps: comb.LapStructure, j: int, bounds, target, start, ctx: PrecisionContext):
+def _lap_preimage(f, c: comb.Combinatorics, j: int, bounds, target, start, ctx: PrecisionContext):
     """The solution of f(x) = target on the lap of index j, between
     ``bounds`` (marked points 0..n) at the lap's ends, started from ``start``."""
-    lap = laps.lap_of(j)
+    lap = comb.lap_of(c, j)
     lo = bounds[0 if lap.left is None else lap.left]
     hi = bounds[-1 if lap.right is None else lap.right]
     return f.solve(target, lo, hi, lap.orientation, ctx, start=start)
@@ -209,7 +227,7 @@ def normalize(
     scale = B - A
     f = f_raw.precompose(A, scale)
     moved = tuple((p - A) / scale for p in realized.critical_points)
-    return NormalizedMap(f, moved, A, B)
+    return NormalizedMap(f, moved, A, B, realized.inversion)
 
 
 def pullback_step(
@@ -225,14 +243,14 @@ def pullback_step(
     solves f(x'_k) = prev[m_k] inside the lap that contains k, warm-started
     from prev[k] where the solver searches.
     """
-    n, laps, f = c.n, comb.laps(c), normalized.polynomial
+    n, f = c.n, normalized.polynomial
     new = [None] * (n + 1)
     for j, point in zip(c.critical_points(), normalized.critical_points):
         new[j] = point
     new[0], new[n] = ctx.mp.mpf(0), ctx.mp.mpf(1)
     for j in range(1, n):
         if new[j] is None:
-            new[j] = _lap_preimage(f, laps, j, new, prev.points[c.m[j]], prev.points[j], ctx)
+            new[j] = _lap_preimage(f, c, j, new, prev.points[c.m[j]], prev.points[j], ctx)
 
     try:  # the endpoints are pinned, so only the order check can fail
         return MarkedConfiguration(tuple(new))
@@ -275,7 +293,7 @@ def place_passengers(c: comb.Combinatorics, normalized: NormalizedMap, x: Marked
     crossing the one before it.
     """
     m, points = c.m, list(x.points)
-    core, laps = comb.core_indices(c), comb.laps(c)
+    core = comb.core_indices(c)
     passengers = [j for j in range(c.n + 1) if j not in core]
     f = normalized.polynomial
     slope = f.derivative()
@@ -290,7 +308,7 @@ def place_passengers(c: comb.Combinatorics, normalized: NormalizedMap, x: Marked
         for _ in range(PLACEMENT_ITERATIONS):
             y, gain = points[j], 1
             for i in reversed(cycle):
-                y = _lap_preimage(f, laps, i, points, y, points[i], ctx)
+                y = _lap_preimage(f, c, i, points, y, points[i], ctx)
                 df = slope(y)
                 gain = gain / df if df else 0
                 if i != j:
@@ -313,7 +331,7 @@ def place_passengers(c: comb.Combinatorics, normalized: NormalizedMap, x: Marked
         for i in reversed(path):
             if i not in settled:
                 target = points[m[i]]
-                place(i, _lap_preimage(f, laps, i, points, target, points[i], ctx))
+                place(i, _lap_preimage(f, c, i, points, target, points[i], ctx))
                 settled.add(i)
     for j in passengers:
         if j - 1 in ends:
@@ -325,8 +343,8 @@ def detect_collapse(x: MarkedConfiguration, threshold) -> tuple:
     """Maximal runs of consecutive indices whose successive gaps all sit
     below ``threshold``, as tuples of indices."""
     groups = []
-    for j, gap in enumerate(x.gaps()):
-        if gap < threshold:
+    for j, (a, b) in enumerate(zip(x.points, x.points[1:])):
+        if b - a < threshold:
             if groups and groups[-1][-1] == j:
                 groups[-1].append(j + 1)
             else:
@@ -367,7 +385,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
     original = c
     ctx = PrecisionContext(options.start_digits)
     limits = None  # the context and combinatorics that tol and threshold were worked out for
-    inversion = framed = None  # the previous step's, while the combinatorics holds
+    normalized = None  # the previous step's map, while the combinatorics holds
 
     x = init_configuration(c, ctx)
     residuals, collapse_events, trace = [], [], []
@@ -382,8 +400,8 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
             limits = (ctx, c)
             tol, threshold = ctx.mpf(options.tol), ctx.mpf(COLLAPSE_THRESHOLD) / c.n
         try:
-            realized = mapmake(c, x, ctx, inversion)
-            normalized = normalize(c, realized, ctx, framed)
+            realized = mapmake(c, x, ctx, normalized)
+            normalized = normalize(c, realized, ctx, normalized)
             new_x = pullback_step(c, normalized, x, ctx)
             f = normalized.polynomial
             eps, eps_core = fit_error(c, f, new_x, ctx, comb.core_indices(c))
@@ -392,7 +410,6 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
                 eps = fit_error(c, f, new_x, ctx)
         except (PullbackError, ArithmeticError) as exc:
             raise PullbackError(f"step {step} ({comb.render(c)}): {exc}") from exc
-        inversion, framed = realized.inversion, normalized
         residuals.append(eps)
         window.append(eps_core)
         if options.keep_trace:
@@ -419,7 +436,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
                 CollapseEvent(step, groups, before=comb.render(c), after=comb.render(simplified))
             )
             x, c = _merged_configuration(new_x, groups, ctx), simplified
-            inversion, framed, gap_streak, window = None, None, {}, []
+            normalized, gap_streak, window = None, {}, []
             continue
 
         x = new_x

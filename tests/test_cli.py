@@ -134,6 +134,14 @@ def test_run_iteration_and_precision_caps_are_range_checked(command, args, env, 
     assert f"Invalid value for '{option}'" in result.output
 
 
+def test_plot_checks_its_run_options_before_it_reads_a_stored_result(tmp_path):
+    path = tmp_path / "res.json"
+    invoke("run", "0,1,0", "--out", str(path))
+    result = invoke("plot", "--result", str(path), "--tol", "abc")
+    assert result.exit_code == 2
+    assert "Invalid value for '--tol'" in result.output
+
+
 @pytest.mark.parametrize("command", ["run", "plot"])
 def test_run_precision_ceiling_may_equal_the_start(command):
     result = invoke(command, "0,1,0", "--digits", "30", "--max-digits", "30", "--max-iter", "1")

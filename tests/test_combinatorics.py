@@ -1,13 +1,23 @@
 """Combinatorics parsing, validation, laps, patterns, simplify."""
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from thurston import combinatorics as comb
 
 
 # ---------------------------------------------------------------- helpers
+
+def returns_to_itself(m, j):
+    """Whether the orbit of j under j -> m_j comes back to j, walked step by step."""
+    k = m[j]
+    for _ in range(len(m)):
+        if k == j:
+            return True
+        k = m[k]
+    return False
+
 
 @st.composite
 def valid_combinatorics(draw):
@@ -28,7 +38,7 @@ def valid_combinatorics(draw):
         if not draw(st.booleans()):
             continue
         if j in (0, n):
-            if not base.is_periodic(j):
+            if not returns_to_itself(seq, j):
                 degrees[j] = 3
         elif j in turning:
             degrees[j] = 4
@@ -149,6 +159,33 @@ def test_validate_degree_parity():
     assert report.passed and report.total_degree == 4
 
 
+@st.composite
+def cubic_endpoints(draw):
+    """Sequences whose endpoints map to endpoints, with degree 3 at one or both ends."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    seq = [draw(st.sampled_from([0, n]))]
+    for _ in range(1, n):
+        seq.append(draw(st.sampled_from([v for v in range(n + 1) if v != seq[-1]])))
+    seq.append(draw(st.sampled_from([0, n])))
+    degrees = list(comb.default_degrees(seq))
+    for j in draw(st.sampled_from([(0,), (n,), (0, n)])):
+        degrees[j] = 3
+    return comb.Combinatorics(tuple(seq), tuple(degrees))
+
+
+@given(cubic_endpoints())
+@example(comb.parse("3^3,0,2,0^3"))  # 0 <-> 3, a 2-cycle through both ends
+@example(comb.parse("3,0,2,0^3"))  # only x_3 is cubic, on the 2-cycle
+@example(comb.parse("0,3,1,3^3"))  # the orbit of x_1 reaches the fixed x_3 first
+@example(comb.parse("0,3,1,0^3"))  # x_1 reaches x_3, which lands on the fixed x_0
+@settings(max_examples=150, deadline=None)
+def test_condition6_refuses_exactly_the_periodic_cubic_endpoints(c):
+    m, deg, turning = c.m, c.local_degree, set(c.turning_points())
+    expected = all((deg[j] % 2 == 0) == (j in turning) for j in range(1, c.n)) and not any(
+        deg[j] > 1 and returns_to_itself(m, j) for j in (0, c.n))
+    assert comb.validate(c).conditions[6] is expected
+
+
 def test_validate_condition5_is_advisory():
     # x2 is an extra marked fixed point, neither critical nor postcritical:
     # condition 5 fails, but only as a warning.
@@ -190,6 +227,15 @@ def test_laps_cubic():
     assert got == [(None, 1, 1), (1, 3, -1), (3, None, 1)]
 
 
+def test_lap_of_scans_the_laps_for_an_interior_index():
+    c = comb.parse("0,3,2,1,4")
+    structure = comb.laps(c)
+    assert type(structure) is tuple
+    assert [comb.lap_of(c, j) for j in (0, 2, 4)] == list(structure)
+    with pytest.raises(comb.CombinatoricsError, match="index 3 is a lap boundary"):
+        comb.lap_of(c, 3)
+
+
 def test_laps_skip_odd_degree_critical_points():
     c = comb.parse("0,2,6^2,4,3^3,1^2,4,7")
     structure = comb.laps(c)
@@ -216,6 +262,7 @@ def test_laps_and_core_are_kept_on_the_combinatorics():
     c = comb.parse("0,3,2,1,4")
     assert comb.laps(c) is comb.laps(c)
     assert comb.core_indices(c) is comb.core_indices(c)
+    assert comb.mapping_pattern(c) is comb.mapping_pattern(c)
     # equal combinatorics compare and hash as before; each keeps its own
     other = comb.parse("0,3,2,1,4")
     assert other == c and hash(other) == hash(c)

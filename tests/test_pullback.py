@@ -1,5 +1,6 @@
 """Per-operation checks and short end-to-end runs of the iteration."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -167,7 +168,8 @@ def test_pullback_step_fixes_exact_fixed_point():
     for j in range(5):
         assert abs(f(x.points[j]) - x.points[c.m[j]]) <= ctx.mpf("1e-35")
     c1, c2 = x.points[1], x.points[3]
-    normalized = pullback.NormalizedMap(f, (c1, c2), ctx.mp.mpf(0), ctx.mp.mpf(1))
+    inversion = critvals.InversionResult((), 0, ())  # pullback_step reads no inversion
+    normalized = pullback.NormalizedMap(f, (c1, c2), ctx.mp.mpf(0), ctx.mp.mpf(1), inversion)
     moved = pullback.pullback_step(c, normalized, x, ctx)
     for got, want in zip(moved.points, x.points):
         assert abs(got - want) <= ctx.mpf("1e-30")
@@ -256,6 +258,24 @@ def test_run_rejects_invalid_combinatorics():
         pullback.run(comb.Combinatorics((1, 2, 0), (1, 2, 1)))
 
 
+@pytest.mark.parametrize("field, options", [
+    ("tol", {"tol": "-1"}),
+    ("tol", {"tol": "0"}),
+    ("tol", {"tol": "nan"}),
+    ("tol", {"tol": "inf"}),
+    ("tol", {"tol": "abc"}),
+    ("max_iter", {"max_iter": 0}),
+    ("start_digits", {"start_digits": 14}),
+    ("start_digits", {"start_digits": 40.5}),
+    ("max_digits", {"start_digits": 60, "max_digits": 50}),
+], ids=["tol -1", "tol 0", "tol nan", "tol inf", "tol abc", "max_iter 0", "start_digits 14",
+        "start_digits 40.5", "max_digits below start"])
+def test_run_options_refuse_what_no_run_can_use(field, options):
+    with pytest.raises(ValueError) as info:
+        pullback.RunOptions(**options)
+    assert str(info.value).startswith(f"{field}: ")
+
+
 def test_run_exact_cubic():
     result = pullback.run(comb.parse("0,3,2,1,4"), pullback.RunOptions(tol="1e-12"))
     ctx = mpnum.PrecisionContext(result.digits)
@@ -320,17 +340,19 @@ def test_run_collapse_both_ends():
 def test_run_builds_laps_once_per_combinatorics(monkeypatch):
     # every step looks the laps up; only the original and the merged
     # combinatorics build them
-    built, structure = [], comb.LapStructure
+    built, build = [], comb.Combinatorics._laps.func
 
-    def counted(laps):
-        built.append(laps)
-        return structure(laps)
+    def counted(c):
+        built.append(build(c))
+        return built[-1]
 
-    monkeypatch.setattr(comb, "LapStructure", counted)
+    kept = functools.cached_property(counted)
+    kept.__set_name__(comb.Combinatorics, "_laps")
+    monkeypatch.setattr(comb.Combinatorics, "_laps", kept)
     result = pullback.run(comb.parse("0,4,3,2,1,2,0"))
     assert result.converged and len(result.collapse_events) == 1
     assert result.iterations > 2
-    assert built == [comb.laps(result.original).laps, comb.laps(result.combinatorics).laps]
+    assert built == [comb.laps(result.original), comb.laps(result.combinatorics)]
 
 
 def test_dense_maps_solve_and_reframe_through_mpnum_by_name(monkeypatch):
@@ -586,8 +608,8 @@ def test_deep_runs_stay_within_a_tenth_of_their_step_counts(text):
 
 def test_out_of_order_pullback_raises_with_step_context(monkeypatch):
     # A lap solve that answers below the lap puts the point left of x_0 = 0.
-    def misplaced(f, laps, j, bounds, target, start, ctx):
-        lap = laps.lap_of(j)
+    def misplaced(f, c, j, bounds, target, start, ctx):
+        lap = comb.lap_of(c, j)
         return bounds[0 if lap.left is None else lap.left] - 1
 
     monkeypatch.setattr(pullback, "_lap_preimage", misplaced)
@@ -604,7 +626,7 @@ def test_power_map_frames_as_the_dense_antiderivative(text):
     # solvers' residual, so the two frames agree within 10 tau.
     ctx = ctx40()
     c = comb.parse(text)
-    sigma = comb.laps(c).last_orientation()
+    sigma = comb.laps(c)[-1].orientation
     x = pullback.init_configuration(c, ctx)
     for _ in range(3):
         realized = pullback.mapmake(c, x, ctx)

@@ -496,9 +496,9 @@ def test_framing_from_the_previous_map_agrees_with_a_cold_one(text):
     # previous step's A and B as starts
     c, ctx = comb.parse(text), mpnum.PrecisionContext(40)
     x = pullback.init_configuration(c, ctx)
-    inversion = previous = None
+    previous = None
     for _ in range(4):
-        realized = pullback.mapmake(c, x, ctx, inversion)
+        realized = pullback.mapmake(c, x, ctx, previous)
         f = realized.polynomial
         cold = pullback.normalize(c, realized, ctx)
         warm = pullback.normalize(c, realized, ctx, previous)
@@ -509,4 +509,4 @@ def test_framing_from_the_previous_map_agrees_with_a_cold_one(text):
             assert abs(f(a) - target) <= bound and abs(f(b) - target) <= bound
             assert abs(a - b) <= bound * max(1, abs(a))
         x = pullback.pullback_step(c, warm, x, ctx)
-        inversion, previous = realized.inversion, warm
+        previous = warm
