@@ -70,15 +70,13 @@ def result_document(text: str, result: pullback.RunResult, options: pullback.Run
         "degree": result.combinatorics.total_degree(),
         "converged": result.converged,
         "iterations": result.iterations,
-        "fit_error": ctx.format(result.fit) if result.fit is not None else None,
+        "fit_error": ctx.format(result.fit),
         "working_digits": result.digits,
         "precision_history": [
             {"step": step, "digits": digits} for step, digits in result.precision_history
         ],
-        "coefficients": [ctx.format(c) for c in result.polynomial.coefficients]
-        if result.polynomial else None,
-        "marked_points": [ctx.format(p) for p in result.configuration.points]
-        if result.configuration else None,
+        "coefficients": [ctx.format(c) for c in result.polynomial.coefficients],
+        "marked_points": [ctx.format(p) for p in result.configuration.points],
         "combinatorics": comb.render(result.combinatorics),
         "mapping_pattern": comb.mapping_pattern(result.combinatorics).render(),
         "collapse": [
@@ -175,7 +173,7 @@ def main():
 _run_options = [
     click.option("--tol", default="1e-10", show_default=True, help="Fit tolerance."),
     click.option("--max-iter", default=100, show_default=True, help="Iteration cap."),
-    click.option("--digits", default=40, show_default=True, envvar="THURSTON_DIGITS",
+    click.option("--digits", default=40, show_default=True,
                  help="Starting working precision (decimal digits)."),
     click.option("--max-digits", default=640, show_default=True,
                  help="Precision ceiling for automatic escalation."),

@@ -22,13 +22,13 @@ root.  With three, the same Beta integrals give s_i = delta_2**(K+1) P_i(u)
 in the gap ratio u = delta_1/delta_2 (:func:`ratio_polynomials`): u is the
 one root of (s_2/s_1) P_1 = P_2 in [0, 1], on the mirror image x -> -x if it
 lies beyond 1, and delta_2 one more root.  With more, damped Newton starts
-from the Chebyshev gap pattern rescaled by homogeneity, or from the Euler
-predictor of a nearby inversion with the same multiplicities
+from the Euler predictor of a nearby inversion with the same multiplicities
 (:func:`predicted_start`), as the pull-back has from one step to the next.
-Should a warm start stall or meet a singular Jacobian, Newton restarts once
-from the Chebyshev start.  Phi is translation invariant, so Jacobian column
-j sums Phi's derivatives in the points right of gap j; the (r-1) x (r-1)
-Newton systems are solved by Gaussian elimination on plain lists.
+Without a prediction, or should Newton from it stall or meet a singular
+Jacobian, Newton runs once from the Chebyshev gap pattern rescaled by
+homogeneity (:func:`chebyshev_init`).  Phi is translation invariant, so
+Jacobian column j sums Phi's derivatives in the points right of gap j; the
+(r-1) x (r-1) Newton systems are solved by Gaussian elimination on plain lists.
 
 Phi, its Jacobian and the elimination run on the correctly rounded integer
 pairs of :mod:`thurston.mpnum`, in the operation order and precision of the
@@ -178,18 +178,21 @@ def chebyshev_init(multiplicities, ctx: PrecisionContext, s) -> tuple:
 
     Gap pattern of the critical points of the degree r+1 first-kind
     Chebyshev polynomial, r = len(multiplicities) (scaled by 2/4**(1/r)),
-    then rescaled by homogeneity so that the components of Phi sum to sum(s).
+    then scaled by t, with t**(1 + sum(k)) = sum(s) / sum(Phi(pattern)): Phi
+    is homogeneous of that degree, so the components of Phi at the start sum
+    to sum(s).
     """
     if (r := len(multiplicities)) < 2:
         raise ValueError("need at least two distinct critical points")
     mp = ctx.mp
     scale = 2 / mp.mpf(4) ** (mp.mpf(1) / r)
-    raw = tuple(
+    pattern = tuple(
         abs(scale * (mp.cos((j + 1) * mp.pi / (r + 1)) - mp.cos(j * mp.pi / (r + 1))))
         for j in range(1, r)
     )
-    pattern = InversionResult(raw, 0, (), phi(PhiProblem(raw, tuple(multiplicities))))
-    return rescaled_start(pattern, s, multiplicities, ctx)
+    ratio = sum(ctx.mpf(v) for v in s) / sum(phi(PhiProblem(pattern, multiplicities)))
+    t = ratio ** (mp.mpf(1) / (1 + sum(multiplicities)))
+    return tuple(t * g for g in pattern)
 
 
 @dataclass(frozen=True)
@@ -259,18 +262,16 @@ def solve_linear(rows, rhs, ctx: PrecisionContext) -> list:
     return [mp.make_mpf(to_raw(v)) for v in x]
 
 
-def invert_phi(
-    s, multiplicities, ctx: PrecisionContext, initial=None, min_iterations=0
-) -> InversionResult:
+def invert_phi(s, multiplicities, ctx: PrecisionContext, initial=None) -> InversionResult:
     """Solve Phi(gaps) = s by damped Newton from ``initial`` gaps.
 
     ``initial`` defaults to the Chebyshev start.  Steps are halved whenever
     they would push a gap out of the positive orthant or fail to shrink the
     max-norm residual; exhausting the damping budget raises
-    :class:`NewtonStalled`.  The first ``min_iterations`` steps are
-    taken even when the residual already meets the tolerance; a step that
-    meets it is then accepted without having to shrink the residual, which
-    at the rounding floor it may not.
+    :class:`NewtonStalled`.  A given start is corrected at least once, even
+    when its residual already meets the tolerance; a step that meets it is
+    accepted without having to shrink the residual, which at the rounding
+    floor it may not.  The Chebyshev start is not forced.
     """
     s, mults = _checked_targets(s, multiplicities, ctx)
     if initial is None:
@@ -283,7 +284,7 @@ def invert_phi(
     trace = [norm]
     jacobian = None
     for iteration in range(NEWTON_MAX_ITERATIONS):
-        if norm <= tol and iteration >= min_iterations:
+        if norm <= tol and (iteration or initial is None):
             return InversionResult(tuple(gaps), iteration, tuple(trace), s, jacobian, problem)
         jacobian = phi_jacobian(problem)
         step = solve_linear(jacobian, res, ctx)
@@ -306,22 +307,11 @@ def invert_phi(
     raise NewtonStalled(f"no convergence in {NEWTON_MAX_ITERATIONS} iterations")
 
 
-def rescaled_start(previous: InversionResult, s, multiplicities, ctx: PrecisionContext) -> tuple:
-    """``previous.gaps`` scaled by t, with t**(1 + sum(k)) = sum(s) / sum(previous.targets).
-
-    By homogeneity the scaled gaps solve the scaled targets exactly, so
-    they are close to the solution for s when s is close to a multiple of
-    ``previous.targets``.  The gaps are coerced into ``ctx``, which may
-    hold more digits than the context they were found in.
-    """
-    ratio = sum(ctx.mpf(v) for v in s) / sum(ctx.mpf(v) for v in previous.targets)
-    t = ratio ** (ctx.mp.mpf(1) / (1 + sum(multiplicities)))
-    return tuple(t * ctx.mpf(g) for g in previous.gaps)
-
-
 def predicted_start(previous: InversionResult, s, ctx: PrecisionContext) -> Optional[tuple]:
     """The Euler predictor ``previous.gaps + J**-1 (s - previous.targets)`` in ``ctx``, J =
-    ``previous.jacobian``; None without J, if J is singular or if it leaves the orthant."""
+    ``previous.jacobian``; None without J (an inversion that met the tolerance at its
+    Chebyshev start keeps none), if J is singular or if it leaves the orthant.  ``ctx``
+    may hold more digits than the context ``previous`` was found in."""
     if previous.jacobian is None:
         return None
     change = [ctx.mpf(v) - ctx.mpf(t) for v, t in zip(s, previous.targets)]
@@ -361,10 +351,10 @@ def solve_gaps(s, multiplicities, ctx: PrecisionContext, previous=None) -> Inver
     ``previous``, the inversion of nearby value gaps for the same
     multiplicities, starts the search: for r = 3 at its gap ratio (the
     equation is scaled so that its residual bound leaves s_1 off by at most
-    about 10 tau relative); for r >= 4 at :func:`predicted_start`, else
-    :func:`rescaled_start`, with at least one Newton correction.  Without
-    ``previous``, or should that Newton stall or meet a singular Jacobian,
-    Newton runs once from the Chebyshev start, and its errors propagate.
+    about 10 tau relative); for r >= 4 at :func:`predicted_start`, with at
+    least one Newton correction.  Without ``previous`` or a prediction from
+    it, or should that Newton stall or meet a singular Jacobian, Newton runs
+    once from the Chebyshev start, and its errors propagate.
     """
     s, mults = _checked_targets(s, multiplicities, ctx)
     if len(mults) == 2:
@@ -382,10 +372,9 @@ def solve_gaps(s, multiplicities, ctx: PrecisionContext, previous=None) -> Inver
         second = _beta_root(s2 / Polynomial(head)(u), k1 + k2, k3, ctx)
         gaps = (second, u * second) if mirrored else (u * second, second)
         return InversionResult(gaps, 0, (), s, problem=PhiProblem(gaps, mults))
-    if previous is not None:
-        start = predicted_start(previous, s, ctx) or rescaled_start(previous, s, mults, ctx)
+    if previous is not None and (start := predicted_start(previous, s, ctx)) is not None:
         try:
-            return invert_phi(s, mults, ctx, initial=start, min_iterations=1)
+            return invert_phi(s, mults, ctx, initial=start)
         except (NewtonStalled, SingularJacobian):
             pass
     return invert_phi(s, mults, ctx)

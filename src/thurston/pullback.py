@@ -146,8 +146,8 @@ class RunOptions:
 class RunResult:
     combinatorics: comb.Combinatorics  # final (possibly simplified)
     original: comb.Combinatorics
-    polynomial: Optional[Polynomial | PowerMap]  # the map the run iterated last
-    configuration: Optional[MarkedConfiguration]
+    polynomial: Polynomial | PowerMap  # the map the run iterated last
+    configuration: MarkedConfiguration
     iterations: int
     fit: object
     converged: bool
@@ -379,7 +379,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
     """
     report = comb.validate(c)
     if not report.passed:
-        failed = [k for k, ok in sorted(report.conditions.items()) if k != 5 and not ok]
+        failed = [k for k in report.REQUIRED if not report.conditions[k]]
         raise InvalidCombinatorics(f"combinatorics fails condition(s) {failed}")
 
     original = c
@@ -391,7 +391,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
     residuals, collapse_events, trace = [], [], []
     window = []  # eps_core since last escalation or merge
     precision_history = [(1, ctx.digits)]
-    gap_streak, f, eps, converged = {}, None, None, False
+    gap_streak, converged = {}, False
 
     step = 0
     while step < options.max_iter:

@@ -108,7 +108,7 @@ def test_run_failure_exit_code(command):
 @pytest.mark.parametrize("command", ["run", "plot"])
 @pytest.mark.parametrize("args, env, option", [
     (["--digits", "10"], None, "--digits"),
-    ([], {"THURSTON_DIGITS": "10"}, "--digits"),
+    (["--digits", "14"], None, "--digits"),
     (["--tol", "abc"], None, "--tol"),
     (["--tol", "-1"], None, "--tol"),
     (["--tol", "0"], None, "--tol"),
@@ -126,7 +126,7 @@ def test_run_options_out_of_range_are_usage_errors(command, args, env, option):
     (["--max-digits", "5"], None, "--max-digits"),
     (["--max-digits", "25", "--digits", "30"], None, "--max-digits"),
     (["--digits", "30", "--max-digits", "25"], None, "--max-digits"),
-    (["--max-digits", "30"], {"THURSTON_DIGITS": "35"}, "--max-digits"),
+    (["--digits", "35", "--max-digits", "30"], None, "--max-digits"),
 ])
 def test_run_iteration_and_precision_caps_are_range_checked(command, args, env, option):
     result = invoke(command, "0,3,2,1,4", *args, env=env)
@@ -151,12 +151,6 @@ def test_run_precision_ceiling_may_equal_the_start(command):
 def test_run_non_convergence_exit_code():
     result = invoke("run", "0,4,3,1,2,5", "--max-iter", "2")
     assert result.exit_code == 4
-
-
-def test_run_env_var_controls_digits():
-    result = invoke("run", "0,1,0", env={"THURSTON_DIGITS": "30"})
-    doc = json.loads(result.output)
-    assert doc["working_digits"] == 30
 
 
 def test_run_trace():

@@ -252,8 +252,10 @@ def test_invert_phi_from_initial_gaps():
     ctx = ctx40()
     s, mults = [Fraction(1, 7), Fraction(2, 11)], (1, 2, 1)
     cold = critvals.invert_phi(s, mults, ctx)
-    solved = critvals.invert_phi(s, mults, ctx, initial=cold.gaps)
-    assert solved.iterations == 0 and solved.gaps == cold.gaps
+    solved = critvals.invert_phi(s, mults, ctx, initial=cold.gaps)  # corrected once
+    assert solved.iterations == 1 and solved.residuals[-1] <= ctx.newton_tol
+    for got, want in zip(solved.gaps, cold.gaps):
+        assert abs(got - want) <= ctx.mpf("1e-30")
     nudged = tuple(g * (1 + ctx.mpf("1e-3")) for g in cold.gaps)
     warm = critvals.invert_phi(s, mults, ctx, initial=nudged)
     assert warm.iterations > 0
@@ -387,31 +389,8 @@ def test_forced_correction_is_accepted_at_the_rounding_floor():
     # step can shrink it; the forced step must still be accepted
     ctx = ctx40()
     one = ctx.mp.mpf(1)
-    res = critvals.invert_phi([Fraction(1, 4)] * 2, (1, 1, 1), ctx, initial=(one, one),
-                              min_iterations=1)
+    res = critvals.invert_phi([Fraction(1, 4)] * 2, (1, 1, 1), ctx, initial=(one, one))
     assert res.residuals == (0, 0) and res.iterations == 1 and res.gaps == (one, one)
-
-
-def test_rescaled_start_solves_scaled_targets():
-    # Phi is homogeneous of degree 1 + sum(k) = 5, so scaling every value gap
-    # by 32 doubles every gap
-    ctx = ctx40()
-    s, mults = [Fraction(1, 7), Fraction(2, 11)], (1, 2, 1)
-    cold = critvals.invert_phi(s, mults, ctx)
-    start = critvals.rescaled_start(cold, [32 * ctx.mpf(v) for v in s], mults, ctx)
-    for got, want in zip(start, cold.gaps):
-        assert abs(got - 2 * want) <= ctx.mpf("1e-35")
-
-
-def test_rescaled_start_coerces_into_a_finer_context():
-    coarse, fine = ctx40(), mpnum.PrecisionContext(80)
-    s, mults = [Fraction(1, 7), Fraction(2, 11)], (1, 2, 1)
-    cold = critvals.invert_phi(s, mults, coarse)
-    warm = critvals.invert_phi(
-        s, mults, fine, initial=critvals.rescaled_start(cold, s, mults, fine), min_iterations=1
-    )
-    assert warm.residuals[-1] <= fine.mpf(10) ** (6 - fine.digits)
-    assert all(g.context is fine.mp for g in warm.gaps)
 
 
 def test_cold_newton_with_tiny_gaps_beside_triple_points():
@@ -508,24 +487,22 @@ def warm_start_case(ctx):
     return previous, [abs(b - a) for a, b in zip(after, after[1:])], mults
 
 
-def test_predicted_start_needs_no_more_steps_than_the_rescaled_one():
+def test_predicted_start_needs_no_more_steps_than_the_cold_one():
     ctx = ctx40()
     previous, s, mults = warm_start_case(ctx)
     assert previous.jacobian is not None and previous.problem.gaps == previous.gaps
-    predicted, rescaled = (
-        critvals.invert_phi(s, mults, ctx, initial=start, min_iterations=1)
-        for start in (critvals.predicted_start(previous, s, ctx),
-                      critvals.rescaled_start(previous, s, mults, ctx))
-    )
+    start = critvals.predicted_start(previous, s, ctx)
+    predicted = critvals.invert_phi(s, mults, ctx, initial=start)
+    cold = critvals.invert_phi(s, mults, ctx)
     # first-order exact: the start misses by about the square of the change
-    assert predicted.residuals[0] <= ctx.mpf("1e-10") < rescaled.residuals[0]
-    assert predicted.iterations <= rescaled.iterations
+    assert predicted.residuals[0] <= ctx.mpf("1e-10") < cold.residuals[0]
+    assert predicted.iterations <= cold.iterations
     tol = ctx.mpf(10) ** (6 - ctx.digits)
-    assert predicted.residuals[-1] <= tol and rescaled.residuals[-1] <= tol
+    assert predicted.residuals[-1] <= tol and cold.residuals[-1] <= tol
 
 
 @pytest.mark.parametrize("jacobian", ["singular", "off the orthant"])
-def test_failed_prediction_falls_back_to_the_rescaled_start(monkeypatch, jacobian):
+def test_failed_prediction_falls_back_to_the_cold_start(monkeypatch, jacobian):
     ctx = ctx40()
     previous, s, mults = warm_start_case(ctx)
     if jacobian == "singular":
@@ -536,10 +513,24 @@ def test_failed_prediction_falls_back_to_the_rescaled_start(monkeypatch, jacobia
     assert critvals.predicted_start(previous, s, ctx) is None
     inversions = spy(monkeypatch, critvals, "invert_phi")
     result = critvals.solve_gaps(s, mults, ctx, previous=previous)
-    ((_, kwargs, _),) = inversions
-    assert kwargs["initial"] == critvals.rescaled_start(previous, s, mults, ctx)
-    assert kwargs["min_iterations"] == 1
+    ((args, kwargs, cold),) = inversions
+    assert len(args) == 3 and "initial" not in kwargs and cold is result
     assert result.residuals[-1] <= ctx.mpf(10) ** (6 - ctx.digits)
+
+
+def test_inversion_solved_at_the_chebyshev_start_is_followed_cold(monkeypatch):
+    # Newton meets the tolerance at the Chebyshev start without a step, so the
+    # inversion keeps no Jacobian to predict from; the next one starts cold.
+    ctx, mults = ctx40(), (1, 1, 1, 1)
+    start = critvals.chebyshev_init(mults, ctx, [1, 1, 1])
+    previous = critvals.solve_gaps(critvals.phi(critvals.PhiProblem(start, mults)), mults, ctx)
+    assert previous.iterations == 0 and previous.jacobian is None
+    s = [v + ctx.mpf("1e-6") * (-1) ** i for i, v in enumerate(previous.targets)]
+    inversions = spy(monkeypatch, critvals, "invert_phi")
+    result = critvals.solve_gaps(s, mults, ctx, previous=previous)
+    ((args, kwargs, cold),) = inversions
+    assert len(args) == 3 and "initial" not in kwargs and cold is result
+    assert result.residuals[-1] <= ctx.newton_tol
 
 
 def test_prediction_from_a_coarser_context():
@@ -548,7 +539,7 @@ def test_prediction_from_a_coarser_context():
     previous, s, mults = warm_start_case(coarse)
     start = critvals.predicted_start(previous, s, fine)
     assert all(g.context is fine.mp for g in start)
-    result = critvals.invert_phi(s, mults, fine, initial=start, min_iterations=1)
+    result = critvals.invert_phi(s, mults, fine, initial=start)
     assert result.residuals[0] <= fine.mpf("1e-10")
     assert result.residuals[-1] <= fine.mpf(10) ** (6 - fine.digits)
     assert all(g.context is fine.mp for g in result.gaps)
@@ -616,47 +607,38 @@ def spy(monkeypatch, module, name):
 
 
 def test_stalled_warm_start_restarts_cold(monkeypatch):
-    # A previous inversion at gaps (1, 1e-10, 1), far from the solution
-    # (1, 1, 1) of s = Phi(1, 1, 1): its Euler predictor leaves the positive
-    # orthant, warm Newton from its rescaled gaps stalls at once, and Newton
-    # from the Chebyshev start solves the problem.  Since the predictor, no
-    # run of a valid sequence with n <= 5, nor of any of the 26,068 with
-    # n = 6 and two or more turning points, stalls warm Newton (0,1,3,0,1,0
-    # used to, at step 11).
+    # A prediction at gaps (1, 1e-10, 1), far from the solution (1, 1, 1) of
+    # s = Phi(1, 1, 1): warm Newton from it stalls at once, and Newton from
+    # the Chebyshev start solves the problem.  No run of a valid sequence
+    # with n <= 5, nor of any of the 26,068 with n = 6 and two or more
+    # turning points, stalls warm Newton from the Euler predictor
+    # (0,1,3,0,1,0 used to, at step 11, before it).
     ctx, mults = ctx40(), (1, 1, 1, 1)
     one = ctx.mp.mpf(1)
-    gaps = (one, ctx.mpf("1e-10"), one)
-    far = critvals.PhiProblem(gaps, mults)
-    previous = critvals.InversionResult(
-        gaps, 1, (), critvals.phi(far), jacobian=critvals.phi_jacobian(far)
-    )
+    far = (one, ctx.mpf("1e-10"), one)
+    monkeypatch.setattr(critvals, "predicted_start", lambda previous, s, ctx: far)
     s = list(critvals.phi(critvals.PhiProblem((one,) * 3, mults)))
-    assert critvals.predicted_start(previous, s, ctx) is None
     inversions = spy(monkeypatch, critvals, "invert_phi")
-    solved = critvals.solve_gaps(s, mults, ctx, previous=previous)
+    solved = critvals.solve_gaps(s, mults, ctx, previous=critvals.InversionResult(far, 1, ()))
     (_, warm, stalled), (args, cold, restarted) = inversions
-    assert warm.get("min_iterations") == 1 and isinstance(stalled, critvals.NewtonStalled)
+    assert warm["initial"] == far and isinstance(stalled, critvals.NewtonStalled)
     assert len(args) == 3 and "initial" not in cold and restarted is solved
     values = critvals.phi(critvals.PhiProblem(solved.gaps, mults))
     assert max(abs(v - t) for v, t in zip(values, s)) <= ctx.mpf(10) ** (6 - ctx.digits)
 
 
 def test_singular_warm_start_restarts_cold(monkeypatch):
-    # Gaps (1, 1e-30, 1) make the previous Jacobian and the one at the
-    # rescaled start numerically singular; Newton from the Chebyshev start
-    # solves the problem.
+    # A prediction at gaps (1, 1e-30, 1) makes the Jacobian numerically
+    # singular; Newton from the Chebyshev start solves the problem.
     ctx, mults = ctx40(), (1, 1, 1, 1)
     one = ctx.mp.mpf(1)
-    gaps = (one, ctx.mpf("1e-30"), one)
-    far = critvals.PhiProblem(gaps, mults)
-    previous = critvals.InversionResult(
-        gaps, 1, (), critvals.phi(far), jacobian=critvals.phi_jacobian(far)
-    )
+    far = (one, ctx.mpf("1e-30"), one)
+    monkeypatch.setattr(critvals, "predicted_start", lambda previous, s, ctx: far)
     s = list(critvals.phi(critvals.PhiProblem((one,) * 3, mults)))
     inversions = spy(monkeypatch, critvals, "invert_phi")
-    solved = critvals.solve_gaps(s, mults, ctx, previous=previous)
+    solved = critvals.solve_gaps(s, mults, ctx, previous=critvals.InversionResult(far, 1, ()))
     (_, warm, singular), (args, cold, restarted) = inversions
-    assert warm.get("min_iterations") == 1 and isinstance(singular, critvals.SingularJacobian)
+    assert warm["initial"] == far and isinstance(singular, critvals.SingularJacobian)
     assert len(args) == 3 and "initial" not in cold and restarted is solved
     assert all(ctx.equal(g, 1) for g in solved.gaps)
 
@@ -678,8 +660,8 @@ def test_reference_runs_invert_with_few_newton_iterations(monkeypatch):
     # in test_pullback.  With three critical points or fewer the gap map is
     # inverted in closed form, so Newton runs only on the maps with four or
     # five (0,2,1,3,5,3^3,0 and 0,1,5,0,2,1,7,1,0).  Warm inversions start
-    # from the Euler predictor (2.77 iterations on average; 3.77 from the
-    # rescaled start alone), cold ones from the sum-matched Chebyshev start.
+    # from the Euler predictor (2.77 iterations on average), cold ones from
+    # the sum-matched Chebyshev start.
     inversions = spy(monkeypatch, critvals, "invert_phi")
     runs = sorted({(row.combinatorics, row.run_tol) for row in ROWS})
     steps = sum(
@@ -687,11 +669,8 @@ def test_reference_runs_invert_with_few_newton_iterations(monkeypatch):
         for text, tol in runs
     )
     assert steps == 145
-    warm = [result.iterations for _, kwargs, result in inversions
-            if kwargs.get("min_iterations") == 1]
-    cold = [result.iterations for _, kwargs, result in inversions
-            if kwargs.get("min_iterations", 0) == 0]
-    assert len(warm) + len(cold) == len(inversions)
+    warm = [result.iterations for _, kwargs, result in inversions if "initial" in kwargs]
+    cold = [result.iterations for _, kwargs, result in inversions if "initial" not in kwargs]
     assert all(len(args[1]) >= 4 for args, _, _ in inversions)
     assert sum(warm) <= 3 * len(warm)
     assert sum(cold) <= 22

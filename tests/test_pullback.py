@@ -573,8 +573,9 @@ def test_placement_does_not_depend_on_the_solvers_bits(monkeypatch, text):
 
 
 def test_warm_started_run_converges_deep():
-    # accepting a rescaled start without a Newton correction roughly doubles
-    # this run (158 steps); with one it takes about 80
+    # a warm start accepted without a Newton correction (the previous gaps
+    # rescaled by homogeneity) once roughly doubled this run (158 steps); it
+    # takes about 80
     result = pullback.run(comb.parse("0,3,2,1,4"), pullback.RunOptions(tol="1e-60", max_iter=1000))
     assert result.converged and result.iterations <= 90
 
