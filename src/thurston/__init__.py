@@ -42,7 +42,6 @@ from .mpnum import (
     Polynomial,
     PrecisionContext,
     RootBracketError,
-    antiderivative,
     solve_monotone,
 )
 from .pullback import (

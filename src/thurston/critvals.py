@@ -30,12 +30,16 @@ homogeneity (:func:`chebyshev_init`).  Phi is translation invariant, so
 Jacobian column j sums Phi's derivatives in the points right of gap j; the
 (r-1) x (r-1) Newton systems are solved by Gaussian elimination on plain lists.
 
-Phi, its Jacobian and the elimination run on the correctly rounded integer
-pairs of :mod:`thurston.mpnum`, in the operation order and precision of the
-mpf-object oracles in the tests, so every value is bit-identical to them:
-the centered points, the monic product (cached per :class:`PhiProblem` for
-Phi and the Jacobian at the same gaps), the divisions, integrals, Horner
-evaluations and column sums, and every pivot and elimination step.
+Phi, its Jacobian, the centered points and the realized map come from one
+exact integer expansion per :class:`PhiProblem` (``PhiProblem._exact``):
+with the gaps scaled to integers, the points and the monic product are
+integers, every value is a quotient of exact integers, and :func:`pair_div`
+rounds it once to nearest.  So each value is correctly rounded, a small
+value gap to its own relative precision.  The elimination runs on the
+correctly rounded integer pairs of :mod:`thurston.mpnum`, in the operation
+order and precision of the mpf-object oracle in the tests, bit-identical to
+it.  The check that the realized map takes the values evaluates it on its
+block grid (``on_grid``).
 """
 
 from __future__ import annotations
@@ -43,16 +47,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Optional
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import mpf_mul_int, mpf_nthroot
+from mpmath.libmp import fzero, mpf_abs, mpf_mul_int, mpf_nthroot, mpf_sub
 
 from .mpnum import (
-    Polynomial, PowerMap, PrecisionContext, antiderivative, pair_add, pair_cmp,
-    pair_div, pair_divide_linear, pair_expand_roots, pair_horner, pair_integral, pair_mul,
-    pair_round, pair_sub, solve_monotone, to_pair, to_raw, unboxed
+    Polynomial, PowerMap, PrecisionContext, pair_add, pair_cmp, pair_div, pair_mul, pair_round,
+    pair_sub, solve_monotone, to_block, to_pair, to_raw, unboxed
 )
 
 NEWTON_MAX_ITERATIONS = 200
@@ -96,35 +99,58 @@ class PhiProblem:
         return len(self.multiplicities)
 
     @cached_property
-    def _centered(self):
-        """The first gap's context and precision, and the centered points as pairs."""
+    def _exact(self) -> tuple:
+        """The problem in integers, y = K x / 2**E: ``(context, E, C, h, L, LH)``.
+
+        E is the least exponent of the gaps, G_i = delta_i / 2**E and
+        K = sum k_i.  The points C_0 = -sum_i G_i (k_{i+1} + ... + k_r) and
+        C_{i+1} = C_i + K G_i are K c_i / 2**E, h = prod (y - C_i)**k_i
+        (ascending, degree K) has g(x) = (2**E / K)**K h(y), and LH holds
+        L = lcm(1..K+1) times h's antiderivative vanishing at 0, at the C_i.
+        """
         kind = type(self.gaps[0])
         context = getattr(kind, "context", None)
         if not isinstance(context, MPContext) or kind is not context.mpf:
             raise TypeError("gaps must be mpf values")
-        prec = context.prec
-        gaps = [to_pair(g) for g in unboxed(kind, self.gaps)]
+        pairs = [to_pair(g) for g in unboxed(kind, self.gaps)]
+        low = min(e for _, e in pairs)
+        gaps = [m << e - low for m, e in pairs]
         mults = self.multiplicities
-        first = (0, 0)
-        for i, gap in enumerate(gaps):  # first = -sum_i gap_i * (k_{i+1} + ... + k_r)
-            first = pair_sub(first, pair_mul(gap, (sum(mults[i + 1:]), 0), prec), prec)
-        points = [pair_div(first, (sum(mults), 0), prec)]
-        for gap in gaps:
-            points.append(pair_add(points[-1], gap, prec))
-        return context, prec, points
+        total = sum(mults)
+        points = [-sum(g * sum(mults[i + 1:]) for i, g in enumerate(gaps))]
+        for g in gaps:
+            points.append(points[-1] + total * g)
+        h = [1]
+        for point, k in zip(points, mults):
+            for _ in range(k):  # h * (y - point)
+                h = [a - point * b for a, b in zip([0] + h, h + [0])]
+        scale = lcm(*range(1, total + 2))
+        return context, low, points, h, scale, _integral_values(h, points, scale)
 
-    @cached_property
-    def _monic(self) -> list:
-        """Ascending coefficients (pairs) of g, the monic product over the
-        points; Phi and its Jacobian at the same gaps share it."""
-        _, prec, points = self._centered
-        return pair_expand_roots((1, 0), points, self.multiplicities, prec)
+
+def _integral_values(q, points, scale) -> list:
+    """``scale`` times the antiderivative of the integer polynomial ``q`` vanishing at 0,
+    at the integer ``points``; exact when every j + 1 <= len(q) divides ``scale``."""
+    descending = [scale // (j + 1) * c for j, c in reversed(list(enumerate(q)))]
+    values = []
+    for y in points:
+        acc = 0
+        for c in descending:
+            acc = acc * y + c
+        values.append(acc * y)
+    return values
+
+
+def _rounded(context, pair):
+    return context.make_mpf(to_raw(pair))
 
 
 def centered_points(problem: PhiProblem) -> tuple:
-    """Critical points with the prescribed gaps and sum k_i c_i = 0."""
-    context, _, points = problem._centered
-    return tuple(context.make_mpf(to_raw(p)) for p in points)
+    """Critical points with the prescribed gaps and sum k_i c_i = 0, each c_i = C_i 2**E / K
+    rounded once."""
+    context, low, points, h, _, _ = problem._exact
+    total = (len(h) - 1, 0)
+    return tuple(_rounded(context, pair_div((c, low), total, context.prec)) for c in points)
 
 
 def _interval_sign(mults, i) -> int:
@@ -133,44 +159,56 @@ def _interval_sign(mults, i) -> int:
     return 1 if sum(mults[i + 1:]) % 2 == 0 else -1
 
 
-def _integrals(q, points, prec) -> list:
-    """Values at ``points`` of the antiderivative of ``q`` vanishing at 0."""
-    descending = pair_integral(q, prec)[::-1]
-    return [pair_horner(descending, p, prec) for p in points]
-
-
 def phi(problem: PhiProblem) -> tuple:
-    """Value gaps s_i = |integral over [c_i, c_{i+1}] of the monic product|."""
-    context, prec, points = problem._centered
-    values = _integrals(problem._monic, points, prec)
-    gaps = (pair_sub(b, a, prec) for a, b in zip(values, values[1:]))
-    return tuple(context.make_mpf(to_raw((abs(m), e))) for m, e in gaps)
+    """Value gaps s_i = |integral over [c_i, c_{i+1}] of the monic product|, each
+    |LH(C_{i+1}) - LH(C_i)| 2**(E (K+1)) / (K**(K+1) L) rounded once."""
+    context, low, _, h, scale, values = problem._exact
+    degree = len(h) - 1
+    below = (degree ** (degree + 1) * scale, 0)
+    return tuple(_rounded(context, pair_div((abs(b - a), low * (degree + 1)), below, context.prec))
+                 for a, b in zip(values, values[1:]))
 
 
 def phi_jacobian(problem: PhiProblem) -> tuple:
-    """Exact partial derivatives ds_i / ddelta_j, as nested tuples.
+    """Exact partial derivatives ds_i / ddelta_j, each rounded once, as nested tuples.
 
     Phi is translation invariant, so widening gap j moves exactly the points
     c_m with m > j.  Moving c_m perturbs the integrand by
     ``-k_m * g(x)/(x - c_m)``, a polynomial, and the boundary terms vanish
-    because g is zero at both endpoints; column j is the running sum of
-    these terms' integrals over m > j, accumulated right to left.
+    because g is zero at both endpoints.  So column j integrates
+    ``sum_{m > j} k_m h / (y - C_m)``, the quotients exact in integers and
+    summed right to left, as Phi integrates h, over 2**(E K) / (K**K L).
     """
-    mults = problem.multiplicities
-    r = problem.r
-    context, prec, points = problem._centered
-    g = problem._monic
-    column = [(0, 0)] * (r - 1)
+    mults, r = problem.multiplicities, problem.r
+    context, low, points, h, scale, _ = problem._exact
+    degree = len(h) - 1
+    below, exponent = (degree ** degree * scale, 0), low * degree
+    summed = [0] * degree
     columns = [None] * (r - 1)
     for j in reversed(range(r - 1)):
-        m = j + 1
-        ends = _integrals(pair_divide_linear(g, points[m], prec), points, prec)
-        for i in range(r - 1):
-            diff = pair_sub(ends[i + 1], ends[i], prec)
-            term = pair_mul(diff, (-_interval_sign(mults, i) * mults[m], 0), prec)
-            column[i] = pair_add(column[i], term, prec)
-        columns[j] = tuple(context.make_mpf(to_raw(v)) for v in column)
+        root, quotient = points[j + 1], [h[-1]]  # h / (y - root), leading first
+        for c in h[-2:0:-1]:
+            quotient.append(c + root * quotient[-1])
+        summed = [a + mults[j + 1] * b for a, b in zip(summed, reversed(quotient))]
+        ends = _integral_values(summed, points, scale)
+        columns[j] = tuple(
+            _rounded(context, pair_div((-_interval_sign(mults, i) * (ends[i + 1] - ends[i]),
+                                        exponent), below, context.prec))
+            for i in range(r - 1)
+        )
     return tuple(zip(*columns))
+
+
+@lru_cache(maxsize=None)
+def _chebyshev_pattern(multiplicities, ctx: PrecisionContext) -> tuple:
+    """The Chebyshev gap pattern in ``ctx`` and the sum of Phi over it."""
+    mp, r = ctx.mp, len(multiplicities)
+    scale = 2 / mp.mpf(4) ** (mp.mpf(1) / r)
+    pattern = tuple(
+        abs(scale * (mp.cos((j + 1) * mp.pi / (r + 1)) - mp.cos(j * mp.pi / (r + 1))))
+        for j in range(1, r)
+    )
+    return pattern, sum(phi(PhiProblem(pattern, multiplicities)))
 
 
 def chebyshev_init(multiplicities, ctx: PrecisionContext, s) -> tuple:
@@ -180,17 +218,14 @@ def chebyshev_init(multiplicities, ctx: PrecisionContext, s) -> tuple:
     Chebyshev polynomial, r = len(multiplicities) (scaled by 2/4**(1/r)),
     then scaled by t, with t**(1 + sum(k)) = sum(s) / sum(Phi(pattern)): Phi
     is homogeneous of that degree, so the components of Phi at the start sum
-    to sum(s).
+    to sum(s).  The pattern and its Phi are worked out once per
+    multiplicities and precision.
     """
-    if (r := len(multiplicities)) < 2:
+    if len(multiplicities) < 2:
         raise ValueError("need at least two distinct critical points")
     mp = ctx.mp
-    scale = 2 / mp.mpf(4) ** (mp.mpf(1) / r)
-    pattern = tuple(
-        abs(scale * (mp.cos((j + 1) * mp.pi / (r + 1)) - mp.cos(j * mp.pi / (r + 1))))
-        for j in range(1, r)
-    )
-    ratio = sum(ctx.mpf(v) for v in s) / sum(phi(PhiProblem(pattern, multiplicities)))
+    pattern, total = _chebyshev_pattern(tuple(int(k) for k in multiplicities), ctx)
+    ratio = sum(ctx.mpf(v) for v in s) / total
     t = ratio ** (mp.mpf(1) / (1 + sum(multiplicities)))
     return tuple(t * g for g in pattern)
 
@@ -206,7 +241,9 @@ class InversionResult:
 
 
 def _checked_targets(s, multiplicities, ctx):
-    s, mults = tuple(ctx.mpf(v) for v in s), tuple(int(k) for k in multiplicities)
+    kind = ctx.mp.mpf
+    s = tuple(v if type(v) is kind else ctx.mpf(v) for v in s)
+    mults = tuple(int(k) for k in multiplicities)
     if len(s) != len(mults) - 1:
         raise ValueError("need exactly one value gap less than there are critical points")
     if any(not v > 0 for v in s):
@@ -407,7 +444,8 @@ def realize_critical_values(
     (see :func:`solve_gaps`).
     """
     mults = tuple(int(k) for k in multiplicities)
-    values = tuple(ctx.mpf(v) for v in values)
+    kind = ctx.mp.mpf
+    values = tuple(v if type(v) is kind else ctx.mpf(v) for v in values)
     if not values:
         raise ValueError("need at least one critical value")
     sigma = 1 if last_lap_orientation > 0 else -1
@@ -421,29 +459,49 @@ def realize_critical_values(
         f = PowerMap(zero, values[0], ctx.mp.mpf(sigma) / degree, degree)
         return RealizedMap(f, (zero,), InversionResult((), 0, ()))
 
+    prec, rounding = ctx.mp._prec_rounding
+    raw = [v._mpf_ for v in values]
+    gaps = []
     for i in range(r - 1):
-        diff = values[i + 1] - values[i]
-        if diff == 0:
+        diff = mpf_sub(raw[i + 1], raw[i], prec, rounding)
+        if diff == fzero:
             raise ValueError(f"critical values {i} and {i + 1} coincide")
-        expected = sigma * _interval_sign(mults, i)
-        if (1 if diff > 0 else -1) != expected:
+        if (-1 if diff[0] else 1) != sigma * _interval_sign(mults, i):
             raise ValueError(
                 "critical value differences are inconsistent with the lap orientations"
             )
+        gaps.append(ctx.mp.make_mpf(mpf_abs(diff, prec, rounding)))
 
-    inversion = solve_gaps(
-        [abs(values[i + 1] - values[i]) for i in range(r - 1)], mults, ctx, previous
-    )
-    problem = inversion.problem  # sigma * its cached monic product is f', exactly
+    inversion = solve_gaps(gaps, mults, ctx, previous)
+    problem = inversion.problem
     points = centered_points(problem)
-    g = Polynomial(tuple(ctx.mp.make_mpf(to_raw((sigma * m, e))) for m, e in problem._monic))
-    f = antiderivative(g, points[0], values[0])
+    f = _realized_map(problem, sigma, raw[0])
 
+    # f at its critical points on its value grid, less the grid's error
     check_tol = 100 * ctx.newton_tol
-    for point, value in zip(points, values):
-        if abs(f(point) - value) > check_tol * max(1, abs(value)):
+    unit, got, error = f.on_grid(points, ctx)
+    for value, at in zip(values, got):
+        miss = abs(at - to_block(to_pair(value._mpf_), unit))
+        if miss > to_block(to_pair((check_tol * max(1, abs(value)))._mpf_), unit) - error:
             raise RealizationError(
                 "constructed map misses a prescribed critical value by "
-                f"{ctx.format(abs(f(point) - value), 6)}"
+                f"{ctx.format(_rounded(ctx.mp, (miss, unit)), 6)}"
             )
     return RealizedMap(f, points, inversion)
+
+
+def _realized_map(problem: PhiProblem, sigma: int, value) -> Polynomial:
+    """f with f' = sigma * g, g the problem's monic product, and f(c_0) = ``value`` (raw):
+    the coefficient of x**(j+1) is sigma h_j 2**(E (K-j)) / (K**(K-j) (j+1)), and the
+    constant term value - sigma LH(C_0) 2**(E (K+1)) / (K**(K+1) L), each rounded once."""
+    context, low, _, h, scale, values = problem._exact
+    prec, degree = context.prec, len(h) - 1
+    below = degree ** (degree + 1) * scale
+    (vm, ve), shift = to_pair(value), low * (degree + 1)
+    base = min(ve, shift)
+    constant = ((vm * below << ve - base) - (sigma * values[0] << shift - base), base)
+    coefficients = [pair_div(constant, (below, 0), prec)] + [
+        pair_div((sigma * c, low * (degree - j)), (degree ** (degree - j) * (j + 1), 0), prec)
+        for j, c in enumerate(h)
+    ]
+    return Polynomial(tuple(_rounded(context, c) for c in coefficients))

@@ -14,25 +14,32 @@ expands it into a :class:`Polynomial` only when its coefficients are read.
 Both kinds offer ``solve`` (one lap's inverse) and ``precompose`` (an
 affine change of variable), so callers never ask which kind they hold.
 
-The inner loops run on integer pairs (m, e), the value m * 2**e: Horner's
-rule (:func:`pair_horner`, behind ``Polynomial.__call__``), the other
-``pair_*`` kernels that the gap map in :mod:`thurston.critvals` builds on,
-and :func:`affine_substitute`.  Each operation is exact integer arithmetic
-rounded once to nearest, ties to even: the same bits as mpmath's correctly
-rounded raw operations.  Done in the mpf object code's order at its
-precision, every result is bit-identical to it.  Values become pairs only
-inside the kernels, where inf and nan are refused.
+Four kernels run on integer pairs (m, e), the value m * 2**e, each
+operation exact integer arithmetic rounded once to nearest, ties to even,
+as mpmath's raw operations round: Horner's rule (:func:`pair_horner`,
+behind ``Polynomial.__call__``), :func:`pair_expand_roots`,
+:func:`affine_substitute` and the elimination in ``critvals.solve_linear``.
+Done in the mpf object code's order at its precision, every result is
+bit-identical to it; the gap map, exact in integers, takes only
+:func:`pair_div`, once per value.  Values become pairs only inside the
+kernels, where inf and nan are refused.
+
+Every other evaluation of a map runs in block fixed point on plain ints
+(:func:`block_horner`): x over 2**-(prec + 32), values over 2**unit, 32 bits
+below 10 tau and d bits lower per doubling of x's range (:func:`grid_unit`),
+each off by at most :func:`grid_error` units.  A ``Polynomial`` keeps its
+grid once per precision and width (:meth:`Polynomial.block`); both map
+kinds evaluate there by ``on_grid``.
 
 Two solvers invert a map on a single monotone lap, both to the residual
 ``10 * tau * max(1, |target|)``: a ``PowerMap``'s ``solve`` by one n-th root,
 and :func:`solve_monotone`, a ``Polynomial``'s, a bisection/Newton hybrid on
 a bracket that doubles outward on laps extending to infinity (targets may
 sit arbitrarily close to critical values, where the derivative underflows
-and bare Newton crawls or escapes).  It runs in block fixed point on plain
-ints (:func:`block_horner`), each evaluation off by at most
-(d + 1) 2**(d - 31) times the residual bound.  Its Newton may start from a
-point inside the lap, such as a marked point's position one pull-back
-earlier.
+and bare Newton crawls or escapes).  It runs on the map's grid, each
+evaluation off by at most (d + 1) 2**(d - 31) times 10 tau.  Its Newton
+may start from a point inside the lap, such as a marked point's position
+one pull-back earlier.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ NEWTON_TOL_SHIFT = 6  # the gap-map inversion's residual target is 10**(-digits 
 
 # Outward doublings allowed when bracketing a root on an unbounded lap.
 BRACKET_DOUBLINGS = 200
-_GUARD_BITS = 32  # bits of the lap solver's value grid below its residual bound
+_GUARD_BITS = 32  # bits of the value grid below the lap solvers' bound 10 tau
 
 _CONTEXTS = {}  # digits -> the one mpmath context every PrecisionContext shares
 
@@ -163,6 +170,30 @@ class Polynomial:
             return Polynomial((self.coefficients[0] * 0,))
         return Polynomial(tuple(c * (i + 1) for i, c in enumerate(self.coefficients[1:])))
 
+    def block(self, ctx: PrecisionContext, wide: int) -> tuple:
+        """``(unit, values, slopes)``: the coefficients, leading first, and those of the
+        derivative as integers over 2**unit, the value grid of ``ctx`` for
+        |x| < 2**(wide + 1) (:func:`grid_unit`); built once per precision and width."""
+        key = ctx.digits, wide
+        if (grid := self._blocks.get(key)) is None:
+            unit, degree = grid_unit(ctx, self.degree, wide), self.degree
+            values = [to_block(c, unit) for c in self._raw_horner[1]]
+            slopes = [(degree - i) * c for i, c in enumerate(values[:-1])]
+            grid = self._blocks[key] = unit, values, slopes
+        return grid
+
+    @cached_property
+    def _blocks(self) -> dict:
+        return {}
+
+    def on_grid(self, points, ctx: PrecisionContext) -> tuple:
+        """``(unit, values, error)``: self at ``points`` as integers over 2**unit, by
+        :func:`block_horner` on the grid of the narrowest width holding the points,
+        each within ``error`` units of the exact value."""
+        xs, shift, wide = x_grid(points, ctx)
+        unit, values, _ = self.block(ctx, wide)
+        return unit, [block_horner(values, x, shift) for x in xs], grid_error(self.degree, wide)
+
     def solve(self, target, lo, hi, orientation, ctx: PrecisionContext, start=None):
         """x with self(x) = target on a monotone lap, by :func:`solve_monotone` from ``start``."""
         return solve_monotone(self, target, lo, hi, orientation, ctx, start=start)
@@ -247,6 +278,19 @@ class PowerMap:
     @cached_property
     def _lead_sign(self) -> int:
         return 1 if self.lead > 0 else -1
+
+    def on_grid(self, points, ctx: PrecisionContext) -> tuple:
+        """:meth:`Polynomial.on_grid` in closed form: value + lead * (x - center)**degree
+        with x and the center on x's grid, the power exact and the rest rounded once."""
+        xs, shift, wide = x_grid(points, ctx)
+        degree = self.degree
+        unit = grid_unit(ctx, degree, wide)
+        center, value, (lead, exponent) = (
+            to_pair(v) for v in unboxed(ctx.mp.mpf, (self.center, self.value, self.lead)))
+        center, value = to_block(center, -shift), to_block(value, unit)
+        exponent -= shift * degree  # of lead * (x - center)**degree on x's grid
+        values = [value + to_block((lead * (x - center) ** degree, exponent), unit) for x in xs]
+        return unit, values, grid_error(degree, wide)
 
     def precompose(self, offset, scale) -> "PowerMap":
         """The map x |-> self(offset + scale * x), in closed form."""
@@ -391,19 +435,6 @@ def pair_expand_roots(lead, roots, multiplicities, prec) -> list:
     return coeffs
 
 
-def pair_divide_linear(coefficients, root, prec) -> list:
-    """Synthetic division of ascending coefficients by (x - root), a root: no remainder."""
-    out = [coefficients[-1]]
-    for c in coefficients[-2:0:-1]:
-        out.append(pair_add(c, pair_mul(out[-1], root, prec), prec))
-    return out[::-1]
-
-
-def pair_integral(coefficients, prec) -> list:
-    """Ascending coefficients of the antiderivative vanishing at 0."""
-    return [(0, 0)] + [pair_div(c, (i + 1, 0), prec) for i, c in enumerate(coefficients)]
-
-
 def unboxed(kind, values) -> list:
     """Raw tuples of ``values``, coercing any that are not of type ``kind``."""
     return [v._mpf_ if type(v) is kind else kind(v)._mpf_ for v in values]
@@ -418,15 +449,6 @@ def expand_roots(lead, roots, multiplicities) -> Polynomial:
     roots = [to_pair(r) for r in unboxed(type(lead), roots)]
     coeffs = pair_expand_roots(to_pair(lead._mpf_), roots, multiplicities, context.prec)
     return Polynomial(tuple(context.make_mpf(to_raw(c)) for c in coeffs))
-
-
-def antiderivative(p: Polynomial, base_point, base_value) -> Polynomial:
-    """The antiderivative P of p with P(base_point) = base_value, in p's context."""
-    context = p.coefficients[0].context
-    integral = pair_integral([to_pair(c._mpf_) for c in p.coefficients], context.prec)
-    raw = Polynomial(tuple(context.make_mpf(to_raw(c)) for c in integral))
-    constant = base_value - raw(base_point)
-    return Polynomial((raw.coefficients[0] + constant,) + raw.coefficients[1:])
 
 
 def affine_substitute(p: Polynomial, offset, scale) -> Polynomial:
@@ -464,6 +486,27 @@ def to_block(pair, unit) -> int:
     return (m + (1 << (unit - e - 1))) >> (unit - e)
 
 
+def grid_unit(ctx: PrecisionContext, degree: int, wide: int) -> int:
+    """The exponent of the value grid for maps of ``degree`` on |x| < 2**(wide + 1):
+    ``_GUARD_BITS`` bits below the lap solvers' bound 10 tau, less ``degree * wide``."""
+    _, _, exp, bits = ctx.solve_tol
+    return exp + bits - 1 - _GUARD_BITS - degree * wide
+
+
+def grid_error(degree: int, wide: int) -> int:
+    """Units of :func:`grid_unit` by which :func:`block_horner` may miss a map's value:
+    at most 1.5 (degree + 1) max(1, |x|)**degree, and |x| < 2**(wide + 1)."""
+    return (degree + 1) << (degree * (wide + 1) + 1)
+
+
+def x_grid(points, ctx: PrecisionContext) -> tuple:
+    """``(xs, shift, wide)``: the mpfs ``points`` of ctx as integers over 2**-shift,
+    shift = prec + ``_GUARD_BITS``, and the least wide >= 0 with all |x| < 2**(wide + 1)."""
+    shift = ctx.mp.prec + _GUARD_BITS
+    xs = [to_block(to_pair(p), -shift) for p in unboxed(ctx.mp.mpf, points)]
+    return xs, shift, max(0, (max(map(abs, xs)) >> shift).bit_length() - 1)
+
+
 def block_horner(descending, x, shift):
     """Horner's rule on integer coefficients of one grid, leading first, and the
     integer x * 2**shift: ``acc * x >> shift`` plus each next coefficient."""
@@ -487,7 +530,8 @@ def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionCon
 
     In block fixed point: x is an integer over 2**(prec + 32), rounded to
     ``prec`` bits; the coefficients C_i, the target and the bound are integers
-    over 2**E, 32 bits below the bound, and p' has coefficients i * C_i.
+    over 2**E, 32 bits below 10 tau (p's cached :meth:`Polynomial.block`), and
+    p' has coefficients i * C_i.
     Horner is then within 1.5 (d + 1) max(1, |x|)**d units of 2**E.  E drops d
     bits per doubling of a bracket reaching |x| >= 2, and the residual test
     allows for the (d + 1) 2**(d + 1) units left, so the exact residual meets
@@ -514,13 +558,10 @@ def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionCon
     target = own(target)[0]
     start = None if start is None else own(start)[1]
     bound = to_pair(_value_tolerance(target._mpf_, ctx))
-    descending, degree = p._raw_horner[1], p.degree
 
     def value_grid(wide):  # coefficients, slopes, target, allowed residual; |x| < 2**(wide + 1)
-        unit = bound[1] + bound[0].bit_length() - 1 - _GUARD_BITS - degree * wide
-        values = [to_block(c, unit) for c in descending]
-        slopes = [(degree - i) * c for i, c in enumerate(values[:-1])]
-        allowed = to_block(bound, unit) - ((degree + 1) << (degree * (wide + 1) + 1))
+        unit, values, slopes = p.block(ctx, wide)
+        allowed = to_block(bound, unit) - grid_error(p.degree, wide)
         return values, slopes, to_block(to_pair(target._mpf_), unit), allowed
 
     values, slopes, goal, allowed = value_grid(0)

@@ -43,13 +43,15 @@ combinatorics is simplified accordingly, and the run continues on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Optional
-
-from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_sqrt, mpf_sub
 
 from . import combinatorics as comb
 from . import critvals
-from .mpnum import MIN_DIGITS, Polynomial, PowerMap, PrecisionContext, unboxed
+from .mpnum import (
+    MIN_DIGITS, Polynomial, PowerMap, PrecisionContext, pair_div, to_block, to_pair, to_raw,
+    unboxed
+)
 
 STALL_WINDOW = 4
 STALL_FACTOR = 0.5
@@ -259,23 +261,28 @@ def pullback_step(
 
 
 def fit_error(c: comb.Combinatorics, f, x: MarkedConfiguration, ctx: PrecisionContext, core=None):
-    """eps = sqrt(sum_j (f(x_j) - x_{m_j})**2) / n, on raw tuples as mpfs in ctx round it;
-    given ``core`` indices, the pair (eps, eps_core), eps_core summing over the core alone."""
-    mp = ctx.mp
-    prec, rounding = mp._prec_rounding
-    points = unboxed(mp.mpf, x.points)
-    total = core_total = fzero
-    for j, point in enumerate(x.points):
-        diff = mpf_sub(f(point)._mpf_, points[c.m[j]], prec, rounding)
-        square = mpf_mul(diff, diff, prec, rounding)
-        total = mpf_add(total, square, prec, rounding)
-        if core is not None and j in core:
-            core_total = mpf_add(core_total, square, prec, rounding)
-    eps, eps_core = (
-        mp.make_mpf(mpf_div(mpf_sqrt(t, prec, rounding), from_int(c.n), prec, rounding))
-        for t in (total, core_total)
-    )
-    return eps if core is None else (eps, eps_core)
+    """eps = sqrt(sum_j (f(x_j) - x_{m_j})**2) / n; given ``core`` indices, the pair
+    (eps, eps_core), eps_core summing over the core alone.
+
+    The residuals are integers on f's value grid (``f.on_grid``: f within its
+    ``error`` units of 2**unit, the targets within half a unit), their squares
+    sum exactly, and each eps takes one integer square root and one division.
+    So eps is within (error + 1/2) sqrt(n + 1) 2**unit / n of the exact value,
+    plus one unit in its last place.
+    """
+    prec = ctx.mp.prec
+    unit, values, _ = f.on_grid(x.points, ctx)
+    targets = [to_block(to_pair(p), unit) for p in unboxed(ctx.mp.mpf, x.points)]
+    squares = [(v - targets[m]) ** 2 for v, m in zip(values, c.m)]
+
+    def eps(total):
+        extra = max(0, prec + 2 - total.bit_length() // 2)  # the root keeps prec + 1 bits
+        root = isqrt(total << 2 * extra)
+        return ctx.mp.make_mpf(to_raw(pair_div((root, unit - extra), (c.n, 0), prec)))
+
+    if core is None:
+        return eps(sum(squares))
+    return eps(sum(squares)), eps(sum(v for j, v in enumerate(squares) if j in core))
 
 
 def place_passengers(c: comb.Combinatorics, normalized: NormalizedMap, x: MarkedConfiguration,

@@ -139,6 +139,13 @@ def test_jacobian_matches_central_differences():
                 assert abs(J[i][j] - fd) <= ctx.mpf("1e-8")
 
 
+def antiderivative(p, base_point, base_value):
+    """The antiderivative of the Polynomial p through (base_point, base_value)."""
+    coeffs = [p.coefficients[0] * 0] + [c / (i + 1) for i, c in enumerate(p.coefficients)]
+    constant = base_value - mpnum.Polynomial(tuple(coeffs))(base_point)
+    return mpnum.Polynomial((coeffs[0] + constant, *coeffs[1:]))
+
+
 def chain_rule_jacobian(gaps, mults, ctx):
     """ds_i / ddelta_j through the centered points, as the Jacobian was first
     written: moving point m changes the signed integral over interval i by
@@ -151,7 +158,7 @@ def chain_rule_jacobian(gaps, mults, ctx):
     dS = []
     for m in range(r):
         reduced = [k - (i == m) for i, k in enumerate(mults)]
-        Q = mpnum.antiderivative(mpnum.expand_roots(one, points, reduced), zero, zero)
+        Q = antiderivative(mpnum.expand_roots(one, points, reduced), zero, zero)
         ends = [Q(p) for p in points]
         dS.append([-mults[m] * (b - a) for a, b in zip(ends, ends[1:])])
     rows = []
@@ -586,6 +593,23 @@ def test_realize_rejects_no_values():
         critvals.realize_critical_values((), (), 1, ctx40())
 
 
+def test_realize_refuses_gaps_that_miss_the_values(monkeypatch):
+    # The built map is checked at its critical points on its value grid: gaps
+    # off by a relative 1e-20 miss the values by far more than 100 newton_tol.
+    ctx = ctx40()
+    values = (ctx.mpf("0.8"), ctx.mpf("0.45"), ctx.mpf("0.15"))
+    solve = critvals.solve_gaps
+
+    def off(s, mults, ctx, previous=None):
+        gaps = tuple(g * (1 + ctx.mpf("1e-20")) for g in solve(s, mults, ctx, previous).gaps)
+        return critvals.InversionResult(gaps, 0, (), problem=critvals.PhiProblem(gaps, mults))
+
+    critvals.realize_critical_values(values, (1, 2, 1), 1, ctx)
+    monkeypatch.setattr(critvals, "solve_gaps", off)
+    with pytest.raises(critvals.RealizationError, match="misses a prescribed critical value by"):
+        critvals.realize_critical_values(values, (1, 2, 1), 1, ctx)
+
+
 # ---------------------------------------------------------------- inside a run
 
 def spy(monkeypatch, module, name):
@@ -644,14 +668,29 @@ def test_singular_warm_start_restarts_cold(monkeypatch):
 
 
 def test_unsolvable_problem_gives_up_after_one_newton(monkeypatch):
-    # Newton from the Chebyshev start stalls on these gaps, so solve_gaps
-    # raises after that one call instead of searching further.
-    ctx, mults = ctx40(), (2, 2, 2, 3, 3, 1)
-    s = critvals.phi(problem(ctx, ("4.04e-6", "1.62e-3", "2.82e-5", "1.51e-2", "0.956"), mults))
+    # A Phi whose residual never shrinks stalls Newton from the Chebyshev
+    # start, so solve_gaps raises after that one call instead of searching
+    # further.  The Chebyshev pattern's own Phi is cached first, so that the
+    # stand-in below never reaches that cache.
+    ctx, mults = ctx40(), (1, 2, 1, 2)
+    s = [ctx.mpf(Fraction(1, 7)), ctx.mpf(Fraction(2, 11)), ctx.mpf(Fraction(1, 9))]
+    critvals.chebyshev_init(mults, ctx, s)
+    monkeypatch.setattr(critvals, "phi", lambda problem: tuple(v + 1 for v in s))
     inversions = spy(monkeypatch, critvals, "invert_phi")
-    with pytest.raises(critvals.NewtonStalled):
-        critvals.solve_gaps(list(s), mults, ctx)
+    with pytest.raises(critvals.NewtonStalled, match="residual stuck at 1"):
+        critvals.solve_gaps(s, mults, ctx)
     assert len(inversions) == 1
+
+
+def test_value_gaps_over_forty_decades_invert_cold():
+    # Value gaps from 2e-48 to 3.5e-3 (gaps from 4e-6 to 0.96): with Phi
+    # rounded once, cold Newton solves them and recovers every gap to about
+    # the working precision.
+    ctx, mults = ctx40(), (2, 2, 2, 3, 3, 1)
+    gaps = tuple(ctx.mpf(g) for g in ("4.04e-6", "1.62e-3", "2.82e-5", "1.51e-2", "0.956"))
+    s = critvals.phi(critvals.PhiProblem(gaps, mults))
+    solved = critvals.solve_gaps(list(s), mults, ctx)
+    assert all(abs(got - want) <= ctx.mpf("1e-34") * want for got, want in zip(solved.gaps, gaps))
 
 
 def test_reference_runs_invert_with_few_newton_iterations(monkeypatch):

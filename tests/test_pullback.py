@@ -619,6 +619,13 @@ def test_out_of_order_pullback_raises_with_step_context(monkeypatch):
     assert str(info.value) == "step 1 (0,3,2,1,4): pulled-back configuration is out of order"
 
 
+def antiderivative(p, base_point, base_value):
+    """The antiderivative of the Polynomial p through (base_point, base_value)."""
+    coeffs = [p.coefficients[0] * 0] + [c / (i + 1) for i, c in enumerate(p.coefficients)]
+    constant = base_value - mpnum.Polynomial(tuple(coeffs))(base_point)
+    return mpnum.Polynomial((coeffs[0] + constant, *coeffs[1:]))
+
+
 @pytest.mark.parametrize("text", ["0,1,0", "2,1,2", "0,2^4,1,0", "0,1^6,0", "3,1,2,3", "4,2,1,3,4"])
 def test_power_map_frames_as_the_dense_antiderivative(text):
     # With one critical point mapmake builds v + (sigma/d) x**d as a PowerMap.
@@ -636,7 +643,7 @@ def test_power_map_frames_as_the_dense_antiderivative(text):
         zero = ctx.mp.mpf(0)
         slope = mpnum.Polynomial((zero,) * (f.degree - 1) + (ctx.mp.mpf(sigma),))
         dense = critvals.RealizedMap(
-            mpnum.antiderivative(slope, zero, x.points[c.m[c.critical_points()[0]]]),
+            antiderivative(slope, zero, x.points[c.m[c.critical_points()[0]]]),
             realized.critical_points, realized.inversion,
         )
         closed, via_dense = pullback.normalize(c, realized, ctx), pullback.normalize(c, dense, ctx)

@@ -1,25 +1,31 @@
-"""The raw-tuple and integer kernels against the object arithmetic they replace.
+"""The raw-tuple and integer kernels against the arithmetic they replace.
 
-The oracles below are the mpf-object versions of ``solve_monotone``,
-``centered_points``, ``phi``, ``phi_jacobian``, ``solve_linear``,
-``affine_substitute`` and ``fit_error``, with the object polynomial helpers
-they relied on.  The raw kernels do the same operations in the same order
-with the same rounding, so every output must have the same ``_mpf_`` tuple,
-and every failure the same exception type and message.
+The gap map, its Jacobian, the centered points and the realized map are
+computed from one exact integer expansion and rounded once, so each must
+have the ``_mpf_`` tuple of the exact value, worked out here in Fractions,
+rounded once to nearest at the context's precision.  The oracles for
+``solve_linear`` and ``affine_substitute`` are the mpf-object versions, with
+the object polynomial helpers they relied on: the raw kernels do the same
+operations in the same order with the same rounding, so every output must
+have the same ``_mpf_`` tuple, and every failure the same exception type
+and message.
 
-``solve_monotone`` runs in block fixed point instead, so it is held to
-agreement: the same outcome, the same exception type and message on
-failure, and on success two roots inside the lap that both meet the
-residual bound and whose values differ by at most twice it.  An exact warm
-start, and a lap end that meets the bound, come back bit for bit.
+``solve_monotone`` and ``fit_error`` run on a block fixed-point grid
+instead, so they are held to agreement: ``fit_error`` to within the grid's
+stated bound of the exact value, and ``solve_monotone`` to the same
+outcome, the same exception type and message on failure, and on success two
+roots inside the lap that both meet the residual bound and whose values
+differ by at most twice it.  An exact warm start, and a lap end that meets
+the bound, come back bit for bit.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import to_rational
+from mpmath.libmp import from_rational, round_nearest, to_rational
 
 from thurston import combinatorics as comb
 from thurston import critvals, mpnum, pullback
@@ -35,17 +41,6 @@ def horner(coefficients, x):
     return acc
 
 
-def expand_roots(lead, roots, multiplicities):
-    coeffs = [lead]
-    for root, k in zip(roots, multiplicities):
-        for _ in range(k):
-            shifted = [c * (-root) for c in coeffs] + [coeffs[0] * 0]
-            for i, c in enumerate(coeffs):
-                shifted[i + 1] += c
-            coeffs = shifted
-    return coeffs
-
-
 def antiderivative(coefficients, base_point, base_value):
     zero = coefficients[0] * 0
     coeffs = [zero] + [c / (i + 1) for i, c in enumerate(coefficients)]
@@ -53,54 +48,54 @@ def antiderivative(coefficients, base_point, base_value):
     return [coeffs[0] + constant] + coeffs[1:]
 
 
-def divide_linear(coeffs, root):
-    out = [None] * (len(coeffs) - 1)
-    acc = coeffs[-1]
-    for i in range(len(coeffs) - 2, -1, -1):
-        out[i] = acc
-        acc = coeffs[i] + acc * root
-    return out
+def exact(v):
+    """The value of an mpf as a Fraction."""
+    return Fraction(*to_rational(v._mpf_))
 
 
-def centered_points(problem):
-    mults = problem.multiplicities
-    K = sum(mults)
-    first = problem.gaps[0] * 0
-    for i, gap in enumerate(problem.gaps):
-        first -= gap * sum(mults[i + 1:])
-    first /= K
-    points = [first]
-    for gap in problem.gaps:
+def rounded(ctx, value: Fraction):
+    """``value`` rounded once to nearest at the precision of ctx."""
+    raw = from_rational(value.numerator, value.denominator, ctx.mp.prec, round_nearest)
+    return ctx.mp.make_mpf(raw)
+
+
+def exact_points(problem):
+    mults, gaps = problem.multiplicities, [exact(g) for g in problem.gaps]
+    points = [-sum(g * sum(mults[i + 1:]) for i, g in enumerate(gaps)) / sum(mults)]
+    for gap in gaps:
         points.append(points[-1] + gap)
-    return tuple(points)
+    return points
 
 
-def phi(problem):
-    points = centered_points(problem)
-    zero = points[0] * 0
-    g = expand_roots(zero + 1, points, problem.multiplicities)
-    G = antiderivative(g, zero, zero)
-    values = [horner(G, p) for p in points]
-    return tuple(abs(values[i + 1] - values[i]) for i in range(problem.r - 1))
+def exact_product(roots, multiplicities):
+    """Ascending coefficients of prod (x - roots[i])**multiplicities[i], as Fractions."""
+    coeffs = [Fraction(1)]
+    for root, k in zip(roots, multiplicities):
+        for _ in range(k):
+            coeffs = [a - root * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
 
 
-def phi_jacobian(problem):
-    mults = problem.multiplicities
-    r = problem.r
-    points = centered_points(problem)
-    zero = points[0] * 0
-    g = expand_roots(zero + 1, points, mults)
-    column = [zero] * (r - 1)
-    columns = [None] * (r - 1)
-    for j in reversed(range(r - 1)):
-        m = j + 1
-        Q = antiderivative(divide_linear(g, points[m]), zero, zero)
-        ends = [horner(Q, p) for p in points]
-        for i in range(r - 1):
-            weight = -critvals._interval_sign(mults, i) * mults[m]
-            column[i] = column[i] + (ends[i + 1] - ends[i]) * weight
-        columns[j] = tuple(column)
-    return tuple(zip(*columns))
+def exact_integral(coeffs, a, b):
+    return sum(c * (b ** (i + 1) - a ** (i + 1)) / (i + 1) for i, c in enumerate(coeffs))
+
+
+def exact_phi(problem):
+    points = exact_points(problem)
+    g = exact_product(points, problem.multiplicities)
+    return [abs(exact_integral(g, a, b)) for a, b in zip(points, points[1:])]
+
+
+def exact_jacobian(problem):
+    """ds_i / ddelta_j = -sign_i sum_{m > j} k_m * integral over [c_i, c_{i+1}] of g / (x - c_m)."""
+    mults, r = problem.multiplicities, problem.r
+    points = exact_points(problem)
+    quotients = [exact_product(points, [k - (i == m) for i, k in enumerate(mults)])
+                 for m in range(r)]
+    return [[-critvals._interval_sign(mults, i) * sum(
+                mults[m] * exact_integral(quotients[m], points[i], points[i + 1])
+                for m in range(j + 1, r))
+             for j in range(r - 1)] for i in range(r - 1)]
 
 
 def solve_linear(rows, rhs, ctx):
@@ -220,14 +215,6 @@ def affine_substitute(coefficients, offset, scale):
     return out
 
 
-def fit_error(c, f, points, ctx):
-    total = ctx.mp.mpf(0)
-    for j in range(c.n + 1):
-        diff = f(points[j]) - points[c.m[j]]
-        total += diff * diff
-    return ctx.mp.sqrt(total) / c.n
-
-
 # ---------------------------------------------------------------- helpers
 
 
@@ -257,13 +244,13 @@ def assert_same_outcome(got, want):
 digits = st.sampled_from([40, 80])
 # Gaps spread over several decades, as the iteration produces them.
 gap = st.builds(lambda m, e: Fraction(m, 1000) * Fraction(10) ** e,
-                st.integers(1, 9999), st.integers(-4, 1))
+                st.integers(1, 9999), st.integers(-8, 1))
 
 
 @st.composite
 def phi_problems(draw):
     ctx = mpnum.PrecisionContext(draw(digits))
-    r = draw(st.integers(2, 5))
+    r = draw(st.integers(2, 6))
     mults = draw(st.lists(st.integers(1, 3), min_size=r, max_size=r))
     gaps = draw(st.lists(gap, min_size=r - 1, max_size=r - 1))
     # ctx.mpf rounds a fraction, so the gaps carry full-length mantissas
@@ -276,17 +263,31 @@ def phi_problems(draw):
 @given(phi_problems())
 @settings(max_examples=150, deadline=None)
 def test_gap_map_is_bit_identical(case):
-    _, problem = case
-    assert same(critvals.centered_points(problem), centered_points(problem))
-    assert same(critvals.phi(problem), phi(problem))
-    assert same(critvals.phi_jacobian(problem), phi_jacobian(problem))
+    # each value is the exact one rounded once
+    ctx, problem = case
+    assert same(critvals.centered_points(problem),
+                tuple(rounded(ctx, v) for v in exact_points(problem)))
+    assert same(critvals.phi(problem), tuple(rounded(ctx, v) for v in exact_phi(problem)))
+    assert same(critvals.phi_jacobian(problem),
+                tuple(tuple(rounded(ctx, v) for v in row) for row in exact_jacobian(problem)))
 
 
-@given(phi_problems(), st.lists(gap, min_size=4, max_size=4))
+def test_tiny_value_gap_keeps_its_relative_accuracy():
+    # Phi(1, 1e-30) with multiplicities (1, 1, 1): s_2 is about 1.7e-91.  Taken
+    # as a difference of rounded antiderivative values at the points, it came
+    # out as 0 at 40 digits, which solve_gaps refuses as a non-positive gap.
+    ctx = mpnum.PrecisionContext(40)
+    problem = critvals.PhiProblem((ctx.mpf(1), ctx.mpf("1e-30")), (1, 1, 1))
+    s = critvals.phi(problem)
+    assert s[1] > 0
+    assert same(s, tuple(rounded(ctx, v) for v in exact_phi(problem)))
+
+
+@given(phi_problems(), st.lists(gap, min_size=5, max_size=5))
 @settings(max_examples=100, deadline=None)
 def test_newton_system_solve_is_bit_identical(case, rhs):
     ctx, problem = case
-    rows = phi_jacobian(problem)
+    rows = critvals.phi_jacobian(problem)
     rhs = [ctx.mpf(v) for v in rhs[: len(rows)]]
     assert_same_outcome(outcome(critvals.solve_linear, rows, rhs, ctx),
                         outcome(solve_linear, rows, rhs, ctx))
@@ -347,7 +348,8 @@ def lap_problems(draw):
     dp = mpnum.expand_roots(
         ctx.mpf(draw(st.sampled_from([-1, 1]))), (ctx.mpf(a), ctx.mpf(b)), (k1, k2)
     )
-    p = mpnum.antiderivative(dp, ctx.mpf(draw(entry)), ctx.mpf(draw(entry)))
+    p = mpnum.Polynomial(tuple(antiderivative(
+        list(dp.coefficients), ctx.mpf(draw(entry)), ctx.mpf(draw(entry)))))
     a, b = ctx.mpf(a), ctx.mpf(b)
     lap = draw(st.sampled_from(["below", "middle", "above"]))
     t = ctx.mpf(draw(st.fractions(0, 1)))
@@ -385,9 +387,6 @@ def cubic_lap(target, start):
 
 def exact_residual(p, x, target):
     """p(x) - target in exact rational arithmetic."""
-    def exact(v):
-        return Fraction(*to_rational(v._mpf_))
-
     return sum(exact(c) * exact(x) ** i for i, c in enumerate(p.coefficients)) - exact(target)
 
 
@@ -444,19 +443,40 @@ def test_affine_substitution_is_bit_identical(digit_count, degree, data):
 # ---------------------------------------------------------------- fit
 
 
-@given(digits, st.integers(0, 7), st.integers(2, 6), st.data())
+def exact_value(f, x: Fraction) -> Fraction:
+    if isinstance(f, mpnum.PowerMap):
+        return exact(f.value) + exact(f.lead) * (x - exact(f.center)) ** f.degree
+    return sum(exact(c) * x ** i for i, c in enumerate(f.coefficients))
+
+
+@given(digits, st.integers(0, 7), st.integers(2, 6), st.booleans(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_fit_error_is_bit_identical(digit_count, degree, n, data):
+def test_fit_error_is_within_its_grid_bound(digit_count, degree, n, power, data):
+    # A dense polynomial or a PowerMap (degree 2-7), against the exact eps:
+    # within (error + 1/2) sqrt(n + 1) 2**unit / n, plus one unit in its last place.
     ctx = mpnum.PrecisionContext(digit_count)
-    coeffs = [ctx.mpf(data.draw(entry)) for _ in range(degree)]
-    coeffs.append(ctx.mpf(data.draw(entry.filter(bool))))
-    f = mpnum.Polynomial(tuple(coeffs))
+    if power:
+        center, value, lead = (ctx.mpf(data.draw(entry)) for _ in range(3))
+        f = mpnum.PowerMap(center, value, lead, max(degree, 2))
+    else:
+        coeffs = [ctx.mpf(data.draw(entry)) for _ in range(degree)]
+        coeffs.append(ctx.mpf(data.draw(entry.filter(bool))))
+        f = mpnum.Polynomial(tuple(coeffs))
     images = data.draw(st.lists(st.integers(0, n), min_size=n + 1, max_size=n + 1))
     c = comb.Combinatorics(tuple(images), (1,) * (n + 1))
     inner = sorted(data.draw(st.lists(st.fractions(0, 1), min_size=n - 1, max_size=n - 1)))
     points = (ctx.mp.mpf(0), *map(ctx.mpf, inner), ctx.mp.mpf(1))
-    got = pullback.fit_error(c, f, pullback.MarkedConfiguration(points), ctx)
-    assert same(got, fit_error(c, f, points, ctx))
+    core = frozenset(data.draw(st.sets(st.integers(0, n))))
+    eps, eps_core = pullback.fit_error(c, f, pullback.MarkedConfiguration(points), ctx, core)
+    assert same(eps, pullback.fit_error(c, f, pullback.MarkedConfiguration(points), ctx))
+    unit, _, error = f.on_grid(points, ctx)
+    x = [exact(p) for p in points]
+    squares = [(exact_value(f, x[j]) - x[c.m[j]]) ** 2 for j in range(n + 1)]
+    for got, total in ((eps, sum(squares)), (eps_core, sum(squares[j] for j in core))):
+        got = exact(got)  # isqrt(n) + 1 >= sqrt(n + 1)
+        slack = (Fraction(2 * error + 1, 2) * Fraction(2) ** unit * (isqrt(n) + 1) / n
+                 + got * Fraction(2) ** (1 - ctx.mp.prec))
+        assert max(got - slack, 0) ** 2 <= total / n**2 <= (got + slack) ** 2
 
 
 # ---------------------------------------------------------------- realization
@@ -480,14 +500,16 @@ def realizations(draw):
 @given(realizations())
 @settings(max_examples=60, deadline=None)
 def test_realized_map_is_the_expanded_product_bit_for_bit(case):
-    # realize_critical_values takes f' from the inversion's final Phi
-    # problem, whose monic product Newton already expanded
+    # f' = sigma * g for the inversion's final gaps and f(c_0) = values[0],
+    # with the exact critical points; each coefficient rounded once
     ctx, mults, sigma, values = case
     realized = critvals.realize_critical_values(values, mults, sigma, ctx)
-    points = centered_points(critvals.PhiProblem(realized.inversion.gaps, mults))
-    assert same(realized.critical_points, points)
-    g = expand_roots(ctx.mp.mpf(sigma), points, mults)
-    assert same(realized.polynomial.coefficients, antiderivative(g, points[0], values[0]))
+    points = exact_points(critvals.PhiProblem(realized.inversion.gaps, mults))
+    assert same(realized.critical_points, tuple(rounded(ctx, p) for p in points))
+    integral = [Fraction(0)] + [sigma * c / (j + 1)
+                                for j, c in enumerate(exact_product(points, mults))]
+    integral[0] = exact(values[0]) - sum(c * points[0] ** i for i, c in enumerate(integral))
+    assert same(realized.polynomial.coefficients, tuple(rounded(ctx, c) for c in integral))
 
 
 @pytest.mark.parametrize("text", dict.fromkeys(row.combinatorics for row in ROWS))
