@@ -10,19 +10,20 @@ Polynomials are dense coefficient vectors in the monomial basis, ascending
 powers, in mpfs of one context; degrees stay small (around twelve).  A map
 with one critical point is exactly ``value + lead * (x - center)**degree``;
 a :class:`PowerMap` evaluates, inverts and reframes it in that form and
-expands it into a :class:`Polynomial` only when its coefficients are read.
-Both kinds offer ``solve`` (one lap's inverse) and ``precompose`` (an
-affine change of variable), so callers never ask which kind they hold.
+expands it into a :class:`Polynomial` only when its coefficients are read,
+by the binomial theorem in exact integers, each coefficient rounded once.
+Both kinds offer ``solve`` (one lap's inverse), ``preimages`` (the inverse on
+many laps at once) and ``frame`` (the framing points A and B and the map
+x |-> f(A + (B - A) x)), so callers never ask which kind they hold.
 
-Four kernels run on integer pairs (m, e), the value m * 2**e, each
+Three kernels run on integer pairs (m, e), the value m * 2**e, each
 operation exact integer arithmetic rounded once to nearest, ties to even,
 as mpmath's raw operations round: Horner's rule (:func:`pair_horner`,
-behind ``Polynomial.__call__``), :func:`pair_expand_roots`,
-:func:`affine_substitute` and the elimination in ``critvals.solve_linear``.
-Done in the mpf object code's order at its precision, every result is
-bit-identical to it; the gap map, exact in integers, takes only
-:func:`pair_div`, once per value.  Values become pairs only inside the
-kernels, where inf and nan are refused.
+behind ``Polynomial.__call__``), :func:`affine_substitute` and the
+elimination in ``critvals.solve_linear``.  Done in the mpf object code's
+order at its precision, every result is bit-identical to it; the gap map,
+exact in integers, takes only :func:`pair_div`, once per value.  Values
+become pairs only inside the kernels, where inf and nan are refused.
 
 Every other evaluation of a map runs in block fixed point on plain ints
 (:func:`block_horner`): x over 2**-(prec + 32), values over 2**unit, 32 bits
@@ -32,14 +33,21 @@ grid once per precision and width (:meth:`Polynomial.block`); both map
 kinds evaluate there by ``on_grid``.
 
 Two solvers invert a map on a single monotone lap, both to the residual
-``10 * tau * max(1, |target|)``: a ``PowerMap``'s ``solve`` by one n-th root,
-and :func:`solve_monotone`, a ``Polynomial``'s, a bisection/Newton hybrid on
-a bracket that doubles outward on laps extending to infinity (targets may
-sit arbitrarily close to critical values, where the derivative underflows
-and bare Newton crawls or escapes).  It runs on the map's grid, each
-evaluation off by at most (d + 1) 2**(d - 31) times 10 tau.  Its Newton
-may start from a point inside the lap, such as a marked point's position
-one pull-back earlier.
+``10 * tau * max(1, |target|)``.  A ``PowerMap`` inverts in closed form: its
+``solve`` by one n-th root of mpfs, and its ``frame`` and ``preimages`` by
+ratios of integer roots on x's grid.  With v the value and rho_t =
+|t - v|**(1/d) floored there (:func:`iroot`), the framing points of targets
+t_0 and t_n give the map v + sign(lead) (rho_0 + rho_n)**d (x - c)**d with
+c = rho_0 / (rho_0 + rho_n), and each other target pulls back to
+(rho_0 -+ rho_t) / (rho_0 + rho_n), - left of c and + right of it, each
+value rounded once: the lead's and the framing scale's d-th roots cancel.
+:func:`solve_monotone`, a ``Polynomial``'s solver, is a bisection/Newton
+hybrid on a bracket that doubles outward on laps extending to infinity
+(targets may sit arbitrarily close to critical values, where the
+derivative underflows and bare Newton crawls or escapes).  It runs on the
+map's grid, each evaluation off by at most (d + 1) 2**(d - 31) times
+10 tau.  Its Newton may start from a point inside the lap, such as a
+marked point's position one pull-back earlier.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import comb as binomial, isqrt
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
@@ -198,9 +207,25 @@ class Polynomial:
         """x with self(x) = target on a monotone lap, by :func:`solve_monotone` from ``start``."""
         return solve_monotone(self, target, lo, hi, orientation, ctx, start=start)
 
-    def precompose(self, offset, scale) -> "Polynomial":
-        """The polynomial x |-> self(offset + scale * x), by :func:`affine_substitute`."""
-        return affine_substitute(self, offset, scale)
+    def preimages(self, targets, laps, ctx: PrecisionContext, starts) -> list:
+        """For each ``laps[j] = (lo, hi, orientation)``, the x with self(x) = ``targets[j]``
+        on that lap by :func:`solve_monotone` from ``starts[j]``; None where the lap is None."""
+        return [None if lap is None else solve_monotone(self, target, *lap, ctx, start=start)
+                for target, lap, start in zip(targets, laps, starts)]
+
+    def frame(self, targets, laps, critical_points, ctx: PrecisionContext, starts) -> tuple:
+        """``(framed, moved, A, B)``: A and B, the solutions of self(x) = ``targets[i]`` on
+        ``laps[i]`` (the first and the last lap, unbounded outward) by
+        :func:`solve_monotone` from ``starts[i]``, the map x |-> self(A + (B - A) x) by
+        :func:`affine_substitute`, and the ``critical_points`` carried with it.  Unless
+        B > A there is no frame, and the map and its critical points come back as they are."""
+        A, B = (solve_monotone(self, target, *lap, ctx, start=start)
+                for target, lap, start in zip(targets, laps, starts))
+        if not B > A:
+            return self, tuple(critical_points), A, B
+        scale = B - A
+        moved = tuple((p - A) / scale for p in critical_points)
+        return affine_substitute(self, A, scale), moved, A, B
 
 
 @dataclass(frozen=True)
@@ -208,7 +233,7 @@ class PowerMap:
     """``value + lead * (x - center)**degree`` in mpfs of one context: a map with one
     critical point that evaluates like a :class:`Polynomial`, whose ``coefficients``
     come from one cached expansion, :attr:`expanded`, and whose ``derivative()``,
-    ``solve`` and ``precompose`` stay in closed form: the derivative is
+    ``solve``, ``frame`` and ``preimages`` stay in closed form: the derivative is
     ``degree * lead * (x - center)**(degree - 1)``."""
 
     center: object
@@ -275,9 +300,9 @@ class PowerMap:
                 )
         return box(x)
 
-    @cached_property
+    @property
     def _lead_sign(self) -> int:
-        return 1 if self.lead > 0 else -1
+        return -1 if self.lead._mpf_[0] else 1
 
     def on_grid(self, points, ctx: PrecisionContext) -> tuple:
         """:meth:`Polynomial.on_grid` in closed form: value + lead * (x - center)**degree
@@ -292,15 +317,97 @@ class PowerMap:
         values = [value + to_block((lead * (x - center) ** degree, exponent), unit) for x in xs]
         return unit, values, grid_error(degree, wide)
 
-    def precompose(self, offset, scale) -> "PowerMap":
-        """The map x |-> self(offset + scale * x), in closed form."""
-        center = (self.center - offset) / scale
-        return PowerMap(center, self.value, self.lead * scale**self.degree, self.degree)
+    def _rises(self, targets, ctx: PrecisionContext) -> tuple:
+        """``(shift, rises)``: sign(lead) (t - value) for each target t, on x's grid
+        (:func:`x_grid`), and 0 within the residual bound of the value.  A target beyond
+        the critical value raises :class:`RootBracketError`; an odd degree, or an
+        infinite or nan target or value, raises ValueError."""
+        if self.degree % 2:
+            raise ValueError(f"closed-form lap inversion needs an even degree, got {self.degree}")
+        (value, *points), shift, _ = x_grid((self.value, *targets), ctx)
+        one, bound, sign = 1 << shift, to_block(to_pair(ctx.solve_tol), -shift), self._lead_sign
+        rises = []
+        for point, target in zip(points, targets):
+            rise = sign * (point - value)
+            if abs(rise) <= (bound if abs(point) <= one else bound * abs(point) >> shift):
+                rise = 0
+            elif rise < 0:
+                raise RootBracketError(f"target {ctx.format(target, 8)} lies beyond the "
+                                       f"critical value {ctx.format(self.value, 8)}")
+            rises.append(rise)
+        return shift, rises
+
+    def frame(self, targets, laps, critical_points, ctx: PrecisionContext, starts) -> tuple:
+        """:meth:`Polynomial.frame` by the module's ratio of integer roots, so ``laps``,
+        ``critical_points`` and ``starts`` go unused: A left of the center and B right
+        of it, center -+ (|t - value| / |lead|)**(1/degree) floored on x's grid, and the
+        map and its moved center from the roots rho_0, rho_n of the two targets, each
+        rounded once.  Unless rho_0 + rho_n > 0, A = B and the map comes back as it is."""
+        prec, box = ctx.mp.prec, ctx.mp.make_mpf
+        shift, rises = self._rises(targets, ctx)
+        degree, (lead, exponent) = self.degree, to_pair(self.lead._mpf_)
+        center = to_block(to_pair(self.center._mpf_), -shift)
+        k = shift * (degree - 1) - exponent  # rise / |lead| on x's grid is rise 2**k / |lead|
+        a, b = (iroot((rise << max(k, 0)) // (abs(lead) << max(-k, 0)), degree) for rise in rises)
+        A, B = (box(to_raw(pair_round(x, -shift, prec))) for x in (center - a, center + b))
+        low, high = (iroot(rise << shift * (degree - 1), degree) for rise in rises)
+        total = low + high
+        if not total:
+            return self, (self.center,), A, B
+        framed = PowerMap(box(to_raw(pair_div((low, 0), (total, 0), prec))), self.value,
+                          box(to_raw(pair_round(self._lead_sign * total**degree,
+                                                -shift * degree, prec))), degree)
+        return framed, (framed.center,), A, B
+
+    def preimages(self, targets, laps, ctx: PrecisionContext, starts) -> list:
+        """:meth:`Polynomial.preimages` by the module's ratio of integer roots, for a map
+        as :meth:`frame` returns it, so ``starts`` go unused: its laps end at 0, its
+        center and 1, and 0 and 1 pull back ``targets[0]`` and ``targets[-1]``.  Only
+        those and the targets on given laps are read.
+
+        The residual contract is :func:`solve_monotone`'s, and the errors are
+        :meth:`solve`'s: a target within the bound of ``value`` returns the center, and a
+        root past 0 or 1 that lap end if the end meets the bound; any other root past it
+        raises :class:`RootBracketError`.  No root crosses the center.
+        """
+        prec, box, degree = ctx.mp.prec, ctx.mp.make_mpf, self.degree
+        given = [j for j, lap in enumerate(laps) if lap is not None]
+        shift, (first, last, *rises) = self._rises(
+            (targets[0], targets[-1], *(targets[j] for j in given)), ctx)
+        up, sign = shift * (degree - 1), self._lead_sign
+        low = iroot(first << up, degree)
+        total = low + iroot(last << up, degree)
+        points = [None] * len(laps)
+        for j, rise in zip(given, rises):
+            (lo, hi, orientation), target = laps[j], targets[j]
+            x = low + orientation * sign * iroot(rise << up, degree)  # the root times rho_0 + rho_n
+            point = box(to_raw(pair_div((x, 0), (total, 0), prec)))
+            if not 0 <= x <= total:  # past 0 or 1; no root crosses the center
+                end = ctx.mpf(lo if x < 0 else hi)
+                miss = self(end) - target
+                if abs(miss) > box(_value_tolerance(ctx.mpf(target)._mpf_, ctx)):
+                    raise RootBracketError(
+                        f"target {ctx.format(target, 8)} outside lap range: its root "
+                        f"{ctx.format(point, 8)} lies beyond the lap end {ctx.format(end, 8)}"
+                    )
+                point = end
+            points[j] = point
+        return points
 
     @cached_property
     def expanded(self) -> Polynomial:
-        constant, *rest = expand_roots(self.lead, (self.center,), (self.degree,)).coefficients
-        return Polynomial((constant + self.value, *rest))
+        """``value + lead * (x - center)**degree`` by the binomial theorem: each
+        coefficient exact in integers, the value added to the constant, rounded once."""
+        kind = type(self.lead)
+        (lead, e_lead), (center, e_center), (value, e_value) = (
+            to_pair(v) for v in unboxed(kind, (self.lead, self.center, self.value)))
+        degree, prec = self.degree, kind.context.prec
+        terms = [(lead * binomial(degree, i) * (-center) ** (degree - i),
+                  e_lead + e_center * (degree - i)) for i in range(degree + 1)]
+        (m, e), low = terms[0], min(terms[0][1], e_value)
+        terms[0] = (m << e - low) + (value << e_value - low), low
+        return Polynomial(tuple(kind.context.make_mpf(to_raw(pair_round(m, e, prec)))
+                                for m, e in terms))
 
     @property
     def coefficients(self) -> tuple:
@@ -423,32 +530,9 @@ def pair_horner(descending, x, prec):
     return m, e
 
 
-def pair_expand_roots(lead, roots, multiplicities, prec) -> list:
-    """Ascending coefficients of ``lead * prod (x - roots[i])**multiplicities[i]``."""
-    coeffs = [lead]
-    for (rm, re), k in zip(roots, multiplicities):
-        for _ in range(k):  # new c_i = c_{i-1} - root * c_i
-            coeffs = [
-                pair_add(pair_mul(c, (-rm, re), prec), low, prec)
-                for low, c in zip([(0, 0)] + coeffs, coeffs + [(0, 0)])
-            ]
-    return coeffs
-
-
 def unboxed(kind, values) -> list:
     """Raw tuples of ``values``, coercing any that are not of type ``kind``."""
     return [v._mpf_ if type(v) is kind else kind(v)._mpf_ for v in values]
-
-
-def expand_roots(lead, roots, multiplicities) -> Polynomial:
-    """Expand ``lead * prod (x - roots[i])**multiplicities[i]``, unchecked.
-
-    ``lead`` is an mpf; the roots are coerced into its context.
-    """
-    context = lead.context
-    roots = [to_pair(r) for r in unboxed(type(lead), roots)]
-    coeffs = pair_expand_roots(to_pair(lead._mpf_), roots, multiplicities, context.prec)
-    return Polynomial(tuple(context.make_mpf(to_raw(c)) for c in coeffs))
 
 
 def affine_substitute(p: Polynomial, offset, scale) -> Polynomial:
@@ -505,6 +589,19 @@ def x_grid(points, ctx: PrecisionContext) -> tuple:
     shift = ctx.mp.prec + _GUARD_BITS
     xs = [to_block(to_pair(p), -shift) for p in unboxed(ctx.mp.mpf, points)]
     return xs, shift, max(0, (max(map(abs, xs)) >> shift).bit_length() - 1)
+
+
+def iroot(n, d: int):
+    """The floor of the d-th root of the integer n >= 0, exact: ``isqrt`` for even d,
+    halving d, and integer Newton from above otherwise."""
+    if d % 2 == 0:
+        return isqrt(n) if d == 2 else iroot(isqrt(n), d // 2)
+    if d == 1 or n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // d)  # above the root
+    while (y := ((d - 1) * x + n // x ** (d - 1)) // d) < x:
+        x = y
+    return x
 
 
 def block_horner(descending, x, shift):

@@ -6,11 +6,14 @@ One step, given marked points x_0..x_n and the combinatorics m:
                 per distinct critical index, by the gap map inversion in
                 :mod:`thurston.critvals` from the previous step's;
   2. normalize: the framing preimages A and B of the interval endpoints in
-                the unbounded first/last laps, searched from the previous
-                step's, and precomposition with the increasing affine map
-                sending 0 to A and 1 to B;
+                the unbounded first/last laps, and precomposition with the
+                increasing affine map sending 0 to A and 1 to B, by f's own
+                ``frame``: searched from the previous step's A and B, or, with
+                one critical point, in closed form (below);
   3. pullback:  every marked point moves to the preimage of its image point
-                in its own lap (critical indices to the critical points);
+                in its own lap (critical indices to the critical points), by
+                f's own ``preimages``: searched from the point's previous
+                position, or, with one critical point, in closed form;
   4. fit:       eps = sqrt(sum (f(x_j) - x_{m_j})**2) / n at the new points,
                 and eps_core, the same sum over the core indices alone.
 
@@ -21,13 +24,17 @@ its core, which it works out once and keeps
 the context and the previous step's :class:`NormalizedMap`, which carries
 the inversion behind it.
 
-Steps 2 and 3 invert f on its laps by its own ``solve``, and step 2 reframes
-it by its own ``precompose``.  With one critical point c, f is a
-:class:`~thurston.mpnum.PowerMap` v + a (x - c)**d, built as v + (sigma/d)
-x**d, reframed in closed form and inverted by one root; the run reports it as
-it is, and its ``coefficients`` expand it when first read.  With two or more,
-f is a dense :class:`~thurston.mpnum.Polynomial` whose laps are searched from
-the previous step's solution.
+With one critical point c, f is a :class:`~thurston.mpnum.PowerMap`
+v + a (x - c)**d, built as v + (sigma/d) x**d, and steps 2 and 3 are ratios
+of integer d-th roots on one grid: with rho_k = |x_{m_k} - v|**(1/d) floored
+on x's grid (prec + 32 fractional bits), the framed map is
+v + sigma (rho_0 + rho_n)**d (x - c')**d with c' = rho_0 / (rho_0 + rho_n), and
+each other index pulls back to (rho_0 -+ rho_k) / (rho_0 + rho_n), - left of
+c' and + right of it, each rounded once.  The lead sigma/d and the framing
+scale's d-th root cancel, so no mpf root or division is left per point.  The
+run reports the map as it is, and its ``coefficients`` expand it when first
+read.  With two or more, f is a dense :class:`~thurston.mpnum.Polynomial`
+whose laps are searched from the previous step's solution.
 
 Iterating contracts toward the unique polynomial realizing the
 combinatorics.  The core (:func:`~thurston.combinatorics.core_indices`)
@@ -191,13 +198,19 @@ def mapmake(
     return critvals.realize_critical_values(values, multiplicities, sigma, ctx, inversion)
 
 
-def _lap_preimage(f, c: comb.Combinatorics, j: int, bounds, target, start, ctx: PrecisionContext):
-    """The solution of f(x) = target on the lap of index j, between
-    ``bounds`` (marked points 0..n) at the lap's ends, started from ``start``."""
+def _lap(c: comb.Combinatorics, j: int, bounds) -> tuple:
+    """``(lo, hi, orientation)`` of the lap of index j, its ends taken from ``bounds``
+    (marked points 0..n)."""
     lap = comb.lap_of(c, j)
     lo = bounds[0 if lap.left is None else lap.left]
     hi = bounds[-1 if lap.right is None else lap.right]
-    return f.solve(target, lo, hi, lap.orientation, ctx, start=start)
+    return lo, hi, lap.orientation
+
+
+def _lap_preimage(f, c: comb.Combinatorics, j: int, bounds, target, start, ctx: PrecisionContext):
+    """The solution of f(x) = target on the lap of index j, between
+    ``bounds`` (marked points 0..n) at the lap's ends, started from ``start``."""
+    return f.solve(target, *_lap(c, j, bounds), ctx, start=start)
 
 
 def normalize(
@@ -206,7 +219,8 @@ def normalize(
     ctx: PrecisionContext,
     previous: Optional[NormalizedMap] = None,
 ) -> NormalizedMap:
-    """Precompose with the affine map that frames the unit interval.
+    """Precompose with the affine map that frames the unit interval, by the map's
+    own ``frame``.
 
     A and B solve f(A), f(B) in {0, 1} as the combinatorics demands, with A
     in the first lap and B in the last lap, both extended to infinity: the
@@ -215,20 +229,15 @@ def normalize(
     in by it.  ``previous``, the previous step's map for the same
     combinatorics, gives the solves their starts.
     """
-    f_raw = realized.polynomial
     first, *_, last = comb.laps(c)
     crit_at = dict(zip(c.critical_points(), realized.critical_points))
-    target_low = ctx.mp.mpf(0 if c.m[0] == 0 else 1)
-    target_high = ctx.mp.mpf(0 if c.m[c.n] == 0 else 1)
-    low, high = (None, None) if previous is None else (previous.frame_low, previous.frame_high)
-    A = f_raw.solve(target_low, None, crit_at[first.right], first.orientation, ctx, start=low)
-    B = f_raw.solve(target_high, crit_at[last.left], None, last.orientation, ctx, start=high)
+    targets = tuple(ctx.mp.zero if c.m[j] == 0 else ctx.mp.one for j in (0, c.n))
+    laps = ((None, crit_at[first.right], first.orientation),
+            (crit_at[last.left], None, last.orientation))
+    starts = (None, None) if previous is None else (previous.frame_low, previous.frame_high)
+    f, moved, A, B = realized.polynomial.frame(targets, laps, realized.critical_points, ctx, starts)
     if not B > A:
         raise PullbackError("framing points came out in the wrong order")
-
-    scale = B - A
-    f = f_raw.precompose(A, scale)
-    moved = tuple((p - A) / scale for p in realized.critical_points)
     return NormalizedMap(f, moved, A, B, realized.inversion)
 
 
@@ -238,7 +247,7 @@ def pullback_step(
     prev: MarkedConfiguration,
     ctx: PrecisionContext,
 ) -> MarkedConfiguration:
-    """Pull every marked point back through its lap.
+    """Pull every marked point back through its lap, by the map's own ``preimages``.
 
     Critical indices take the corresponding critical points of f; the
     endpoints are pinned at 0 and 1 by the framing; every other index k
@@ -249,10 +258,11 @@ def pullback_step(
     new = [None] * (n + 1)
     for j, point in zip(c.critical_points(), normalized.critical_points):
         new[j] = point
-    new[0], new[n] = ctx.mp.mpf(0), ctx.mp.mpf(1)
-    for j in range(1, n):
-        if new[j] is None:
-            new[j] = _lap_preimage(f, c, j, new, prev.points[c.m[j]], prev.points[j], ctx)
+    new[0], new[n] = ctx.mp.zero, ctx.mp.one
+    laps = [_lap(c, j, new) if point is None else None for j, point in enumerate(new)]
+    targets = [prev.points[k] for k in c.m]
+    new = [point if x is None else x
+           for point, x in zip(new, f.preimages(targets, laps, ctx, prev.points))]
 
     try:  # the endpoints are pinned, so only the order check can fail
         return MarkedConfiguration(tuple(new))

@@ -146,6 +146,15 @@ def antiderivative(p, base_point, base_value):
     return mpnum.Polynomial((coeffs[0] + constant, *coeffs[1:]))
 
 
+def expand_roots(lead, roots, multiplicities):
+    """``lead * prod (x - roots[i])**multiplicities[i]``, multiplied out on mpf objects."""
+    coeffs = [lead]
+    for root, k in zip(roots, multiplicities):
+        for _ in range(k):  # times (x - root)
+            coeffs = [low - root * c for low, c in zip([0 * lead] + coeffs, coeffs + [0 * lead])]
+    return mpnum.Polynomial(tuple(coeffs))
+
+
 def chain_rule_jacobian(gaps, mults, ctx):
     """ds_i / ddelta_j through the centered points, as the Jacobian was first
     written: moving point m changes the signed integral over interval i by
@@ -158,7 +167,7 @@ def chain_rule_jacobian(gaps, mults, ctx):
     dS = []
     for m in range(r):
         reduced = [k - (i == m) for i, k in enumerate(mults)]
-        Q = antiderivative(mpnum.expand_roots(one, points, reduced), zero, zero)
+        Q = antiderivative(expand_roots(one, points, reduced), zero, zero)
         ends = [Q(p) for p in points]
         dS.append([-mults[m] * (b - a) for a, b in zip(ends, ends[1:])])
     rows = []

@@ -356,7 +356,7 @@ def test_run_builds_laps_once_per_combinatorics(monkeypatch):
 
 
 def test_dense_maps_solve_and_reframe_through_mpnum_by_name(monkeypatch):
-    # Polynomial.solve and .precompose look solve_monotone and
+    # Polynomial.frame and .preimages look solve_monotone and
     # affine_substitute up in mpnum at each call, where a tracer that spans
     # them by name finds them.  0,4,3,1,2,5 has two critical points and no
     # passengers: each step solves two framing points and two interior
@@ -608,12 +608,11 @@ def test_deep_runs_stay_within_a_tenth_of_their_step_counts(text):
 
 
 def test_out_of_order_pullback_raises_with_step_context(monkeypatch):
-    # A lap solve that answers below the lap puts the point left of x_0 = 0.
-    def misplaced(f, c, j, bounds, target, start, ctx):
-        lap = comb.lap_of(c, j)
-        return bounds[0 if lap.left is None else lap.left] - 1
+    # Lap solves that answer below their laps put the points left of x_0 = 0.
+    def misplaced(f, targets, laps, ctx, starts):
+        return [None if lap is None else lap[0] - 1 for lap in laps]
 
-    monkeypatch.setattr(pullback, "_lap_preimage", misplaced)
+    monkeypatch.setattr(mpnum.Polynomial, "preimages", misplaced)
     with pytest.raises(pullback.PullbackError) as info:
         pullback.run(comb.parse("0,3,2,1,4"))
     assert str(info.value) == "step 1 (0,3,2,1,4): pulled-back configuration is out of order"
@@ -628,10 +627,11 @@ def antiderivative(p, base_point, base_value):
 
 @pytest.mark.parametrize("text", ["0,1,0", "2,1,2", "0,2^4,1,0", "0,1^6,0", "3,1,2,3", "4,2,1,3,4"])
 def test_power_map_frames_as_the_dense_antiderivative(text):
-    # With one critical point mapmake builds v + (sigma/d) x**d as a PowerMap.
-    # The dense antiderivative of sigma * x**(d-1) through (0, v) is the same
-    # map; the PowerMap frames by one root, the dense map by a search to the
-    # solvers' residual, so the two frames agree within 10 tau.
+    # With one critical point mapmake builds v + (sigma/d) x**d as a PowerMap, which
+    # frames and pulls back by ratios of integer roots.  The dense antiderivative of
+    # sigma * x**(d-1) through (0, v) is the same map, framed and pulled back by the
+    # searches to the solvers' residual: the framed coefficients agree within 1e-30,
+    # the framing points, the critical point and every pulled-back point within 10 tau.
     ctx = ctx40()
     c = comb.parse(text)
     sigma = comb.laps(c)[-1].orientation
@@ -649,13 +649,83 @@ def test_power_map_frames_as_the_dense_antiderivative(text):
         closed, via_dense = pullback.normalize(c, realized, ctx), pullback.normalize(c, dense, ctx)
         assert isinstance(closed.polynomial, mpnum.PowerMap)
         assert type(via_dense.polynomial) is mpnum.Polynomial
-        for got, want in ((closed.frame_low, via_dense.frame_low),
-                          (closed.frame_high, via_dense.frame_high),
-                          (closed.critical_points[0], via_dense.critical_points[0])):
-            assert abs(got - want) <= 10 * ctx.tau
         for got, want in zip(closed.polynomial.coefficients, via_dense.polynomial.coefficients):
             assert abs(got - want) <= ctx.mpf("1e-30")
-        x = pullback.pullback_step(c, closed, x, ctx)
+        moved = pullback.pullback_step(c, closed, x, ctx)
+        searched = pullback.pullback_step(c, via_dense, x, ctx)
+        for got, want in ((closed.frame_low, via_dense.frame_low),
+                          (closed.frame_high, via_dense.frame_high),
+                          (closed.critical_points[0], via_dense.critical_points[0]),
+                          *zip(moved.points, searched.points)):
+            assert abs(got - want) <= 10 * ctx.tau
+        x = moved
+
+
+def tent_map(ctx, value):
+    """The one-critical-point map of 0,1,0 with critical value ``value``, as mapmake builds it."""
+    zero = ctx.mp.mpf(0)
+    f = mpnum.PowerMap(zero, ctx.mpf(value), ctx.mp.mpf(-1) / 2, 2)
+    return critvals.RealizedMap(f, (zero,), critvals.InversionResult((), 0, ()))
+
+
+def test_power_map_framing_refuses_a_target_beyond_the_critical_value():
+    # 0,1,0 frames 0 and 1 on 0, below a maximum at -1/4
+    ctx = ctx40()
+    with pytest.raises(mpnum.RootBracketError) as info:
+        pullback.normalize(comb.parse("0,1,0"), tent_map(ctx, "-0.25"), ctx)
+    assert str(info.value) == "target 0.0 lies beyond the critical value -0.25"
+
+
+def test_power_map_framing_points_in_the_wrong_order():
+    # a critical value on the framing target: A = B = the critical point
+    ctx = ctx40()
+    with pytest.raises(pullback.PullbackError) as info:
+        pullback.normalize(comb.parse("0,1,0"), tent_map(ctx, "1e-40"), ctx)
+    assert str(info.value) == "framing points came out in the wrong order"
+
+
+def test_power_map_pullback_refuses_a_target_beyond_the_critical_value():
+    # 0,2,1,0 framed on x_2 = 2/3, then asked to pull back x_1 = 0.9 above that maximum
+    ctx, c = ctx40(), comb.parse("0,2,1,0")
+    x = pullback.init_configuration(c, ctx)
+    normalized = pullback.normalize(c, pullback.mapmake(c, x, ctx), ctx)
+    later = pullback.MarkedConfiguration(tuple(map(ctx.mpf, ("0", "0.9", "0.95", "1"))))
+    with pytest.raises(mpnum.RootBracketError) as info:
+        pullback.pullback_step(c, normalized, later, ctx)
+    assert str(info.value) == "target 0.9 lies beyond the critical value 0.66666667"
+
+
+def test_power_map_pullback_out_of_order():
+    # a critical point put right of where the pulled-back x_2 lands
+    ctx, c = ctx40(), comb.parse("0,2,1,0")
+    x = pullback.init_configuration(c, ctx)
+    normalized = pullback.normalize(c, pullback.mapmake(c, x, ctx), ctx)
+    misplaced = pullback.NormalizedMap(normalized.polynomial, (ctx.mpf("0.99"),),
+                                       normalized.frame_low, normalized.frame_high,
+                                       normalized.inversion)
+    with pytest.raises(pullback.PullbackError) as info:
+        pullback.pullback_step(c, misplaced, x, ctx)
+    assert str(info.value) == "pulled-back configuration is out of order"
+
+
+@pytest.mark.parametrize("target, outcome", [
+    ("-0.5", "target -0.5 outside lap range: its root -0.11237244 lies beyond the lap end 0.0"),
+    ("-1e-39", 0),  # past the lap end, but within the residual bound there
+])
+def test_power_map_preimages_past_a_lap_end(target, outcome):
+    # the framed tent 1 - 4 (x - 1/2)**2, asked for a target below its lap end f(0) = 0:
+    # the closed form and the root's contract give the same answer
+    ctx = ctx40()
+    framed = pullback.normalize(comb.parse("0,1,0"), tent_map(ctx, 1), ctx).polynomial
+    targets, lap = (ctx.mp.zero, ctx.mpf(target), ctx.mp.zero), (ctx.mp.zero, framed.center, 1)
+    for solve in (lambda: framed.preimages(targets, (None, lap, None), ctx, None)[1],
+                  lambda: framed.solve(targets[1], *lap, ctx)):
+        if outcome:
+            with pytest.raises(mpnum.RootBracketError) as info:
+                solve()
+            assert str(info.value) == outcome
+        else:
+            assert solve() == outcome
 
 
 @pytest.mark.parametrize("text", ["0,1,0", "0,2^4,1,0"])

@@ -20,7 +20,7 @@ the bound, come back bit for bit.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import comb as binomial, isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -345,9 +345,8 @@ def lap_problems(draw):
     a = Fraction(draw(st.integers(-40, 0)), 10)
     b = a + Fraction(draw(st.integers(1, 40)), 10)
     k1, k2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    dp = mpnum.expand_roots(
-        ctx.mpf(draw(st.sampled_from([-1, 1]))), (ctx.mpf(a), ctx.mpf(b)), (k1, k2)
-    )
+    sign = draw(st.sampled_from([-1, 1]))
+    dp = mpnum.Polynomial(tuple(rounded(ctx, sign * c) for c in exact_product((a, b), (k1, k2))))
     p = mpnum.Polynomial(tuple(antiderivative(
         list(dp.coefficients), ctx.mpf(draw(entry)), ctx.mpf(draw(entry)))))
     a, b = ctx.mpf(a), ctx.mpf(b)
@@ -438,6 +437,21 @@ def test_affine_substitution_is_bit_identical(digit_count, degree, data):
     want = affine_substitute(coeffs, offset, scale)
     assert got.degree == degree
     assert same(got.coefficients, want)
+
+
+@given(digits, st.integers(1, 12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_power_map_expands_exactly_rounded_once(digit_count, degree, data):
+    # value + lead (x - center)**degree by the binomial theorem, each coefficient
+    # the exact one rounded once
+    ctx = mpnum.PrecisionContext(digit_count)
+    center, value = (ctx.mpf(data.draw(entry)) for _ in range(2))
+    lead = ctx.mpf(data.draw(entry.filter(bool)))
+    f = mpnum.PowerMap(center, value, lead, degree)
+    want = [exact(lead) * binomial(degree, i) * (-exact(center)) ** (degree - i)
+            for i in range(degree + 1)]
+    want[0] += exact(value)
+    assert same(f.expanded.coefficients, tuple(rounded(ctx, c) for c in want))
 
 
 # ---------------------------------------------------------------- fit
