@@ -28,18 +28,18 @@ Without a prediction, or should Newton from it stall or meet a singular
 Jacobian, Newton runs once from the Chebyshev gap pattern rescaled by
 homogeneity (:func:`chebyshev_init`).  Phi is translation invariant, so
 Jacobian column j sums Phi's derivatives in the points right of gap j; the
-(r-1) x (r-1) Newton systems are solved by Gaussian elimination on plain lists.
+(r-1) x (r-1) Newton systems are solved by Bareiss elimination on plain lists.
 
 Phi, its Jacobian, the centered points and the realized map come from one
 exact integer expansion per :class:`PhiProblem` (``PhiProblem._exact``):
 with the gaps scaled to integers, the points and the monic product are
 integers, every value is a quotient of exact integers, and :func:`pair_div`
 rounds it once to nearest.  So each value is correctly rounded, a small
-value gap to its own relative precision.  The elimination runs on the
-correctly rounded integer pairs of :mod:`thurston.mpnum`, in the operation
-order and precision of the mpf-object oracle in the tests, bit-identical to
-it.  The check that the realized map takes the values evaluates it on its
-block grid (``on_grid``).
+value gap to its own relative precision.  The Newton systems keep the same
+rule: :func:`solve_linear` eliminates fraction-free on the entries as
+integers and rounds each component of the solution once.  The check that
+the realized map takes the values evaluates it on its block grid
+(``on_grid``).
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ from mpmath.ctx_mp import MPContext
 from mpmath.libmp import fzero, mpf_abs, mpf_mul_int, mpf_nthroot, mpf_sub
 
 from .mpnum import (
-    Polynomial, PowerMap, PrecisionContext, pair_add, pair_cmp, pair_div, pair_mul, pair_round,
-    pair_sub, solve_monotone, to_block, to_pair, to_raw, unboxed
+    Polynomial, PowerMap, PrecisionContext, over_one_exponent, pair_div, solve_monotone, to_block,
+    to_pair, to_raw, unboxed
 )
 
 NEWTON_MAX_ITERATIONS = 200
@@ -112,9 +112,7 @@ class PhiProblem:
         context = getattr(kind, "context", None)
         if not isinstance(context, MPContext) or kind is not context.mpf:
             raise TypeError("gaps must be mpf values")
-        pairs = [to_pair(g) for g in unboxed(kind, self.gaps)]
-        low = min(e for _, e in pairs)
-        gaps = [m << e - low for m, e in pairs]
+        low, gaps = over_one_exponent([to_pair(g) for g in unboxed(kind, self.gaps)])
         mults = self.multiplicities
         total = sum(mults)
         points = [-sum(g * sum(mults[i + 1:]) for i, g in enumerate(gaps))]
@@ -258,45 +256,36 @@ def _residual(problem, s):
 
 
 def solve_linear(rows, rhs, ctx: PrecisionContext) -> list:
-    """Solve ``rows @ x = rhs`` by Gaussian elimination with partial pivoting.
+    """Solve ``rows @ x = rhs`` by fraction-free (Bareiss) elimination with partial
+    pivoting, exact on the entries as integers over one exponent, each component
+    x_i = (det x_i) / det rounded once.
 
-    A pivot no larger than ``||rows||_1 * eps`` (mpmath's own test for a
-    numerically singular matrix) raises :class:`SingularJacobian`.
+    The exact pivot j is M_j / M_(j-1), the ratio of consecutive leading minors; one
+    no larger than ``||rows||_1 * eps`` (mpmath's test for a numerically singular
+    matrix, on exact pivots) raises :class:`SingularJacobian`.
     """
     mp = ctx.mp
-    prec = mp.prec
     n = len(rhs)
-    a = [[to_pair(v) for v in unboxed(mp.mpf, list(row) + [b])] for row, b in zip(rows, rhs)]
-    norm = None
+    scale, a = over_one_exponent([to_pair(v) for row in rows for v in unboxed(mp.mpf, row)])
+    low, b = over_one_exponent([to_pair(v) for v in unboxed(mp.mpf, rhs)])
+    a = [a[i * n:(i + 1) * n] + [b[i]] for i in range(n)]  # over 2**scale and 2**low
+    norm = max(sum(abs(row[j]) for row in a) for j in range(n))
+    previous = 1  # M_(j-1)
     for j in range(n):
-        column = pair_round(abs(a[0][j][0]), a[0][j][1], prec)
-        for i in range(1, n):
-            column = pair_add(column, (abs(a[i][j][0]), a[i][j][1]), prec)
-        if norm is None or pair_cmp(column, norm) > 0:
-            norm = column
-    tol = pair_mul(norm, to_pair(mp.eps._mpf_), prec)
-    for j in range(n):
-        p, pivot = j, (abs(a[j][j][0]), a[j][j][1])
-        for i in range(j + 1, n):
-            size = (abs(a[i][j][0]), a[i][j][1])
-            if pair_cmp(size, pivot) > 0:
-                p, pivot = i, size
-        if pair_cmp(pivot, tol) <= 0:
-            raise SingularJacobian("matrix is numerically singular")
+        p = max(range(j, n), key=lambda i: abs(a[i][j]))  # the first largest
         a[j], a[p] = a[p], a[j]
         top = a[j]
-        for i in range(j + 1, n):
-            row = a[i]
-            factor = pair_div(row[j], top[j], prec)
-            for k in range(j + 1, n + 1):
-                row[k] = pair_sub(row[k], pair_mul(factor, top[k], prec), prec)
-    x = [None] * n
+        if abs(top[j]) << mp.prec - 1 <= norm * abs(previous):  # eps = 2**(1 - prec)
+            raise SingularJacobian("matrix is numerically singular")
+        for row in a[j + 1:]:
+            row[j + 1:] = [(v * top[j] - row[j] * t) // previous
+                           for v, t in zip(row[j + 1:], top[j + 1:])]
+        previous = top[j]
+    x = [0] * n  # det x, with det = M_(n-1) = previous
     for i in reversed(range(n)):
-        acc = a[i][n]
-        for k in range(i + 1, n):
-            acc = pair_sub(acc, pair_mul(a[i][k], x[k], prec), prec)
-        x[i] = pair_div(acc, a[i][i], prec)
-    return [mp.make_mpf(to_raw(v)) for v in x]
+        row = a[i]
+        x[i] = (row[n] * previous - sum(row[k] * x[k] for k in range(i + 1, n))) // row[i]
+    return [_rounded(mp, pair_div((v, low - scale), (previous, 0), mp.prec)) for v in x]
 
 
 def invert_phi(s, multiplicities, ctx: PrecisionContext, initial=None) -> InversionResult:

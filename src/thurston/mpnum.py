@@ -16,14 +16,17 @@ Both kinds offer ``solve`` (one lap's inverse), ``preimages`` (the inverse on
 many laps at once) and ``frame`` (the framing points A and B and the map
 x |-> f(A + (B - A) x)), so callers never ask which kind they hold.
 
-Three kernels run on integer pairs (m, e), the value m * 2**e, each
-operation exact integer arithmetic rounded once to nearest, ties to even,
-as mpmath's raw operations round: Horner's rule (:func:`pair_horner`,
-behind ``Polynomial.__call__``), :func:`affine_substitute` and the
-elimination in ``critvals.solve_linear``.  Done in the mpf object code's
-order at its precision, every result is bit-identical to it; the gap map,
-exact in integers, takes only :func:`pair_div`, once per value.  Values
-become pairs only inside the kernels, where inf and nan are refused.
+One rounding rule holds for the kernels: each works on integer pairs
+(m, e), the value m * 2**e, forms its result exactly in integers and rounds
+it once to nearest, ties to even, as mpmath's raw operations round.
+``Polynomial.__call__`` is Horner's rule on the coefficients over one common
+exponent (cached per polynomial) and x's mantissa, :func:`affine_substitute`
+a Taylor shift of the same integers, and ``PowerMap.__call__`` and
+:attr:`PowerMap.expanded` the binomial in integers; the gap map and
+``critvals.solve_linear`` (fraction-free elimination) keep the same rule.  So
+every such result is correctly rounded, with the same bits on either mpmath
+backend.  Values become pairs only inside the kernels, where inf and nan
+are refused.  ``PowerMap.solve`` alone still takes its root in mpf steps.
 
 Every other evaluation of a map runs in block fixed point on plain ints
 (:func:`block_horner`): x over 2**-(prec + 32), values over 2**unit, 32 bits
@@ -60,7 +63,7 @@ from math import comb as binomial, isqrt
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
     MPZ, fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int,
-    mpf_nthroot, mpf_pow_int, mpf_sqrt, mpf_sub
+    mpf_nthroot, mpf_sqrt, mpf_sub
 )
 
 GUARD_DIGITS = 3
@@ -155,19 +158,24 @@ class Polynomial:
         return len(self.coefficients) - 1
 
     def __call__(self, x):
-        kind, descending = self._raw_horner
+        kind, low, descending = self._exact
         if type(x) is not kind:
             x = kind(x)
-        context = kind.context
-        return context.make_mpf(to_raw(pair_horner(descending, to_pair(x._mpf_), context.prec)))
+        xm, xe = to_pair(x._mpf_)
+        if xe >= 0:
+            xm, xe = xm << xe, 0
+        acc = 0  # p(x) over 2**(low + xe d): Horner on x's mantissa, C_(d-i) times 2**(-xe i)
+        for i, c in enumerate(descending):
+            acc = acc * xm + (c << -xe * i)
+        prec = kind.context.prec
+        return kind.context.make_mpf(to_raw(pair_round(acc, low + xe * self.degree, prec)))
 
     @cached_property
-    def _raw_horner(self):
-        # Horner on pairs rounds exactly as ``acc * x + c`` does on mpf
-        # objects (mpmath rounds at the left operand's context, here the
-        # coefficients') without building an object per operation.
+    def _exact(self) -> tuple:
+        """``(kind, low, descending)``: the coefficients as integers over 2**low, leading first."""
         kind = type(self.coefficients[-1])
-        return kind, tuple(to_pair(c._mpf_) for c in reversed(self.coefficients))
+        low, ints = over_one_exponent([to_pair(c._mpf_) for c in reversed(self.coefficients)])
+        return kind, low, ints
 
     def derivative(self) -> "Polynomial":
         """The derivative, built once per polynomial."""
@@ -186,7 +194,8 @@ class Polynomial:
         key = ctx.digits, wide
         if (grid := self._blocks.get(key)) is None:
             unit, degree = grid_unit(ctx, self.degree, wide), self.degree
-            values = [to_block(c, unit) for c in self._raw_horner[1]]
+            _, low, descending = self._exact
+            values = [to_block((c, low), unit) for c in descending]
             slopes = [(degree - i) * c for i, c in enumerate(values[:-1])]
             grid = self._blocks[key] = unit, values, slopes
         return grid
@@ -242,17 +251,12 @@ class PowerMap:
     degree: int
 
     def __call__(self, x):
-        kind = type(self.lead)
-        if type(x) is not kind:
-            x = kind(x)
-        prec, rounding = kind.context._prec_rounding
-        to_pair(x._mpf_)  # refuses inf and nan
-        offset = mpf_sub(x._mpf_, self.center._mpf_, prec, rounding)
-        power = mpf_pow_int(offset, self.degree, prec, rounding)
-        rise = mpf_mul(self.lead._mpf_, power, prec, rounding)
-        out = object.__new__(kind)
-        out._mpf_ = mpf_add(self.value._mpf_, rise, prec, rounding)
-        return out
+        kind, degree = type(self.lead), self.degree
+        (xm, xe), (cm, ce), (lead, e_lead), value = map(
+            to_pair, unboxed(kind, (x, self.center, self.lead, self.value)))
+        low = min(xe, ce)  # x - center is exact over 2**low
+        rise = lead * ((xm << xe - low) - (cm << ce - low)) ** degree, e_lead + low * degree
+        return kind.context.make_mpf(to_raw(pair_add(value, rise, kind.context.prec)))
 
     def solve(self, target, lo, hi, orientation, ctx: PrecisionContext, start=None):
         """x with self(x) = target on a monotone lap by one n-th root, so ``start`` goes
@@ -404,8 +408,7 @@ class PowerMap:
         degree, prec = self.degree, kind.context.prec
         terms = [(lead * binomial(degree, i) * (-center) ** (degree - i),
                   e_lead + e_center * (degree - i)) for i in range(degree + 1)]
-        (m, e), low = terms[0], min(terms[0][1], e_value)
-        terms[0] = (m << e - low) + (value << e_value - low), low
+        terms[0] = pair_add(terms[0], (value, e_value), prec)
         return Polynomial(tuple(kind.context.make_mpf(to_raw(pair_round(m, e, prec)))
                                 for m, e in terms))
 
@@ -453,26 +456,18 @@ def pair_round(m, e, prec):
     return m, e
 
 
-def pair_mul(a, b, prec):
-    return pair_round(a[0] * b[0], a[1] + b[1], prec)
-
-
 def pair_add(a, b, prec):
+    """a + b, exact, rounded once."""
     (am, ae), (bm, be) = a, b
-    if not (am and bm):
-        return pair_round(am or bm, ae if am else be, prec)
-    if ae < be:
-        am, ae, bm, be = bm, be, am, ae
-    shift = ae - be
-    if shift > prec + 4 and be + bm.bit_length() <= min(ae + am.bit_length() - prec - 2, ae):
-        # b, below a's last bit and a quarter of its rounding unit, only
-        # decides on which side of a the sum lies: one sticky bit stands in.
-        return pair_round((am << prec + 4) + (1 if bm > 0 else -1), ae - prec - 4, prec)
-    return pair_round((am << shift) + bm, be, prec)
+    low = min(ae, be)
+    return pair_round((am << ae - low) + (bm << be - low), low, prec)
 
 
-def pair_sub(a, b, prec):
-    return pair_add(a, (-b[0], b[1]), prec)
+def over_one_exponent(pairs) -> tuple:
+    """``(low, ints)``: the values of ``pairs`` as integers over 2**low, low the least
+    exponent of a nonzero one (0 if none is)."""
+    low = min((e for m, e in pairs if m), default=0)
+    return low, [m << e - low if m else 0 for m, e in pairs]
 
 
 def pair_div(a, b, prec):
@@ -487,70 +482,32 @@ def pair_div(a, b, prec):
     return pair_round(q, ae - be - extra, prec)
 
 
-def pair_cmp(a, b):
-    """-1, 0 or 1 as a is below, equal to or above b; exact."""
-    (am, ae), (bm, be) = a, b
-    if am and bm and (am < 0) == (bm < 0):
-        top = ae + am.bit_length() - be - bm.bit_length()
-        if top:  # the one whose highest bit is higher is larger in magnitude
-            return 1 if (top > 0) == (am > 0) else -1
-        am, bm = am << max(ae - be, 0), bm << max(be - ae, 0)
-    return (am > bm) - (am < bm)
-
-
-def pair_horner(descending, x, prec):
-    """Horner's rule on pairs, leading coefficient first: each ``acc * x + c``
-    rounds the product, then the sum, as mpf objects of precision ``prec`` do.
-    Zero terms and terms more than ``prec + 4`` bits apart take :func:`pair_add`."""
-    xm, xe = x
-    terms = iter(descending)
-    m, e = next(terms)
-    for cm, ce in terms:
-        m *= xm
-        e += xe
-        n = m.bit_length() - prec
-        if n > 0:
-            t = m >> (n - 1)
-            m = (t >> 1) + 1 if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)) else t >> 1
-            e += n
-        d = e - ce
-        if not (m and cm) or d > prec + 4 or d < -prec - 4:
-            m, e = pair_add((m, e), (cm, ce), prec)
-            continue
-        if d >= 0:
-            m = (m << d) + cm
-            e = ce
-        else:
-            m += cm << -d
-        n = m.bit_length() - prec
-        if n > 0:
-            t = m >> (n - 1)
-            m = (t >> 1) + 1 if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)) else t >> 1
-            e += n
-    return m, e
-
-
 def unboxed(kind, values) -> list:
     """Raw tuples of ``values``, coercing any that are not of type ``kind``."""
     return [v._mpf_ if type(v) is kind else kind(v)._mpf_ for v in values]
 
 
 def affine_substitute(p: Polynomial, offset, scale) -> Polynomial:
-    """The polynomial x |-> p(offset + scale * x), expanded.
+    """The polynomial x |-> p(offset + scale * x), each coefficient exact, rounded once.
 
-    ``offset`` and ``scale`` are coerced into the context of p's coefficients.
+    With p's coefficients C_i over 2**low and offset = o 2**-t (t >= 0), p(offset +
+    scale x) = 2**(low - t d) P(o + 2**t scale x), where P(w) = sum C_i 2**(t (d - i)) w**i
+    has integer coefficients: P is shifted by o (a Taylor shift in integers), and its
+    coefficient of w**k times (2**t scale)**k is that of x**k.  ``offset`` and
+    ``scale`` are coerced into the context of p's coefficients.
     """
-    kind = type(p.coefficients[0])
-    context = kind.context
-    prec = context.prec
-    offset, scale = (to_pair(v) for v in unboxed(kind, (offset, scale)))
-    coeffs = [to_pair(c._mpf_) for c in p.coefficients]
-    out = [coeffs[-1]]
-    for c in reversed(coeffs[:-1]):  # out * (offset + scale * x) + c
-        moved = [(0, 0)] + [pair_mul(v, scale, prec) for v in out]
-        out = [pair_add(s, pair_mul(v, offset, prec), prec) for s, v in zip(moved, out + [(0, 0)])]
-        out[0] = pair_add(out[0], c, prec)
-    return Polynomial(tuple(context.make_mpf(to_raw(v)) for v in out))
+    kind, low, descending = p._exact
+    prec, degree = kind.context.prec, p.degree
+    (om, oe), (sm, se) = (to_pair(v) for v in unboxed(kind, (offset, scale)))
+    if oe >= 0:
+        om, oe = om << oe, 0
+    shifted = [c << -oe * i for i, c in enumerate(descending)][::-1]  # P, ascending
+    for i in range(degree):
+        for j in reversed(range(i, degree)):
+            shifted[j] += om * shifted[j + 1]
+    return Polynomial(tuple(
+        kind.context.make_mpf(to_raw(pair_round(c * sm**k, low + oe * (degree - k) + se * k, prec)))
+        for k, c in enumerate(shifted)))
 
 
 def _value_tolerance(target, ctx: PrecisionContext):

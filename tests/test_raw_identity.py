@@ -1,14 +1,13 @@
-"""The raw-tuple and integer kernels against the arithmetic they replace.
+"""The raw-tuple and integer kernels against exact arithmetic.
 
-The gap map, its Jacobian, the centered points and the realized map are
-computed from one exact integer expansion and rounded once, so each must
-have the ``_mpf_`` tuple of the exact value, worked out here in Fractions,
-rounded once to nearest at the context's precision.  The oracles for
-``solve_linear`` and ``affine_substitute`` are the mpf-object versions, with
-the object polynomial helpers they relied on: the raw kernels do the same
-operations in the same order with the same rounding, so every output must
-have the same ``_mpf_`` tuple, and every failure the same exception type
-and message.
+One rule holds for every kernel that computes a value: it forms the exact
+result in integers and rounds it once, to nearest.  So the gap map, its
+Jacobian, the centered points, the realized map, the expansion of a power
+map, ``affine_substitute`` and ``solve_linear`` must each have the
+``_mpf_`` tuple of the exact value, worked out here in Fractions, rounded
+once to nearest at the context's precision.  A linear system is singular
+exactly when an exact pivot of Gaussian elimination with partial pivoting
+is at most ``||rows||_1 * eps``.
 
 ``solve_monotone`` and ``fit_error`` run on a block fixed-point grid
 instead, so they are held to agreement: ``fit_error`` to within the grid's
@@ -98,10 +97,12 @@ def exact_jacobian(problem):
              for j in range(r - 1)] for i in range(r - 1)]
 
 
-def solve_linear(rows, rhs, ctx):
+def exact_solve(rows, rhs, ctx):
+    """rows @ x = rhs by Gaussian elimination with partial pivoting in Fractions, each
+    component rounded once; an exact pivot no larger than ||rows||_1 eps is singular."""
     n = len(rhs)
-    a = [list(row) + [b] for row, b in zip(rows, rhs)]
-    tol = max(sum(abs(a[i][j]) for i in range(n)) for j in range(n)) * ctx.mp.eps
+    a = [[exact(v) for v in row] + [exact(b)] for row, b in zip(rows, rhs)]
+    tol = max(sum(abs(a[i][j]) for i in range(n)) for j in range(n)) * exact(ctx.mp.eps)
     for j in range(n):
         p = max(range(j, n), key=lambda i: abs(a[i][j]))
         if abs(a[p][j]) <= tol:
@@ -113,11 +114,8 @@ def solve_linear(rows, rhs, ctx):
                 a[i][k] -= factor * a[j][k]
     x = [None] * n
     for i in reversed(range(n)):
-        acc = a[i][n]
-        for k in range(i + 1, n):
-            acc -= a[i][k] * x[k]
-        x[i] = acc / a[i][i]
-    return x
+        x[i] = (a[i][n] - sum(a[i][k] * x[k] for k in range(i + 1, n))) / a[i][i]
+    return [rounded(ctx, v) for v in x]
 
 
 def solve_monotone(p, target, lo, hi, orientation, ctx, start=None):
@@ -202,19 +200,6 @@ def solve_monotone(p, target, lo, hi, orientation, ctx, start=None):
     raise mpnum.RootBracketError("root refinement failed to meet tolerance")
 
 
-def affine_substitute(coefficients, offset, scale):
-    zero = coefficients[0] * 0
-    out = [coefficients[-1]]
-    for c in reversed(coefficients[:-1]):
-        nxt = [zero] * (len(out) + 1)
-        for i, v in enumerate(out):
-            nxt[i] += v * offset
-            nxt[i + 1] += v * scale
-        nxt[0] += c
-        out = nxt
-    return out
-
-
 # ---------------------------------------------------------------- helpers
 
 
@@ -290,7 +275,7 @@ def test_newton_system_solve_is_bit_identical(case, rhs):
     rows = critvals.phi_jacobian(problem)
     rhs = [ctx.mpf(v) for v in rhs[: len(rows)]]
     assert_same_outcome(outcome(critvals.solve_linear, rows, rhs, ctx),
-                        outcome(solve_linear, rows, rhs, ctx))
+                        outcome(exact_solve, rows, rhs, ctx))
 
 
 entry = st.fractions(-10, 10, max_denominator=1000)
@@ -313,7 +298,7 @@ def test_linear_solve_is_bit_identical(digit_count, n, data):
             row[-1] *= tiny
     rhs = [ctx.mpf(data.draw(entry)) for _ in range(n)]
     assert_same_outcome(outcome(critvals.solve_linear, rows, rhs, ctx),
-                        outcome(solve_linear, rows, rhs, ctx))
+                        outcome(exact_solve, rows, rhs, ctx))
 
 
 @pytest.mark.parametrize("rows", [
@@ -329,7 +314,7 @@ def test_singular_matrices_raise_the_same_error(rows):
     rhs = [ctx.mp.mpf(1)] * len(rows)
     got = outcome(critvals.solve_linear, rows, rhs, ctx)
     assert got[0] == "raised"
-    assert_same_outcome(got, outcome(solve_linear, rows, rhs, ctx))
+    assert_same_outcome(got, outcome(exact_solve, rows, rhs, ctx))
 
 
 # ---------------------------------------------------------------- lap solver
@@ -434,9 +419,13 @@ def test_affine_substitution_is_bit_identical(digit_count, degree, data):
     coeffs.append(ctx.mpf(data.draw(entry.filter(bool))))
     offset, scale = ctx.mpf(data.draw(entry)), ctx.mpf(data.draw(entry.filter(bool)))
     got = mpnum.affine_substitute(mpnum.Polynomial(tuple(coeffs)), offset, scale)
-    want = affine_substitute(coeffs, offset, scale)
+    # the coefficient of x**k in sum_i c_i (offset + scale x)**i
+    o, t = exact(offset), exact(scale)
+    want = [sum(exact(c) * binomial(i, k) * o ** (i - k) for i, c in enumerate(coeffs[k:], k))
+            * t**k
+            for k in range(degree + 1)]
     assert got.degree == degree
-    assert same(got.coefficients, want)
+    assert same(got.coefficients, tuple(rounded(ctx, c) for c in want))
 
 
 @given(digits, st.integers(1, 12), st.data())
