@@ -35,27 +35,26 @@ exact integer expansion per :class:`PhiProblem` (``PhiProblem._exact``):
 with the gaps scaled to integers, the points and the monic product are
 integers, every value is a quotient of exact integers, and :func:`pair_div`
 rounds it once to nearest.  So each value is correctly rounded, a small
-value gap to its own relative precision.  The Newton systems keep the same
-rule: :func:`solve_linear` eliminates fraction-free on the entries as
-integers and rounds each component of the solution once.  The check that
-the realized map takes the values evaluates it on its block grid
-(``on_grid``).
+value gap to its own relative precision, and so are the Newton systems'
+solutions (:func:`solve_pairs`, fraction-free elimination).  Between these
+kernels values stay pairs, each rounded once as mpmath would: the residual
+Phi - s, the damped candidate g - 2**-k d, the Euler predictor and the
+realized map's coefficients, which it checks on its block grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, factorial, lcm
 from typing import Optional
 
-from mpmath.ctx_mp import MPContext
 from mpmath.libmp import fzero, mpf_abs, mpf_mul_int, mpf_nthroot, mpf_sub
 
 from .mpnum import (
-    Polynomial, PowerMap, PrecisionContext, over_one_exponent, pair_div, solve_monotone, to_block,
-    to_pair, to_raw, unboxed
+    Polynomial, PowerMap, PrecisionContext, cached, over_one_exponent, pair_add, pair_div,
+    pair_lt, pair_round, pair_sub, solve_monotone, to_block, to_pair, to_raw, unboxed
 )
 
 NEWTON_MAX_ITERATIONS = 200
@@ -90,29 +89,28 @@ class PhiProblem:
             raise ValueError("need exactly one gap less than there are critical points")
         if any(k < 1 for k in mults):
             raise ValueError("multiplicities must be positive")
-        for g in gaps:
-            if not g > 0:
-                raise ValueError("gaps must be positive")
+        kind = type(gaps[0]) if gaps else None
+        if gaps and kind is not getattr(getattr(kind, "context", None), "mpf", None):
+            raise TypeError("gaps must be mpf values")
+        if not all(not g[0] and g[1] for g in unboxed(kind, gaps)):  # raw sign tests
+            raise ValueError("gaps must be positive")
 
     @property
     def r(self) -> int:
         return len(self.multiplicities)
 
-    @cached_property
+    @cached
     def _exact(self) -> tuple:
-        """The problem in integers, y = K x / 2**E: ``(context, E, C, h, L, LH)``.
+        """The problem in integers, y = K x / 2**E: ``(context, E, C, h, D, LH)``.
 
         E is the least exponent of the gaps, G_i = delta_i / 2**E and
         K = sum k_i.  The points C_0 = -sum_i G_i (k_{i+1} + ... + k_r) and
         C_{i+1} = C_i + K G_i are K c_i / 2**E, h = prod (y - C_i)**k_i
-        (ascending, degree K) has g(x) = (2**E / K)**K h(y), and LH holds
-        L = lcm(1..K+1) times h's antiderivative vanishing at 0, at the C_i.
+        (ascending, degree K) has g(x) = (2**E / K)**K h(y), D[j] = L / (j + 1) for
+        L = lcm(1..K+1), and LH is L times h's antiderivative from 0, at the C_i.
         """
-        kind = type(self.gaps[0])
-        context = getattr(kind, "context", None)
-        if not isinstance(context, MPContext) or kind is not context.mpf:
-            raise TypeError("gaps must be mpf values")
-        low, gaps = over_one_exponent([to_pair(g) for g in unboxed(kind, self.gaps)])
+        context = type(self.gaps[0]).context
+        low, gaps = over_one_exponent([to_pair(g) for g in unboxed(context.mpf, self.gaps)])
         mults = self.multiplicities
         total = sum(mults)
         points = [-sum(g * sum(mults[i + 1:]) for i, g in enumerate(gaps))]
@@ -122,14 +120,20 @@ class PhiProblem:
         for point, k in zip(points, mults):
             for _ in range(k):  # h * (y - point)
                 h = [a - point * b for a, b in zip([0] + h, h + [0])]
-        scale = lcm(*range(1, total + 2))
-        return context, low, points, h, scale, _integral_values(h, points, scale)
+        divisors = _antiderivative_divisors(total)
+        return context, low, points, h, divisors, _integral_values(h, points, divisors)
 
 
-def _integral_values(q, points, scale) -> list:
-    """``scale`` times the antiderivative of the integer polynomial ``q`` vanishing at 0,
-    at the integer ``points``; exact when every j + 1 <= len(q) divides ``scale``."""
-    descending = [scale // (j + 1) * c for j, c in reversed(list(enumerate(q)))]
+@lru_cache(maxsize=None)
+def _antiderivative_divisors(degree) -> tuple:
+    """L / (j + 1) for j = 0..degree, L = lcm(1..degree + 1) first."""
+    return tuple(lcm(*range(1, degree + 2)) // (j + 1) for j in range(degree + 1))
+
+
+def _integral_values(q, points, divisors) -> list:
+    """L times the antiderivative of the integer polynomial ``q`` vanishing at 0, at the
+    integer ``points``, given L / (j + 1) for j < len(q) (:func:`_antiderivative_divisors`)."""
+    descending = [d * c for d, c in zip(divisors, q)][::-1]
     values = []
     for y in points:
         acc = 0
@@ -160,9 +164,9 @@ def _interval_sign(mults, i) -> int:
 def phi(problem: PhiProblem) -> tuple:
     """Value gaps s_i = |integral over [c_i, c_{i+1}] of the monic product|, each
     |LH(C_{i+1}) - LH(C_i)| 2**(E (K+1)) / (K**(K+1) L) rounded once."""
-    context, low, _, h, scale, values = problem._exact
+    context, low, _, h, divisors, values = problem._exact
     degree = len(h) - 1
-    below = (degree ** (degree + 1) * scale, 0)
+    below = (degree ** (degree + 1) * divisors[0], 0)
     return tuple(_rounded(context, pair_div((abs(b - a), low * (degree + 1)), below, context.prec))
                  for a, b in zip(values, values[1:]))
 
@@ -178,9 +182,9 @@ def phi_jacobian(problem: PhiProblem) -> tuple:
     summed right to left, as Phi integrates h, over 2**(E K) / (K**K L).
     """
     mults, r = problem.multiplicities, problem.r
-    context, low, points, h, scale, _ = problem._exact
+    context, low, points, h, divisors, _ = problem._exact
     degree = len(h) - 1
-    below, exponent = (degree ** degree * scale, 0), low * degree
+    below, exponent = (degree ** degree * divisors[0], 0), low * degree
     summed = [0] * degree
     columns = [None] * (r - 1)
     for j in reversed(range(r - 1)):
@@ -188,7 +192,7 @@ def phi_jacobian(problem: PhiProblem) -> tuple:
         for c in h[-2:0:-1]:
             quotient.append(c + root * quotient[-1])
         summed = [a + mults[j + 1] * b for a, b in zip(summed, reversed(quotient))]
-        ends = _integral_values(summed, points, scale)
+        ends = _integral_values(summed, points, divisors)
         columns[j] = tuple(
             _rounded(context, pair_div((-_interval_sign(mults, i) * (ends[i + 1] - ends[i]),
                                         exponent), below, context.prec))
@@ -244,30 +248,42 @@ def _checked_targets(s, multiplicities, ctx):
     mults = tuple(int(k) for k in multiplicities)
     if len(s) != len(mults) - 1:
         raise ValueError("need exactly one value gap less than there are critical points")
-    if any(not v > 0 for v in s):
+    if not all(not v._mpf_[0] and v._mpf_[1] for v in s):
         raise ValueError("value gaps must be positive")
     return s, mults
 
 
-def _residual(problem, s):
-    values = phi(problem)
-    res = [v - t for v, t in zip(values, s)]
-    return res, max(abs(x) for x in res)
+def _residual(problem, targets, ctx) -> tuple:
+    """``(res, norm)``: Phi - s as pairs, each rounded once, and its max-norm."""
+    (values,) = _pairs([phi(problem)], ctx)
+    res = [pair_sub(v, t, ctx.mp.prec) for v, t in zip(values, targets)]
+    low = min(e for _, e in res)
+    return res, (max(abs(m) << e - low for m, e in res), low)
+
+
+def _pairs(rows, ctx: PrecisionContext) -> list:
+    """Rows of mpfs (or of values ctx coerces) as rows of pairs."""
+    return [[to_pair(v) for v in unboxed(ctx.mp.mpf, row)] for row in rows]
 
 
 def solve_linear(rows, rhs, ctx: PrecisionContext) -> list:
-    """Solve ``rows @ x = rhs`` by fraction-free (Bareiss) elimination with partial
-    pivoting, exact on the entries as integers over one exponent, each component
-    x_i = (det x_i) / det rounded once.
+    """Solve ``rows @ x = rhs`` in mpfs, by :func:`solve_pairs`."""
+    *rows, rhs = _pairs((*rows, rhs), ctx)
+    return [_rounded(ctx.mp, x) for x in solve_pairs(rows, rhs, ctx.mp.prec)]
+
+
+def solve_pairs(rows, rhs, prec) -> list:
+    """Solve ``rows @ x = rhs`` on pairs by fraction-free (Bareiss) elimination with
+    partial pivoting, exact on the entries as integers over one exponent, each
+    component x_i = (det x_i) / det rounded once to ``prec`` bits.
 
     The exact pivot j is M_j / M_(j-1), the ratio of consecutive leading minors; one
     no larger than ``||rows||_1 * eps`` (mpmath's test for a numerically singular
     matrix, on exact pivots) raises :class:`SingularJacobian`.
     """
-    mp = ctx.mp
     n = len(rhs)
-    scale, a = over_one_exponent([to_pair(v) for row in rows for v in unboxed(mp.mpf, row)])
-    low, b = over_one_exponent([to_pair(v) for v in unboxed(mp.mpf, rhs)])
+    scale, a = over_one_exponent([v for row in rows for v in row])
+    low, b = over_one_exponent(rhs)
     a = [a[i * n:(i + 1) * n] + [b[i]] for i in range(n)]  # over 2**scale and 2**low
     norm = max(sum(abs(row[j]) for row in a) for j in range(n))
     previous = 1  # M_(j-1)
@@ -275,7 +291,7 @@ def solve_linear(rows, rhs, ctx: PrecisionContext) -> list:
         p = max(range(j, n), key=lambda i: abs(a[i][j]))  # the first largest
         a[j], a[p] = a[p], a[j]
         top = a[j]
-        if abs(top[j]) << mp.prec - 1 <= norm * abs(previous):  # eps = 2**(1 - prec)
+        if abs(top[j]) << prec - 1 <= norm * abs(previous):  # eps = 2**(1 - prec)
             raise SingularJacobian("matrix is numerically singular")
         for row in a[j + 1:]:
             row[j + 1:] = [(v * top[j] - row[j] * t) // previous
@@ -285,7 +301,7 @@ def solve_linear(rows, rhs, ctx: PrecisionContext) -> list:
     for i in reversed(range(n)):
         row = a[i]
         x[i] = (row[n] * previous - sum(row[k] * x[k] for k in range(i + 1, n))) // row[i]
-    return [_rounded(mp, pair_div((v, low - scale), (previous, 0), mp.prec)) for v in x]
+    return [pair_div((v, low - scale), (previous, 0), prec) for v in x]
 
 
 def invert_phi(s, multiplicities, ctx: PrecisionContext, initial=None) -> InversionResult:
@@ -304,32 +320,29 @@ def invert_phi(s, multiplicities, ctx: PrecisionContext, initial=None) -> Invers
         gaps = chebyshev_init(mults, ctx, s)
     else:
         gaps = tuple(ctx.mpf(g) for g in initial)
-    tol = ctx.newton_tol
+    prec, box = ctx.mp.prec, ctx.mp.make_mpf
+    targets, tol = [to_pair(v._mpf_) for v in s], to_pair(ctx.newton_tol._mpf_)
     problem = PhiProblem(gaps, mults)
-    res, norm = _residual(problem, s)
-    trace = [norm]
-    jacobian = None
+    res, norm = _residual(problem, targets, ctx)
+    trace = [box(to_raw(norm))]
+    jacobian, pairs = None, [to_pair(g._mpf_) for g in gaps]
     for iteration in range(NEWTON_MAX_ITERATIONS):
-        if norm <= tol and (iteration or initial is None):
+        if not pair_lt(tol, norm) and (iteration or initial is None):
             return InversionResult(tuple(gaps), iteration, tuple(trace), s, jacobian, problem)
         jacobian = phi_jacobian(problem)
-        step = solve_linear(jacobian, res, ctx)
-        damping = ctx.mp.mpf(1)
-        for _ in range(NEWTON_MAX_HALVINGS):
-            candidate = tuple(g - damping * d for g, d in zip(gaps, step))
-            try:
-                trial = PhiProblem(candidate, mults)
-            except ValueError:  # a gap left the positive orthant
-                damping /= 2
+        step = solve_pairs(_pairs(jacobian, ctx), res, prec)
+        for k in range(NEWTON_MAX_HALVINGS):  # the candidate g - 2**-k d, rounded once
+            candidate = [pair_sub(g, (m, e - k), prec) for g, (m, e) in zip(pairs, step)]
+            if any(m <= 0 for m, _ in candidate):  # a gap left the positive orthant
                 continue
-            cres, cnorm = _residual(trial, s)
-            if cnorm < norm or cnorm <= tol:
-                gaps, problem, res, norm = candidate, trial, cres, cnorm
-                trace.append(norm)
+            trial = PhiProblem(tuple(box(to_raw(g)) for g in candidate), mults)
+            cres, cnorm = _residual(trial, targets, ctx)
+            if pair_lt(cnorm, norm) or not pair_lt(tol, cnorm):
+                gaps, pairs, problem, res, norm = trial.gaps, candidate, trial, cres, cnorm
+                trace.append(box(to_raw(norm)))
                 break
-            damping /= 2
         else:
-            raise NewtonStalled(f"residual stuck at {ctx.format(norm, 6)}")
+            raise NewtonStalled(f"residual stuck at {ctx.format(box(to_raw(norm)), 6)}")
     raise NewtonStalled(f"no convergence in {NEWTON_MAX_ITERATIONS} iterations")
 
 
@@ -340,13 +353,14 @@ def predicted_start(previous: InversionResult, s, ctx: PrecisionContext) -> Opti
     may hold more digits than the context ``previous`` was found in."""
     if previous.jacobian is None:
         return None
-    change = [ctx.mpf(v) - ctx.mpf(t) for v, t in zip(s, previous.targets)]
+    prec, (now, then, gaps) = ctx.mp.prec, _pairs((s, previous.targets, previous.gaps), ctx)
+    change = [pair_sub(v, t, prec) for v, t in zip(now, then)]
     try:
-        step = solve_linear(previous.jacobian, change, ctx)
+        step = solve_pairs(_pairs(previous.jacobian, ctx), change, prec)
     except SingularJacobian:
         return None
-    start = tuple(ctx.mpf(g) + d for g, d in zip(previous.gaps, step))
-    return start if all(g > 0 for g in start) else None
+    start = [pair_add(g, d, prec) for g, d in zip(gaps, step)]
+    return tuple(map(ctx.mp.make_mpf, map(to_raw, start))) if all(m > 0 for m, _ in start) else None
 
 
 def _beta(a, b) -> Fraction:  # B(a, b), the integral of t**a (1 - t)**b over [0, 1]
@@ -369,6 +383,12 @@ def ratio_polynomials(multiplicities, ctx: PrecisionContext) -> tuple:
     exact = ([comb(k3, j) * _beta(k1, k2 + j) / scale for j in range(k3 + 1)],
              [comb(k1, i) * _beta(k1 + k2 - i, k3) / scale for i in range(k1 + 1)])
     return (*(tuple(ctx.mpf(c) for c in p) for p in exact), *(ctx.mpf(sum(p)) for p in exact))
+
+
+@lru_cache(maxsize=None)
+def _head_polynomial(multiplicities, ctx: PrecisionContext) -> Polynomial:
+    """P2 of :func:`ratio_polynomials` as a :class:`Polynomial`."""
+    return Polynomial(ratio_polynomials(multiplicities, ctx)[1])
 
 
 def solve_gaps(s, multiplicities, ctx: PrecisionContext, previous=None) -> InversionResult:
@@ -395,7 +415,7 @@ def solve_gaps(s, multiplicities, ctx: PrecisionContext, previous=None) -> Inver
         equation = Polynomial((*(-c for c in head), *(zero,) * k2, *(ratio * c for c in tail)))
         start = None if previous is None else previous.gaps[mirrored] / previous.gaps[not mirrored]
         u = solve_monotone(equation, zero, zero, 1, 1, ctx, start=start)
-        second = _beta_root(s2 / Polynomial(head)(u), k1 + k2, k3, ctx)
+        second = _beta_root(s2 / _head_polynomial((k1, k2, k3), ctx)(u), k1 + k2, k3, ctx)
         gaps = (second, u * second) if mirrored else (u * second, second)
         return InversionResult(gaps, 0, (), s, problem=PhiProblem(gaps, mults))
     if previous is not None and (start := predicted_start(previous, s, ctx)) is not None:
@@ -467,11 +487,10 @@ def realize_critical_values(
     f = _realized_map(problem, sigma, raw[0])
 
     # f at its critical points on its value grid, less the grid's error
-    check_tol = 100 * ctx.newton_tol
     unit, got, error = f.on_grid(points, ctx)
-    for value, at in zip(values, got):
-        miss = abs(at - to_block(to_pair(value._mpf_), unit))
-        if miss > to_block(to_pair((check_tol * max(1, abs(value)))._mpf_), unit) - error:
+    for value, at in zip(map(to_pair, raw), got):
+        miss = abs(at - to_block(value, unit))
+        if miss > to_block(_realization_bound(value, ctx), unit) - error:
             raise RealizationError(
                 "constructed map misses a prescribed critical value by "
                 f"{ctx.format(_rounded(ctx.mp, (miss, unit)), 6)}"
@@ -479,13 +498,20 @@ def realize_critical_values(
     return RealizedMap(f, points, inversion)
 
 
+def _realization_bound(value, ctx: PrecisionContext) -> tuple:
+    """100 newton_tol max(1, |value|) for the pair ``value``, each product rounded once."""
+    (m, e), (vm, ve), prec = to_pair(ctx.newton_tol._mpf_), value, ctx.mp.prec
+    m, e = pair_round(100 * m, e, prec)
+    return pair_round(m * abs(vm), e + ve, prec) if pair_lt((1, 0), (abs(vm), ve)) else (m, e)
+
+
 def _realized_map(problem: PhiProblem, sigma: int, value) -> Polynomial:
     """f with f' = sigma * g, g the problem's monic product, and f(c_0) = ``value`` (raw):
     the coefficient of x**(j+1) is sigma h_j 2**(E (K-j)) / (K**(K-j) (j+1)), and the
     constant term value - sigma LH(C_0) 2**(E (K+1)) / (K**(K+1) L), each rounded once."""
-    context, low, _, h, scale, values = problem._exact
+    context, low, _, h, divisors, values = problem._exact
     prec, degree = context.prec, len(h) - 1
-    below = degree ** (degree + 1) * scale
+    below = degree ** (degree + 1) * divisors[0]
     (vm, ve), shift = to_pair(value), low * (degree + 1)
     base = min(ve, shift)
     constant = ((vm * below << ve - base) - (sigma * values[0] << shift - base), base)
@@ -493,4 +519,4 @@ def _realized_map(problem: PhiProblem, sigma: int, value) -> Polynomial:
         pair_div((sigma * c, low * (degree - j)), (degree ** (degree - j) * (j + 1), 0), prec)
         for j, c in enumerate(h)
     ]
-    return Polynomial(tuple(_rounded(context, c) for c in coefficients))
+    return Polynomial.from_pairs(coefficients, context)

@@ -20,13 +20,14 @@ One rounding rule holds for the kernels: each works on integer pairs
 (m, e), the value m * 2**e, forms its result exactly in integers and rounds
 it once to nearest, ties to even, as mpmath's raw operations round.
 ``Polynomial.__call__`` is Horner's rule on the coefficients over one common
-exponent (cached per polynomial) and x's mantissa, :func:`affine_substitute`
+exponent (kept per polynomial) and x's mantissa, :func:`affine_substitute`
 a Taylor shift of the same integers, and ``PowerMap.__call__`` and
 :attr:`PowerMap.expanded` the binomial in integers; the gap map and
 ``critvals.solve_linear`` (fraction-free elimination) keep the same rule.  So
 every such result is correctly rounded, with the same bits on either mpmath
-backend.  Values become pairs only inside the kernels, where inf and nan
-are refused.  ``PowerMap.solve`` alone still takes its root in mpf steps.
+backend.  Between the kernels values stay pairs (``frame``'s B - A and moved
+points); inf and nan are refused where values become pairs.  ``PowerMap.solve``
+alone takes its root in mpf steps.
 
 Every other evaluation of a map runs in block fixed point on plain ints
 (:func:`block_horner`): x over 2**-(prec + 32), values over 2**unit, 32 bits
@@ -44,13 +45,13 @@ t_0 and t_n give the map v + sign(lead) (rho_0 + rho_n)**d (x - c)**d with
 c = rho_0 / (rho_0 + rho_n), and each other target pulls back to
 (rho_0 -+ rho_t) / (rho_0 + rho_n), - left of c and + right of it, each
 value rounded once: the lead's and the framing scale's d-th roots cancel.
-:func:`solve_monotone`, a ``Polynomial``'s solver, is a bisection/Newton
+:func:`solve_monotone`, a ``Polynomial``'s solver, runs on the map's grid,
+each evaluation off by at most (d + 1) 2**(d - 31) times 10 tau.  Warm, from
+a point inside the lap such as a marked point's position one pull-back
+earlier, it is Newton alone; cold, or should that fail, a bisection/Newton
 hybrid on a bracket that doubles outward on laps extending to infinity
-(targets may sit arbitrarily close to critical values, where the
-derivative underflows and bare Newton crawls or escapes).  It runs on the
-map's grid, each evaluation off by at most (d + 1) 2**(d - 31) times
-10 tau.  Its Newton may start from a point inside the lap, such as a
-marked point's position one pull-back earlier.
+(targets may sit arbitrarily close to critical values, where the derivative
+underflows and bare Newton crawls or escapes).
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ NEWTON_TOL_SHIFT = 6  # the gap-map inversion's residual target is 10**(-digits 
 
 # Outward doublings allowed when bracketing a root on an unbounded lap.
 BRACKET_DOUBLINGS = 200
+WARM_NEWTON_STEPS = 12  # a warm lap solve's Newton steps before it falls back to bracketing
 _GUARD_BITS = 32  # bits of the value grid below the lap solvers' bound 10 tau
 
 _CONTEXTS = {}  # digits -> the one mpmath context every PrecisionContext shares
@@ -79,6 +81,14 @@ _CONTEXTS = {}  # digits -> the one mpmath context every PrecisionContext shares
 
 class RootBracketError(ArithmeticError):
     """The requested target cannot be bracketed on the given lap."""
+
+
+class cached(cached_property):
+    """``functools.cached_property`` without the lock it takes before Python 3.12."""
+
+    def __get__(self, instance, owner=None):  # only while the instance holds no value
+        return self if instance is None else instance.__dict__.setdefault(
+            self.attrname, self.func(instance))
 
 
 @dataclass(frozen=True)
@@ -102,15 +112,15 @@ class PrecisionContext:
             mp.dps = self.digits
         object.__setattr__(self, "mp", mp)
 
-    @cached_property
+    @cached
     def tau(self):
         return self.mp.mpf(10) ** (GUARD_DIGITS - self.digits)
 
-    @cached_property
+    @cached
     def solve_tol(self):  # raw 10 * tau, the lap solvers' residual bound for |target| <= 1
         return mpf_mul_int(self.tau._mpf_, 10, *self.mp._prec_rounding)
 
-    @cached_property
+    @cached
     def newton_tol(self):  # the gap-map inversion's residual bound
         return self.mp.mpf(10) ** (NEWTON_TOL_SHIFT - self.digits)
 
@@ -149,13 +159,36 @@ class Polynomial:
             raise TypeError("polynomial coefficients must be mpf values")
         if len(set(map(type, coeffs))) > 1:
             coeffs = [c if type(c) is kind else kind(c) for c in coeffs]
-        if not all(map(context.isfinite, coeffs)):
-            raise ValueError("polynomial coefficients must be finite")
         object.__setattr__(self, "coefficients", tuple(coeffs))
+        self._keep(kind, [to_pair(c._mpf_) for c in reversed(coeffs)])  # refuses inf and nan
+
+    def _keep(self, kind, pairs):  # the coefficients as pairs, leading first
+        low, ints = over_one_exponent(pairs)
+        object.__setattr__(self, "_exact", (kind, low, ints))  # ints over 2**low, leading first
+        object.__setattr__(self, "_blocks", {})  # the grids of block()
+
+    @classmethod
+    def from_pairs(cls, pairs, context: MPContext) -> "Polynomial":
+        """The polynomial with the ascending coefficient ``pairs`` (m, e), each already
+        rounded to the precision of ``context``: their integers kept, boxed when first read."""
+        pairs = list(pairs)
+        while len(pairs) > 1 and not pairs[-1][0]:
+            pairs.pop()
+        self = object.__new__(cls)
+        self._keep(context.mpf, pairs[::-1])
+        return self
+
+    def __getattr__(self, name):  # the coefficients of from_pairs, boxed when first read
+        if name != "coefficients":
+            raise AttributeError(name)
+        kind, low, descending = self._exact
+        boxed = tuple(kind.context.make_mpf(to_raw((c, low))) for c in reversed(descending))
+        object.__setattr__(self, "coefficients", boxed)
+        return boxed
 
     @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self._exact[2]) - 1
 
     def __call__(self, x):
         kind, low, descending = self._exact
@@ -170,18 +203,11 @@ class Polynomial:
         prec = kind.context.prec
         return kind.context.make_mpf(to_raw(pair_round(acc, low + xe * self.degree, prec)))
 
-    @cached_property
-    def _exact(self) -> tuple:
-        """``(kind, low, descending)``: the coefficients as integers over 2**low, leading first."""
-        kind = type(self.coefficients[-1])
-        low, ints = over_one_exponent([to_pair(c._mpf_) for c in reversed(self.coefficients)])
-        return kind, low, ints
-
     def derivative(self) -> "Polynomial":
         """The derivative, built once per polynomial."""
         return self._derivative
 
-    @cached_property
+    @cached
     def _derivative(self) -> "Polynomial":
         if self.degree == 0:
             return Polynomial((self.coefficients[0] * 0,))
@@ -199,10 +225,6 @@ class Polynomial:
             slopes = [(degree - i) * c for i, c in enumerate(values[:-1])]
             grid = self._blocks[key] = unit, values, slopes
         return grid
-
-    @cached_property
-    def _blocks(self) -> dict:
-        return {}
 
     def on_grid(self, points, ctx: PrecisionContext) -> tuple:
         """``(unit, values, error)``: self at ``points`` as integers over 2**unit, by
@@ -230,11 +252,13 @@ class Polynomial:
         B > A there is no frame, and the map and its critical points come back as they are."""
         A, B = (solve_monotone(self, target, *lap, ctx, start=start)
                 for target, lap, start in zip(targets, laps, starts))
-        if not B > A:
+        prec, box, low = ctx.mp.prec, ctx.mp.make_mpf, to_pair(A._mpf_)
+        scale = pair_sub(to_pair(B._mpf_), low, prec)  # B - A, rounded once
+        if scale[0] <= 0:
             return self, tuple(critical_points), A, B
-        scale = B - A
-        moved = tuple((p - A) / scale for p in critical_points)
-        return affine_substitute(self, A, scale), moved, A, B
+        moved = tuple(box(to_raw(pair_div(pair_sub(to_pair(p), low, prec), scale, prec)))
+                      for p in unboxed(ctx.mp.mpf, critical_points))
+        return affine_substitute(self, A, box(to_raw(scale))), moved, A, B
 
 
 @dataclass(frozen=True)
@@ -398,7 +422,7 @@ class PowerMap:
             points[j] = point
         return points
 
-    @cached_property
+    @cached
     def expanded(self) -> Polynomial:
         """``value + lead * (x - center)**degree`` by the binomial theorem: each
         coefficient exact in integers, the value added to the constant, rounded once."""
@@ -463,6 +487,17 @@ def pair_add(a, b, prec):
     return pair_round((am << ae - low) + (bm << be - low), low, prec)
 
 
+def pair_sub(a, b, prec):
+    """a - b, exact, rounded once."""
+    return pair_add(a, (-b[0], b[1]), prec)
+
+
+def pair_lt(a, b) -> bool:
+    """a < b, exact."""
+    low = min(a[1], b[1])
+    return (a[0] << a[1] - low) < (b[0] << b[1] - low)
+
+
 def over_one_exponent(pairs) -> tuple:
     """``(low, ints)``: the values of ``pairs`` as integers over 2**low, low the least
     exponent of a nonzero one (0 if none is)."""
@@ -505,9 +540,8 @@ def affine_substitute(p: Polynomial, offset, scale) -> Polynomial:
     for i in range(degree):
         for j in reversed(range(i, degree)):
             shifted[j] += om * shifted[j + 1]
-    return Polynomial(tuple(
-        kind.context.make_mpf(to_raw(pair_round(c * sm**k, low + oe * (degree - k) + se * k, prec)))
-        for k, c in enumerate(shifted)))
+    return Polynomial.from_pairs([pair_round(c * sm**k, low + oe * (degree - k) + se * k, prec)
+                                  for k, c in enumerate(shifted)], kind.context)
 
 
 def _value_tolerance(target, ctx: PrecisionContext):
@@ -571,30 +605,32 @@ def block_horner(descending, x, shift):
 
 
 def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionContext, start=None):
-    """Solve p(x) = target on a monotone lap [lo, hi], or on any bracket where
-    p - target changes sign once, as the gap-ratio equation of
-    :func:`thurston.critvals.solve_gaps` does.
+    """Solve p(x) = target on a monotone lap [lo, hi] (None for an end at -inf or
+    +inf), or on any bracket where p - target changes sign once, as the
+    gap-ratio equation of :func:`thurston.critvals.solve_gaps` does.
+    ``orientation`` is +1 for increasing laps (and for a sign change from - to
+    +), -1 for decreasing.  The lap may contain isolated points of vanishing
+    derivative (higher-order tangencies); the result satisfies
+    ``|p(x) - target| <= 10 * tau * max(1, |target|)``, and a lap end that
+    meets it is returned as the caller's own value.
 
-    ``lo``/``hi`` may be None for laps extending to -inf/+inf; the bracket is
-    then grown outward from the finite end by doubling steps.  ``orientation``
-    is +1 for increasing laps (and for a sign change from - to +), -1 for
-    decreasing.  The lap may contain isolated points of vanishing derivative
-    (higher-order tangencies); the result satisfies
-    ``|p(x) - target| <= 10 * tau * max(1, |target|)``.
+    Warm, from a ``start`` strictly inside the lap (such as the point's
+    position one pull-back earlier), it checks the finite ends, then runs
+    Newton alone on the narrowest grid holding them and the start, which it
+    corrects unless its grid residual is 0 or the correction is below its
+    last bit, so that a slow point still moves.  An iterate that leaves the
+    lap or that grid, a slope of the wrong sign, or ``WARM_NEWTON_STEPS``
+    steps short of the bound hand over to the cold solve: Newton with
+    bisection on a bracket (grown by doubling from the finite end of an
+    unbounded lap) from ``start`` if inside it, else from the midpoint.
 
-    In block fixed point: x is an integer over 2**(prec + 32), rounded to
+    In block fixed point, x is an integer over 2**(prec + 32), rounded to
     ``prec`` bits; the coefficients C_i, the target and the bound are integers
-    over 2**E, 32 bits below 10 tau (p's cached :meth:`Polynomial.block`), and
-    p' has coefficients i * C_i.
-    Horner is then within 1.5 (d + 1) max(1, |x|)**d units of 2**E.  E drops d
-    bits per doubling of a bracket reaching |x| >= 2, and the residual test
-    allows for the (d + 1) 2**(d + 1) units left, so the exact residual meets
-    the bound.  A lap end that meets it is returned as the caller's own value.
-
-    Newton starts from ``start`` if it lies strictly inside the bracket (such
-    as the point's position one pull-back earlier), else from the midpoint.
-    Such a warm start takes a correction, unless its grid residual is 0 or the
-    correction is below its last bit, so that a slow point still moves.
+    over 2**E, 32 bits below 10 tau (p's :meth:`Polynomial.block`), and p' has
+    coefficients i * C_i.  Horner is then within 1.5 (d + 1) max(1, |x|)**d
+    units of 2**E; E drops d bits per doubling of the grid's width, and the
+    residual test allows for the (d + 1) 2**(d + 1) units left, so the exact
+    residual meets the bound.
     """
     if lo is None and hi is None:
         raise ValueError("at least one lap end must be finite")
@@ -611,15 +647,40 @@ def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionCon
 
     target = own(target)[0]
     start = None if start is None else own(start)[1]
-    bound = to_pair(_value_tolerance(target._mpf_, ctx))
+    (tm, te), (sm, se) = to_pair(target._mpf_), to_pair(ctx.solve_tol)  # 10 tau max(1, |target|):
+    bound = pair_round(sm * abs(tm), se + te, prec) if pair_lt((1, 0), (abs(tm), te)) else (sm, se)
+    lo, hi = (None if end is None else own(end) for end in (lo, hi))
+    sense = 1 if orientation > 0 else -1
 
     def value_grid(wide):  # coefficients, slopes, target, allowed residual; |x| < 2**(wide + 1)
         unit, values, slopes = p.block(ctx, wide)
         allowed = to_block(bound, unit) - grid_error(p.degree, wide)
-        return values, slopes, to_block(to_pair(target._mpf_), unit), allowed
+        return values, slopes, to_block((tm, te), unit), allowed
+
+    if start is not None:  # warm: Newton alone, on the narrowest grid holding start and ends
+        finite = [end for end in (lo, hi) if end is not None]
+        wide = max(0, (max(abs(start), *(abs(at) for _, at in finite)) >> shift).bit_length() - 1)
+        limit = 1 << shift + wide + 1  # |x| < limit on that grid
+        low, high = -limit if lo is None else lo[1], limit if hi is None else hi[1]
+        if low < start < high:
+            values, slopes, goal, allowed = value_grid(wide)
+            for end, at in finite:
+                if abs(block_horner(values, at, shift) - goal) <= allowed:
+                    return end
+            x, correct = start, True
+            for _ in range(WARM_NEWTON_STEPS):
+                fx = block_horner(values, x, shift) - goal
+                if not fx or (not correct and abs(fx) <= allowed):
+                    return mp.make_mpf(to_raw((x, -shift)))
+                correct, slope = False, block_horner(slopes, x, shift)
+                newton = fit(x - (fx << shift) // slope) if sense * slope > 0 else low
+                if newton == x and abs(fx) <= allowed:  # the correction is below x's last bit
+                    return mp.make_mpf(to_raw((x, -shift)))
+                if not low < newton < high:  # off the lap or the grid, or a wrong-signed slope
+                    break
+                x = newton
 
     values, slopes, goal, allowed = value_grid(0)
-    sense = 1 if orientation > 0 else -1
 
     def grow(anchor, direction, side):
         # the first end anchor + direction * 2**k at which p is past the target
@@ -629,8 +690,8 @@ def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionCon
                 return own(mp.make_mpf(to_raw(end)))
         raise RootBracketError(f"bracket expansion cap reached {side} the lap")
 
-    lo, low = grow(own(hi)[0], -1, "below") if lo is None else own(lo)
-    hi, high = grow(lo, 1, "above") if hi is None else own(hi)
+    lo, low = grow(hi[0], -1, "below") if lo is None else lo
+    hi, high = grow(lo, 1, "above") if hi is None else hi
     if (wide := (max(-low, high) >> shift).bit_length() - 1) > 0:
         values, slopes, goal, allowed = value_grid(wide)
 

@@ -56,8 +56,8 @@ from typing import Optional
 from . import combinatorics as comb
 from . import critvals
 from .mpnum import (
-    MIN_DIGITS, Polynomial, PowerMap, PrecisionContext, pair_div, to_block, to_pair, to_raw,
-    unboxed
+    MIN_DIGITS, Polynomial, PowerMap, PrecisionContext, pair_div, pair_lt, pair_sub, to_block,
+    to_pair, to_raw
 )
 
 STALL_WINDOW = 4
@@ -88,11 +88,11 @@ class MarkedConfiguration:
         object.__setattr__(self, "points", pts)
         if len(pts) < 2:
             raise ValueError("a configuration needs at least the two endpoints")
-        if not (pts[0] == 0 and pts[-1] == 1):
+        object.__setattr__(self, "pairs", [to_pair(p._mpf_) for p in pts])  # for fit_error too
+        if self.pairs[0] != (0, 0) or self.pairs[-1] != (1, 0):
             raise ValueError("configuration endpoints must be exactly 0 and 1")
-        for a, b in zip(pts, pts[1:]):
-            if b < a:
-                raise ValueError("marked points must be sorted")
+        if any(pair_lt(b, a) for a, b in zip(self.pairs, self.pairs[1:])):
+            raise ValueError("marked points must be sorted")
 
     @property
     def n(self) -> int:
@@ -282,7 +282,7 @@ def fit_error(c: comb.Combinatorics, f, x: MarkedConfiguration, ctx: PrecisionCo
     """
     prec = ctx.mp.prec
     unit, values, _ = f.on_grid(x.points, ctx)
-    targets = [to_block(to_pair(p), unit) for p in unboxed(ctx.mp.mpf, x.points)]
+    targets = [to_block(p, unit) for p in x.pairs]
     squares = [(v - targets[m]) ** 2 for v, m in zip(values, c.m)]
 
     def eps(total):
@@ -357,11 +357,12 @@ def place_passengers(c: comb.Combinatorics, normalized: NormalizedMap, x: Marked
 
 
 def detect_collapse(x: MarkedConfiguration, threshold) -> tuple:
-    """Maximal runs of consecutive indices whose successive gaps all sit
-    below ``threshold``, as tuples of indices."""
+    """Maximal runs of consecutive indices whose successive gaps, each rounded once
+    at the points' precision, all sit below ``threshold``, as tuples of indices."""
+    prec, limit, pairs = type(x.points[-1]).context.prec, to_pair(threshold._mpf_), x.pairs
     groups = []
-    for j, (a, b) in enumerate(zip(x.points, x.points[1:])):
-        if b - a < threshold:
+    for j, (a, b) in enumerate(zip(pairs, pairs[1:])):
+        if pair_lt(pair_sub(b, a, prec), limit):
             if groups and groups[-1][-1] == j:
                 groups[-1].append(j + 1)
             else:

@@ -366,6 +366,82 @@ def test_solve_exact_warm_start_is_returned(monkeypatch):
     assert points[2:] == [start]  # after the lap ends, only the start
 
 
+def test_map_from_pairs_boxes_its_coefficients_when_first_read():
+    # 3/2 + 20 x**2 with a zero x term and a zero top pair, which is dropped
+    ctx = ctx40()
+    p = mpnum.Polynomial.from_pairs([(3, -1), (0, 5), (5, 2), (0, 7)], ctx.mp)
+    assert "coefficients" not in vars(p) and p.degree == 2
+    assert p(ctx.mp.mpf(2)) == ctx.mpf(Fraction(163, 2))
+    assert p.coefficients == (ctx.mpf(Fraction(3, 2)), 0, 20)
+    assert all(type(c) is ctx.mp.mpf for c in p.coefficients)
+    assert p == mpnum.Polynomial(p.coefficients) and not hasattr(p, "roots")
+
+
+def cubic_plus_linear(ctx):
+    return mpnum.Polynomial(tuple(ctx.mpf(c) for c in (0, 1, 0, 1)))  # x**3 + x
+
+
+def assert_lap_root(p, root, target, lo, hi, ctx):
+    """``root`` lies in the lap [lo, hi] and meets the lap solvers' residual bound,
+    as the cold solve's root does."""
+    cold = mpnum.solve_monotone(p, target, lo, hi, 1, ctx)
+    bound = 10 * ctx.tau * max(1, abs(ctx.mpf(target)))
+    for x in (root, cold):
+        assert (lo is None or lo <= x) and (hi is None or x <= hi)
+        assert abs(p(x) - target) <= bound
+
+
+def test_warm_solve_on_an_unbounded_lap_doubles_no_bracket(monkeypatch):
+    # x**3 + x = 1 on [0, inf) from 0.7: the lap end, then Newton alone, all
+    # on the grid of |x| < 2; bracketing would first evaluate 0 + 1
+    ctx = ctx40()
+    p, target, start = cubic_plus_linear(ctx), ctx.mp.mpf(1), ctx.mpf("0.7")
+    points = count_evaluations(monkeypatch)
+    root = mpnum.solve_monotone(p, target, 0, None, 1, ctx, start=start)
+    assert points[:3] == [0, start, start] and all(abs(x) < 1 for x in points)
+    assert len(points) <= 2 + 2 * mpnum.WARM_NEWTON_STEPS
+    assert_lap_root(p, root, target, 0, None, ctx)
+
+
+def test_warm_solve_falls_back_when_an_iterate_leaves_the_grid(monkeypatch):
+    # x**3 + x = 100 from 0.5: the first Newton step lands near 57, outside the
+    # grid of |x| < 2 that holds the start and the lap end 0, so the solve
+    # brackets the root by doubling from 0
+    ctx = ctx40()
+    p, target = cubic_plus_linear(ctx), ctx.mp.mpf(100)
+    points = count_evaluations(monkeypatch)
+    root = mpnum.solve_monotone(p, target, 0, None, 1, ctx, start=ctx.mpf("0.5"))
+    assert 57 not in [int(x) for x in points] and max(points) >= 4
+    assert_lap_root(p, root, target, 0, None, ctx)
+
+
+def test_warm_solve_falls_back_on_a_slope_of_the_wrong_sign(monkeypatch):
+    # x**3 - x = 1/2 on [-2, 2], where p - 1/2 changes sign once (at 1.19): the
+    # slope at the start 0 is -1, so the bracketed search takes over and
+    # evaluates the lap ends again
+    ctx = ctx40()
+    p = mpnum.Polynomial(tuple(ctx.mpf(c) for c in (0, -1, 0, 1)))
+    target, lo, hi = ctx.mpf(Fraction(1, 2)), ctx.mpf(-2), ctx.mpf(2)
+    points = count_evaluations(monkeypatch)
+    root = mpnum.solve_monotone(p, target, lo, hi, 1, ctx, start=ctx.mp.mpf(0))
+    assert points[:4] == [lo, hi, 0, 0] and points[4:6] == [lo, hi]
+    assert_lap_root(p, root, target, lo, hi, ctx)
+
+
+def test_warm_solve_falls_back_at_its_step_cap(monkeypatch):
+    # x**5 = 1e-30 on [-1, 1]: near the tangency at 0 Newton converges
+    # linearly, x -> 4x/5, and from 1/2 needs about 60 steps to reach 1e-6; after
+    # the cap the bracketed search evaluates the lap ends again
+    ctx = ctx40()
+    p = mpnum.Polynomial((ctx.mp.mpf(0),) * 5 + (ctx.mp.mpf(1),))
+    target, lo, hi = ctx.mpf("1e-30"), ctx.mpf(-1), ctx.mpf(1)
+    points = count_evaluations(monkeypatch)
+    root = mpnum.solve_monotone(p, target, lo, hi, 1, ctx, start=ctx.mpf(Fraction(1, 2)))
+    cap = 2 + 2 * mpnum.WARM_NEWTON_STEPS  # the ends, then a value and a slope per step
+    assert points[cap:cap + 2] == [lo, hi]
+    assert_lap_root(p, root, target, lo, hi, ctx)
+
+
 @pytest.mark.parametrize("degree", [3, 7])
 @pytest.mark.parametrize("side", [-1, 1])
 def test_solve_far_root_on_an_unbounded_lap(degree, side):

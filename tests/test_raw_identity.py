@@ -535,3 +535,119 @@ def test_framing_from_the_previous_map_agrees_with_a_cold_one(text):
             assert abs(a - b) <= bound * max(1, abs(a))
         x = pullback.pullback_step(c, warm, x, ctx)
         previous = warm
+
+
+# ---------------------------------------------------------------- pairs between the kernels
+# Each operation below once ran on mpf objects and now runs on integer pairs,
+# rounded where the mpf operation rounded; the mpf expression it replaced is
+# the oracle, and the two must agree bit for bit.
+
+
+def detect_collapse_on_mpfs(x, threshold):
+    groups = []
+    for j, (a, b) in enumerate(zip(x.points, x.points[1:])):
+        if b - a < threshold:
+            if groups and groups[-1][-1] == j:
+                groups[-1].append(j + 1)
+            else:
+                groups.append([j, j + 1])
+    return tuple(tuple(g) for g in groups)
+
+
+def ulps(ctx, value, k):
+    """``value`` moved by k units in its last place at the precision of ctx."""
+    m, e = mpnum.to_pair(value._mpf_)
+    n = ctx.mp.prec - m.bit_length()
+    return ctx.mp.make_mpf(mpnum.to_raw(((m << n) + k, e - n)))
+
+
+@given(digits, st.fractions(Fraction(1, 10**12), Fraction(1, 100)),
+       st.lists(st.sampled_from(["at", "below", "above", "equal", "tiny", "wide"]),
+                min_size=1, max_size=8),
+       st.integers(0, 200), st.fractions(Fraction(1, 10**6), Fraction(1, 10)))
+@example(40, Fraction(1, 1000), ["tiny", "at", "equal", "below", "above"], 50, Fraction(1, 10))
+@settings(max_examples=200, deadline=None)
+def test_collapse_detection_rounds_each_gap_once(digit_count, threshold, kinds, tiny, wide):
+    # Gaps at the threshold, one ulp either side of it, equal points, a gap far
+    # below it and a wide one, summed up in mpfs: after the tiny point 2**-(prec +
+    # tiny), the rounded gap b - a can equal the threshold while the exact one
+    # lies below it.
+    ctx = mpnum.PrecisionContext(digit_count)
+    threshold = ctx.mpf(threshold)
+    gaps = {"at": threshold, "below": ulps(ctx, threshold, -1), "above": ulps(ctx, threshold, 1),
+            "equal": ctx.mp.mpf(0), "tiny": ctx.mpf(2) ** -(ctx.mp.prec + tiny),
+            "wide": ctx.mpf(wide)}
+    points = [ctx.mp.mpf(0)]
+    for kind in kinds:
+        points.append(points[-1] + gaps[kind])
+    x = pullback.MarkedConfiguration((*points, ctx.mp.mpf(1)))
+    assert pullback.detect_collapse(x, threshold) == detect_collapse_on_mpfs(x, threshold)
+
+
+@given(digits, st.lists(st.tuples(st.integers(1, 2**20), st.integers(1, 400)), max_size=6),
+       st.integers(-1, 6), st.integers(-1, 1))
+@settings(max_examples=200, deadline=None)
+def test_configuration_order_check_is_exact(digit_count, inner, swap, nudge):
+    # points m 2**-e of mixed exponents, sorted, then possibly moved by an ulp
+    # or swapped with the next one: refused exactly when some b < a
+    ctx = mpnum.PrecisionContext(digit_count)
+    points = [ctx.mp.mpf(0), *sorted(ctx.mpf(Fraction(m, 2**e)) for m, e in inner), ctx.mp.mpf(1)]
+    if 0 < swap < len(points) - 1:
+        points[swap] = ulps(ctx, points[swap], nudge)
+        if swap < len(points) - 2:
+            points[swap], points[swap + 1] = points[swap + 1], points[swap]
+    unsorted = any(b < a for a, b in zip(points, points[1:]))
+    try:
+        pullback.MarkedConfiguration(tuple(points))
+    except ValueError as exc:
+        assert unsorted and "sorted" in str(exc)
+    else:
+        assert not unsorted
+
+
+@given(digits, st.data())
+@settings(max_examples=100, deadline=None)
+def test_frame_moves_points_as_the_mpf_expression(digit_count, data):
+    # p' = (x - a)(x - b), framed on its outer laps at 0 and 1 with its critical
+    # values straddling 1/2; the carried points, of any exponent, move as
+    # (c - A) / (B - A) and the map is affine_substitute(p, A, B - A)
+    ctx = mpnum.PrecisionContext(digit_count)
+    a = Fraction(data.draw(st.integers(-40, 0)), 10)
+    b = a + Fraction(data.draw(st.integers(1, 40)), 10)
+    dp = mpnum.Polynomial(tuple(rounded(ctx, c) for c in exact_product((a, b), (1, 1))))
+    coeffs = antiderivative(list(dp.coefficients), ctx.mp.mpf(0), ctx.mp.mpf(0))
+    middle = (horner(coeffs, ctx.mpf(a)) + horner(coeffs, ctx.mpf(b))) / 2
+    p = mpnum.Polynomial((coeffs[0] - middle + ctx.mpf(Fraction(1, 2)), *coeffs[1:]))
+    carried = tuple(ctx.mpf(data.draw(st.one_of(entry, gap))) for _ in range(data.draw(
+        st.integers(0, 4))))
+    laps = ((None, ctx.mpf(a), 1), (ctx.mpf(b), None, 1))
+    framed, moved, A, B = p.frame((0, 1), laps, carried, ctx, (None, None))
+    assert A < B
+    assert same(moved, tuple((c - A) / (B - A) for c in carried))
+    assert same(framed.coefficients, mpnum.affine_substitute(p, A, B - A).coefficients)
+
+
+@given(digits, st.one_of(entry, gap, st.sampled_from([Fraction(1), Fraction(-1)])),
+       st.integers(-1, 1))
+@settings(max_examples=200, deadline=None)
+def test_realization_bound_is_the_mpf_expression(digit_count, value, nudge):
+    # 100 newton_tol max(1, |v|), at |v| = 1, an ulp either side of it and far from it
+    ctx = mpnum.PrecisionContext(digit_count)
+    v = ulps(ctx, ctx.mpf(value), nudge) if value else ctx.mp.mpf(0)
+    got = critvals._realization_bound(mpnum.to_pair(v._mpf_), ctx)
+    want = 100 * ctx.newton_tol * max(1, abs(v))
+    assert mpnum.to_raw(got) == want._mpf_
+
+
+@given(digits, gap, entry, st.integers(0, critvals.NEWTON_MAX_HALVINGS - 1))
+@settings(max_examples=200, deadline=None)
+def test_damped_newton_candidate_is_the_mpf_expression(digit_count, g, d, k):
+    # invert_phi's candidate g - 2**-k d, the damping halved k times from 1
+    ctx = mpnum.PrecisionContext(digit_count)
+    g, d = ctx.mpf(g), ctx.mpf(d)
+    damping = ctx.mp.mpf(1)
+    for _ in range(k):
+        damping /= 2
+    (m, e), prec = mpnum.to_pair(d._mpf_), ctx.mp.prec
+    got = mpnum.pair_sub(mpnum.to_pair(g._mpf_), (m, e - k), prec)
+    assert mpnum.to_raw(got) == (g - damping * d)._mpf_
