@@ -52,6 +52,11 @@ def exact(v):
     return Fraction(*to_rational(v._mpf_))
 
 
+def exact_at(p, x):
+    """p(x) in exact rational arithmetic."""
+    return sum(exact(c) * exact(x) ** i for i, c in enumerate(p.coefficients))
+
+
 def rounded(ctx, value: Fraction):
     """``value`` rounded once to nearest at the precision of ctx."""
     raw = from_rational(value.numerator, value.denominator, ctx.mp.prec, round_nearest)
@@ -167,6 +172,9 @@ def solve_monotone(p, target, lo, hi, orientation, ctx, start=None):
     if abs(fhi) <= value_tol:
         return hi
     if (flo > 0) == (fhi > 0):
+        # the message reports p at the lap ends as evaluation gives it, the
+        # exact value rounded once: near a root Horner's rounding shows
+        plo, phi = (rounded(ctx, exact_at(p, end)) for end in (lo, hi))
         raise mpnum.RootBracketError(
             f"target {ctx.format(target, 8)} outside lap range "
             f"[{ctx.format(plo, 8)}, {ctx.format(phi, 8)}]"
@@ -369,14 +377,26 @@ def cubic_lap(target, start):
     return True, (p, ctx.mpf(target), ctx.mpf(-1), ctx.mpf(1), -1, ctx), ctx.mpf(start)
 
 
+def flat_end_lap():
+    """p with p' = -(x + 2)**3 (x + 2/5) and p(0) = 0, as :func:`lap_problems` draws it,
+    on its lap below -2 with a target beyond it: the exact p(-2) is 0 but for the
+    coefficients' rounding, and Horner's differs from it in its leading digit."""
+    ctx = mpnum.PrecisionContext(40)
+    dp = [rounded(ctx, -c) for c in exact_product((Fraction(-2), Fraction(-2, 5)), (3, 1))]
+    p = mpnum.Polynomial(tuple(antiderivative(dp, ctx.mp.mpf(0), ctx.mp.mpf(0))))
+    end = ctx.mpf(-2)
+    return False, (p, p(end) - 1, None, end, -1, ctx), None
+
+
 def exact_residual(p, x, target):
     """p(x) - target in exact rational arithmetic."""
-    return sum(exact(c) * exact(x) ** i for i, c in enumerate(p.coefficients)) - exact(target)
+    return exact_at(p, x) - exact(target)
 
 
 @given(lap_problems())
 @example(cubic_lap(Fraction(-11, 8), Fraction(1, 2)))  # an exact warm start
 @example(cubic_lap(Fraction(2) - Fraction(1, 10**37), Fraction(1, 2)))  # the lap end -1
+@example(flat_end_lap())  # an end value that cancels to its last digits
 @settings(max_examples=300, deadline=None)
 def test_lap_solve_agrees_with_the_object_solver(case):
     inside, args, start = case
