@@ -54,7 +54,7 @@ from mpmath.libmp import fzero, mpf_abs, mpf_mul_int, mpf_nthroot, mpf_sub
 
 from .mpnum import (
     Polynomial, PowerMap, PrecisionContext, cached, over_one_exponent, pair_add, pair_div,
-    pair_lt, pair_round, pair_sub, solve_monotone, to_block, to_pair, to_raw, unboxed
+    pair_lt, pair_round, pair_sub, scaled_bound, solve_monotone, to_block, to_pair, to_raw, unboxed
 )
 
 NEWTON_MAX_ITERATIONS = 200
@@ -500,9 +500,8 @@ def realize_critical_values(
 
 def _realization_bound(value, ctx: PrecisionContext) -> tuple:
     """100 newton_tol max(1, |value|) for the pair ``value``, each product rounded once."""
-    (m, e), (vm, ve), prec = to_pair(ctx.newton_tol._mpf_), value, ctx.mp.prec
-    m, e = pair_round(100 * m, e, prec)
-    return pair_round(m * abs(vm), e + ve, prec) if pair_lt((1, 0), (abs(vm), ve)) else (m, e)
+    (m, e), prec = to_pair(ctx.newton_tol._mpf_), ctx.mp.prec
+    return scaled_bound(pair_round(100 * m, e, prec), value, prec)
 
 
 def _realized_map(problem: PhiProblem, sigma: int, value) -> Polynomial:

@@ -12,8 +12,8 @@ with one critical point is exactly ``value + lead * (x - center)**degree``;
 a :class:`PowerMap` evaluates, inverts and reframes it in that form and
 expands it into a :class:`Polynomial` only when its coefficients are read,
 by the binomial theorem in exact integers, each coefficient rounded once.
-Both kinds offer ``solve`` (one lap's inverse), ``preimages`` (the inverse on
-many laps at once) and ``frame`` (the framing points A and B and the map
+Both kinds offer ``preimages`` (the inverse on any of the laps, one or many at
+once) and ``frame`` (the framing points A and B and the map
 x |-> f(A + (B - A) x)), so callers never ask which kind they hold.
 
 One rounding rule holds for the kernels: each works on integer pairs
@@ -26,8 +26,8 @@ a Taylor shift of the same integers, and ``PowerMap.__call__`` and
 ``critvals.solve_linear`` (fraction-free elimination) keep the same rule.  So
 every such result is correctly rounded, with the same bits on either mpmath
 backend.  Between the kernels values stay pairs (``frame``'s B - A and moved
-points); inf and nan are refused where values become pairs.  ``PowerMap.solve``
-alone takes its root in mpf steps.
+points, and the residual bounds of :func:`scaled_bound`); inf and nan are
+refused where values become pairs.
 
 Every other evaluation of a map runs in block fixed point on plain ints
 (:func:`block_horner`): x over 2**-(prec + 32), values over 2**unit, 32 bits
@@ -36,22 +36,21 @@ each off by at most :func:`grid_error` units.  A ``Polynomial`` keeps its
 grid once per precision and width (:meth:`Polynomial.block`); both map
 kinds evaluate there by ``on_grid``.
 
-Two solvers invert a map on a single monotone lap, both to the residual
-``10 * tau * max(1, |target|)``.  A ``PowerMap`` inverts in closed form: its
-``solve`` by one n-th root of mpfs, and its ``frame`` and ``preimages`` by
-ratios of integer roots on x's grid.  With v the value and rho_t =
-|t - v|**(1/d) floored there (:func:`iroot`), the framing points of targets
-t_0 and t_n give the map v + sign(lead) (rho_0 + rho_n)**d (x - c)**d with
-c = rho_0 / (rho_0 + rho_n), and each other target pulls back to
-(rho_0 -+ rho_t) / (rho_0 + rho_n), - left of c and + right of it, each
-value rounded once: the lead's and the framing scale's d-th roots cancel.
-:func:`solve_monotone`, a ``Polynomial``'s solver, runs on the map's grid,
-each evaluation off by at most (d + 1) 2**(d - 31) times 10 tau.  Warm, from
-a point inside the lap such as a marked point's position one pull-back
-earlier, it is Newton alone; cold, or should that fail, a bisection/Newton
-hybrid on a bracket that doubles outward on laps extending to infinity
-(targets may sit arbitrarily close to critical values, where the derivative
-underflows and bare Newton crawls or escapes).
+Each map kind inverts itself on a monotone lap by one kernel, behind both its
+``frame`` and its ``preimages``, to the residual ``10 * tau * max(1, |target|)``.
+A ``PowerMap`` inverts in closed form, by ratios of integer roots on x's grid.
+With v the value and rho_t = |t - v|**(1/d) floored there (:func:`iroot`), the
+framing points of targets t_0 and t_n give the map
+v + sign(lead) (rho_0 + rho_n)**d (x - c)**d with c = rho_0 / (rho_0 + rho_n),
+and each other target pulls back to (rho_0 -+ rho_t) / (rho_0 + rho_n), - left
+of c and + right of it, each value rounded once: the lead's and the framing
+scale's d-th roots cancel.  A ``Polynomial`` inverts by :func:`solve_monotone`,
+which runs on the map's grid, each evaluation off by at most
+(d + 1) 2**(d - 31) times 10 tau.  Warm, from a point inside the lap such as a
+marked point's position one pull-back earlier, it is Newton alone; cold, or
+should that fail, a bisection/Newton hybrid on a bracket that doubles outward
+on laps extending to infinity (targets may sit arbitrarily close to critical
+values, where the derivative underflows and bare Newton crawls or escapes).
 """
 
 from __future__ import annotations
@@ -62,10 +61,7 @@ from functools import cached_property
 from math import comb as binomial, isqrt
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import (
-    MPZ, fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int,
-    mpf_nthroot, mpf_sqrt, mpf_sub
-)
+from mpmath.libmp import MPZ, fzero, mpf_mul_int
 
 GUARD_DIGITS = 3
 MIN_DIGITS = 15
@@ -234,10 +230,6 @@ class Polynomial:
         unit, values, _ = self.block(ctx, wide)
         return unit, [block_horner(values, x, shift) for x in xs], grid_error(self.degree, wide)
 
-    def solve(self, target, lo, hi, orientation, ctx: PrecisionContext, start=None):
-        """x with self(x) = target on a monotone lap, by :func:`solve_monotone` from ``start``."""
-        return solve_monotone(self, target, lo, hi, orientation, ctx, start=start)
-
     def preimages(self, targets, laps, ctx: PrecisionContext, starts) -> list:
         """For each ``laps[j] = (lo, hi, orientation)``, the x with self(x) = ``targets[j]``
         on that lap by :func:`solve_monotone` from ``starts[j]``; None where the lap is None."""
@@ -266,8 +258,9 @@ class PowerMap:
     """``value + lead * (x - center)**degree`` in mpfs of one context: a map with one
     critical point that evaluates like a :class:`Polynomial`, whose ``coefficients``
     come from one cached expansion, :attr:`expanded`, and whose ``derivative()``,
-    ``solve``, ``frame`` and ``preimages`` stay in closed form: the derivative is
-    ``degree * lead * (x - center)**(degree - 1)``."""
+    ``frame`` and ``preimages`` stay in closed form: the derivative is
+    ``degree * lead * (x - center)**(degree - 1)``, and ``frame`` and ``preimages``
+    invert by the module's one ratio of integer roots."""
 
     center: object
     value: object
@@ -281,52 +274,6 @@ class PowerMap:
         low = min(xe, ce)  # x - center is exact over 2**low
         rise = lead * ((xm << xe - low) - (cm << ce - low)) ** degree, e_lead + low * degree
         return kind.context.make_mpf(to_raw(pair_add(value, rise, kind.context.prec)))
-
-    def solve(self, target, lo, hi, orientation, ctx: PrecisionContext, start=None):
-        """x with self(x) = target on a monotone lap by one n-th root, so ``start`` goes
-        unused: x = center + side * ((target - value) / lead)**(1/degree), where ``side``
-        = ``orientation`` * sign(lead) is -1 left of ``center`` and +1 right of it.
-        ``lo`` and ``hi``, where given, bound the lap.
-
-        The residual contract is :func:`solve_monotone`'s.  A target within its
-        tolerance of ``value`` returns ``center``, and a root beyond ``lo`` or ``hi``
-        that end if the end meets it.  Any other target outside the lap's range
-        (beyond ``value`` or past a lap end) raises :class:`RootBracketError`; an odd
-        degree, or an infinite or nan target, center, value or lead, raises ValueError.
-        """
-        if self.degree % 2:
-            raise ValueError(f"closed-form lap inversion needs an even degree, got {self.degree}")
-        mp, box = ctx.mp, ctx.mp.make_mpf
-        prec, rounding = mp._prec_rounding
-        target, center, value, lead = unboxed(mp.mpf, (target, self.center, self.value, self.lead))
-        for raw in (target, center, value, lead):
-            to_pair(raw)  # refuses inf and nan
-        value_tol = _value_tolerance(target, ctx)
-        rise = mpf_sub(target, value, prec, rounding)
-        if mpf_le(mpf_abs(rise, prec, rounding), value_tol):
-            return box(center)
-        ratio = mpf_div(rise, lead, prec, rounding)
-        if mpf_lt(ratio, fzero):
-            raise RootBracketError(
-                f"target {ctx.format(box(target), 8)} lies beyond the critical value "
-                f"{ctx.format(box(value), 8)}"
-            )
-        step = (mpf_sqrt(ratio, prec, rounding) if self.degree == 2  # the common case, 2-3x faster
-                else mpf_nthroot(ratio, self.degree, prec, rounding))
-        x = (mpf_add if orientation * self._lead_sign > 0 else mpf_sub)(center, step, prec, rounding)
-        for end, outside in ((lo, mpf_lt), (hi, mpf_gt)):
-            if end is None:
-                continue
-            (end,) = unboxed(mp.mpf, (end,))
-            if outside(x, end):
-                miss = mpf_sub(self(box(end))._mpf_, target, prec, rounding)
-                if mpf_le(mpf_abs(miss, prec, rounding), value_tol):
-                    return box(end)
-                raise RootBracketError(
-                    f"target {ctx.format(box(target), 8)} outside lap range: its root "
-                    f"{ctx.format(box(x), 8)} lies beyond the lap end {ctx.format(box(end), 8)}"
-                )
-        return box(x)
 
     @property
     def _lead_sign(self) -> int:
@@ -393,10 +340,12 @@ class PowerMap:
         center and 1, and 0 and 1 pull back ``targets[0]`` and ``targets[-1]``.  Only
         those and the targets on given laps are read.
 
-        The residual contract is :func:`solve_monotone`'s, and the errors are
-        :meth:`solve`'s: a target within the bound of ``value`` returns the center, and a
-        root past 0 or 1 that lap end if the end meets the bound; any other root past it
-        raises :class:`RootBracketError`.  No root crosses the center.
+        The residual contract is :func:`solve_monotone`'s: a target within the bound of
+        ``value`` returns the center, and a root past 0 or 1 that lap end, coerced into
+        ctx, if the end meets the bound.  No root crosses the center.  Any other root
+        past 0 or 1, or a target beyond the critical value, raises
+        :class:`RootBracketError`; an odd degree, or an infinite or nan target or value,
+        raises ValueError.
         """
         prec, box, degree = ctx.mp.prec, ctx.mp.make_mpf, self.degree
         given = [j for j, lap in enumerate(laps) if lap is not None]
@@ -411,9 +360,9 @@ class PowerMap:
             x = low + orientation * sign * iroot(rise << up, degree)  # the root times rho_0 + rho_n
             point = box(to_raw(pair_div((x, 0), (total, 0), prec)))
             if not 0 <= x <= total:  # past 0 or 1; no root crosses the center
-                end = ctx.mpf(lo if x < 0 else hi)
-                miss = self(end) - target
-                if abs(miss) > box(_value_tolerance(ctx.mpf(target)._mpf_, ctx)):
+                end, goal = ctx.mpf(lo if x < 0 else hi), to_pair(ctx.mpf(target)._mpf_)
+                miss, at = pair_sub(to_pair(self(end)._mpf_), goal, prec)
+                if pair_lt(scaled_bound(to_pair(ctx.solve_tol), goal, prec), (abs(miss), at)):
                     raise RootBracketError(
                         f"target {ctx.format(target, 8)} outside lap range: its root "
                         f"{ctx.format(point, 8)} lies beyond the lap end {ctx.format(end, 8)}"
@@ -498,6 +447,13 @@ def pair_lt(a, b) -> bool:
     return (a[0] << a[1] - low) < (b[0] << b[1] - low)
 
 
+def scaled_bound(bound, value, prec):
+    """The residual bound ``bound`` * max(1, |value|) of pairs, rounded once: ``bound``
+    itself while |value| <= 1."""
+    (m, e), (vm, ve) = bound, value
+    return pair_round(m * abs(vm), e + ve, prec) if pair_lt((1, 0), (abs(vm), ve)) else bound
+
+
 def over_one_exponent(pairs) -> tuple:
     """``(low, ints)``: the values of ``pairs`` as integers over 2**low, low the least
     exponent of a nonzero one (0 if none is)."""
@@ -542,15 +498,6 @@ def affine_substitute(p: Polynomial, offset, scale) -> Polynomial:
             shifted[j] += om * shifted[j + 1]
     return Polynomial.from_pairs([pair_round(c * sm**k, low + oe * (degree - k) + se * k, prec)
                                   for k, c in enumerate(shifted)], kind.context)
-
-
-def _value_tolerance(target, ctx: PrecisionContext):
-    """The lap solvers' residual bound ``10 * tau * max(1, |target|)``, raw."""
-    prec, rounding = ctx.mp._prec_rounding
-    size = mpf_abs(target, prec, rounding)
-    if mpf_gt(size, fone):
-        return mpf_mul(ctx.solve_tol, size, prec, rounding)
-    return ctx.solve_tol  # 10 * tau * 1 is exact
 
 
 def to_block(pair, unit) -> int:
@@ -647,8 +594,8 @@ def solve_monotone(p: Polynomial, target, lo, hi, orientation, ctx: PrecisionCon
 
     target = own(target)[0]
     start = None if start is None else own(start)[1]
-    (tm, te), (sm, se) = to_pair(target._mpf_), to_pair(ctx.solve_tol)  # 10 tau max(1, |target|):
-    bound = pair_round(sm * abs(tm), se + te, prec) if pair_lt((1, 0), (abs(tm), te)) else (sm, se)
+    tm, te = to_pair(target._mpf_)
+    bound = scaled_bound(to_pair(ctx.solve_tol), (tm, te), prec)  # 10 tau max(1, |target|)
     lo, hi = (None if end is None else own(end) for end in (lo, hi))
     sense = 1 if orientation > 0 else -1
 

@@ -208,9 +208,12 @@ def _lap(c: comb.Combinatorics, j: int, bounds) -> tuple:
 
 
 def _lap_preimage(f, c: comb.Combinatorics, j: int, bounds, target, start, ctx: PrecisionContext):
-    """The solution of f(x) = target on the lap of index j, between
-    ``bounds`` (marked points 0..n) at the lap's ends, started from ``start``."""
-    return f.solve(target, *_lap(c, j, bounds), ctx, start=start)
+    """The solution of f(x) = target on the lap of index j, between ``bounds``
+    (marked points 0..n) at the lap's ends, by f's own ``preimages`` on that one
+    lap from ``start``: the inverse that pulls the marked points back, with the
+    framing targets ``bounds[m_0]`` and ``bounds[m_n]`` that a PowerMap reads."""
+    targets = (bounds[c.m[0]], target, bounds[c.m[-1]])
+    return f.preimages(targets, (None, _lap(c, j, bounds), None), ctx, (None, start, None))[1]
 
 
 def normalize(
@@ -300,10 +303,11 @@ def place_passengers(c: comb.Combinatorics, normalized: NormalizedMap, x: Marked
     """Solve x_j = g_j(x_{m_j}) for the passengers j, the indices outside the
     core, with f and the core fixed; g_j is f's inverse branch on j's lap.
 
-    Each passenger takes one warm-started lap solve from its image, images
-    first.  Where the orbit walk closes a passenger cycle (j, m_j, ..., last),
-    x_j comes first, by scalar Newton on x = G(x), G = g_j o ... o g_last with
-    slope the product of the 1/f' (0 where f' = 0), until the move is within
+    Each passenger takes one lap inversion of its image by f's own
+    ``preimages`` (:func:`_lap_preimage`), warm-started where f searches,
+    images first.  Where the orbit walk closes a passenger cycle (j, m_j, ...,
+    last), x_j comes first, by scalar Newton on x = G(x), G = g_j o ... o g_last,
+    with slope the product of the 1/f' (0 where f' = 0), until the move is within
     the solver's resolution 10 tau / |f'(x_j)| (tau where f' = 0) or stops
     shrinking.  Every passenger is clamped between its nearest core points,
     where one that collapses lands, and at the end, in index order, kept from

@@ -156,13 +156,16 @@ def test_non_finite_values_are_refused(bad):
                                   (1, 0, None, bad)):
         with pytest.raises(ValueError, match="finite"):
             mpnum.solve_monotone(p, target, lo, hi, 1, ctx, start=start)
-    # the one-critical-point path: 1 - 2 x**2 and its closed-form root
-    one = ctx.mp.mpf(1)
-    f = mpnum.PowerMap(0 * one, one, -2 * one, 2)
+    # the one-critical-point path: 1 - 2 x**2, and its closed-form roots once framed
+    # by its zeros, as target or as framing target
+    zero, one = ctx.mp.mpf(0), ctx.mp.mpf(1)
+    f = mpnum.PowerMap(zero, one, -2 * one, 2)
     with pytest.raises(ValueError, match="finite"):
         f(bad)
-    with pytest.raises(ValueError, match="finite"):
-        f.solve(bad, 0, 1, -1, ctx)
+    g = f.frame((zero, zero), None, (zero,), ctx, (None, None))[0]
+    for targets in ((zero, bad, zero), (bad, zero, zero)):
+        with pytest.raises(ValueError, match="finite"):
+            g.preimages(targets, (None, (zero, g.center, 1), None), ctx, None)
 
 
 def test_caches_leave_equality_hash_and_repr_alone():
@@ -187,7 +190,8 @@ def test_context_caches_its_tolerances():
     assert ctx.solve_tol == mpmath.libmp.mpf_mul_int(ctx.tau._mpf_, 10, prec, rounding)
     assert ctx.newton_tol == ctx.mp.mpf(10) ** (mpnum.NEWTON_TOL_SHIFT - 40)
     # 10 * tau * max(1, |target|) needs no product while |target| <= 1
-    assert mpnum._value_tolerance(ctx.mpf("0.5")._mpf_, ctx) is ctx.solve_tol
+    bound = mpnum.to_pair(ctx.solve_tol)
+    assert mpnum.scaled_bound(bound, mpnum.to_pair(ctx.mpf("0.5")._mpf_), prec) is bound
     assert ctx == other and (repr(ctx), hash(ctx)) == before == (repr(other), hash(other))
 
 
@@ -567,90 +571,106 @@ def test_evaluation_across_far_apart_magnitudes(digits):
 
 @st.composite
 def power_maps(draw):
-    """f = v + a (x - c)**d with d even, a of either sign over several
-    decades, the orientation of its lap on a side of c and a root offset
-    r > 0 on that side."""
+    """f = v + a (x - c)**d with d even and a of either sign over several decades,
+    and g, f framed by the targets f(c - left) and f(c + right) (``ends``); a side
+    of the center, the orientation of g's lap there, that side's extent (left or
+    right) and a root offset 0 < r <= extent on it, so f(c + side r) has its root
+    on that lap of g."""
     ctx = mpnum.PrecisionContext(draw(st.sampled_from([40, 80])))
     d = draw(st.sampled_from([2, 4, 6]))
     a = draw(st.sampled_from([-1, 1])) * ctx.mpf(draw(st.fractions(1, 10))) * (
         ctx.mp.mpf(10) ** draw(st.integers(-3, 3)))
     c = ctx.mpf(draw(st.fractions(-1, 1, max_denominator=1000)))
     v = ctx.mpf(draw(st.fractions(-1, 1, max_denominator=1000)))
+    f = mpnum.PowerMap(c, v, a, d)
+    left, right = (ctx.mpf(draw(st.fractions(0, 2, max_denominator=1000).filter(bool)))
+                   for _ in range(2))
+    ends = (f(c - left), f(c + right))
+    g = f.frame(ends, None, (c,), ctx, (None, None))[0]
     side = draw(st.sampled_from([-1, 1]))
-    r = ctx.mpf(draw(st.fractions(0, 2, max_denominator=1000).filter(bool)))
-    return ctx, mpnum.PowerMap(c, v, a, d), side, side * (1 if a > 0 else -1), r
+    extent = right if side > 0 else left
+    r = extent * ctx.mpf(draw(st.fractions(0, 1, max_denominator=1000).filter(bool)))
+    return ctx, f, g, ends, side, side * (1 if a > 0 else -1), extent, r
 
 
 def residual_bound(ctx, target):
     return 10 * ctx.tau * max(1, abs(target))
 
 
+def lap_on(ctx, g, side, orientation):
+    """The lap of the framed map g on ``side`` of its center, as preimages takes it."""
+    return (g.center, ctx.mp.one, orientation) if side > 0 else (ctx.mp.zero, g.center, orientation)
+
+
+def preimage(g, ends, target, lap, ctx):
+    """The root of g(x) = target on ``lap`` by PowerMap.preimages, g framed by ``ends``."""
+    return g.preimages((ends[0], target, ends[1]), (None, lap, None), ctx, None)[1]
+
+
 @given(power_maps())
 @settings(max_examples=200, deadline=None)
 def test_closed_form_root_meets_the_contract_and_agrees_with_the_search(case):
-    ctx, f, side, orientation, r = case
-    c, p = f.center, f.expanded
-    target = f(c + side * r)
-    root = f.solve(target, None, None, orientation, ctx)
+    ctx, f, g, ends, side, orientation, _, r = case
+    target, lap = f(f.center + side * r), lap_on(ctx, g, side, orientation)
+    root = preimage(g, ends, target, lap, ctx)
     bound = residual_bound(ctx, target)
-    assert abs(f(root) - target) <= bound
-    assert (root - c) * side >= 0
-    # the same lap of the expansion searched by solve_monotone, unbounded away from c
-    lo, hi = (c, None) if side > 0 else (None, c)
-    searched = mpnum.solve_monotone(p, target, lo, hi, orientation, ctx)
-    # |f(x) - f(y)| >= |lead| |x - y|**d for x, y on one side of c
-    assert abs(f(root) - p(searched)) <= 2 * bound
-    assert abs(root - searched) <= (4 * bound / abs(f.lead)) ** (ctx.mp.mpf(1) / f.degree)
+    assert abs(g(root) - target) <= bound
+    assert lap[0] <= root <= lap[1]
+    # the same lap of the expansion searched by solve_monotone
+    p = g.expanded
+    searched = mpnum.solve_monotone(p, target, *lap, ctx)
+    # |g(x) - g(y)| >= |lead| |x - y|**d for x, y on one side of the center
+    assert abs(g(root) - p(searched)) <= 2 * bound
+    assert abs(root - searched) <= (4 * bound / abs(g.lead)) ** (ctx.mp.mpf(1) / g.degree)
 
 
 @given(power_maps())
 @settings(max_examples=100, deadline=None)
 def test_closed_form_root_rejects_targets_outside_the_lap(case):
-    ctx, f, side, orientation, r = case
-    c, value = f.center, f.value
+    ctx, f, g, ends, side, orientation, extent, r = case
+    lap, value = lap_on(ctx, g, side, orientation), g.value
     # beyond the critical value: no preimage on either side
-    beyond = value - (f(c + r) - value)
+    beyond = value - (f(f.center + r) - value)
     with pytest.raises(mpnum.RootBracketError):
-        f.solve(beyond, None, None, orientation, ctx)
-    # a bounded lap that stops halfway to the root
-    target = f(c + side * r)
-    lo, hi = (c, c + r / 2) if side > 0 else (c - r / 2, c)
-    if abs(f(c + side * r / 2) - target) > residual_bound(ctx, target):
-        with pytest.raises(mpnum.RootBracketError):
-            f.solve(target, lo, hi, orientation, ctx)
-    # ... but a lap that contains it does not stop it
-    lo, hi = (c, c + 2 * r) if side > 0 else (c - 2 * r, c)
-    root = f.solve(target, lo, hi, orientation, ctx)
-    assert lo <= root <= hi
+        preimage(g, ends, beyond, lap, ctx)
+    # twice the lap's extent out: the root lies past its end at 0 or 1
+    target, end = f(f.center + 2 * side * extent), lap[1 if side > 0 else 0]
+    if abs(g(end) - target) > residual_bound(ctx, target):
+        with pytest.raises(mpnum.RootBracketError, match="beyond the lap end"):
+            preimage(g, ends, target, lap, ctx)
+    # ... but a root on the lap is not stopped
+    root = preimage(g, ends, f(f.center + side * r), lap, ctx)
+    assert lap[0] <= root <= lap[1]
 
 
 @given(power_maps())
 @settings(max_examples=50, deadline=None)
 def test_closed_form_root_of_the_critical_value_is_the_critical_point(case):
     # t = v, or t within the residual bound of v on either side
-    ctx, f, _, orientation, _ = case
+    ctx, _, g, ends, side, orientation, _, _ = case
     for shift in (0, 1, -1):
-        target = f.value + shift * residual_bound(ctx, f.value) / 2
-        root = f.solve(target, None, None, orientation, ctx)
-        assert root._mpf_ == f.center._mpf_
+        target = g.value + shift * residual_bound(ctx, g.value) / 2
+        root = preimage(g, ends, target, lap_on(ctx, g, side, orientation), ctx)
+        assert root._mpf_ == g.center._mpf_
 
 
 def test_closed_form_root_returns_a_lap_end_within_tolerance():
-    # x^2 = 1 + 1e-39 on [0, 1]: the root lies past 1, but 1 meets the tolerance
+    # x^2 framed by the targets 1 and 1 is 4 (x - 1/2)**2 on [0, 1]: the root of
+    # 1 + 1e-39 lies past 1, but 1 meets the tolerance
     ctx = ctx40()
     zero, one = ctx.mp.mpf(0), ctx.mp.mpf(1)
-    square = mpnum.PowerMap(zero, zero, one, 2)
+    ends = (one, one)
+    g = mpnum.PowerMap(zero, zero, one, 2).frame(ends, None, (zero,), ctx, (None, None))[0]
+    assert (g.center, g.value, g.lead) == (0.5, 0, 4)
     target = 1 + ctx.mpf("1e-39")
-    assert square.solve(target, 0, 1, 1, ctx) == 1
-    assert square.solve(ctx.mpf(Fraction(1, 4)), None, None, -1, ctx) == -0.5
+    assert preimage(g, ends, target, (g.center, one, 1), ctx) == 1
+    assert preimage(g, ends, ctx.mpf(Fraction(1, 4)), (zero, g.center, -1), ctx) == 0.25
 
 
 def test_closed_form_root_needs_an_even_degree():
     ctx = ctx40()
     zero, one = ctx.mp.mpf(0), ctx.mp.mpf(1)
     line = mpnum.PowerMap(zero, zero, one, 2).derivative()  # 2 x
-    with pytest.raises(ValueError, match="even degree"):
-        line.solve(1, None, None, 1, ctx)
     with pytest.raises(ValueError, match="even degree"):
         line.preimages((zero, one, zero), (None, (zero, one, 1), None), ctx, None)
 
@@ -726,9 +746,9 @@ def test_power_map_reframes_as_affine_substitution(case, left, right):
 @given(closed_forms(decades=1), st.fractions(0, 2, max_denominator=1000).filter(bool))
 @settings(max_examples=100, deadline=None)
 def test_each_map_kind_solves_and_reframes_by_its_own_kernel(case, r):
-    # PowerMap.solve is the closed-form root c + side * ((t - v) / a)**(1/d) on the
-    # side orientation * sign(a) of its critical point; Polynomial.solve, .preimages
-    # and .frame are solve_monotone and affine_substitute.  Same bits on both laps.
+    # Polynomial.preimages and .frame are solve_monotone and affine_substitute, with
+    # the same bits on both laps; PowerMap's own kernel is the ratio of integer roots
+    # (test_closed_form_root_meets_the_contract_and_agrees_with_the_search)
     ctx, f, _ = case
     p = f.expanded
     r = ctx.mpf(r)
@@ -737,15 +757,8 @@ def test_each_map_kind_solves_and_reframes_by_its_own_kernel(case, r):
         target = f(f.center + side * r)
         lo, hi = (f.center, None) if side > 0 else (None, f.center)
         orientation = side * (1 if f.lead > 0 else -1)
-        got = f.solve(target, lo, hi, orientation, ctx)
-        ratio = (target - f.value) / f.lead
-        step = ctx.mp.sqrt(ratio) if f.degree == 2 else ctx.mp.root(ratio, f.degree)
-        want = f.center + side * step
-        assert got._mpf_ == want._mpf_
         start = f.center + side * r / 2
-        got = p.solve(target, lo, hi, orientation, ctx, start=start)
         want = mpnum.solve_monotone(p, target, lo, hi, orientation, ctx, start=start)
-        assert got._mpf_ == want._mpf_
         targets.append(target)
         laps.append((lo, hi, orientation))
         starts.append(start)

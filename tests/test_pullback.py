@@ -718,14 +718,36 @@ def test_power_map_preimages_past_a_lap_end(target, outcome):
     ctx = ctx40()
     framed = pullback.normalize(comb.parse("0,1,0"), tent_map(ctx, 1), ctx).polynomial
     targets, lap = (ctx.mp.zero, ctx.mpf(target), ctx.mp.zero), (ctx.mp.zero, framed.center, 1)
-    for solve in (lambda: framed.preimages(targets, (None, lap, None), ctx, None)[1],
-                  lambda: framed.solve(targets[1], *lap, ctx)):
-        if outcome:
-            with pytest.raises(mpnum.RootBracketError) as info:
-                solve()
-            assert str(info.value) == outcome
-        else:
-            assert solve() == outcome
+    if outcome:
+        with pytest.raises(mpnum.RootBracketError) as info:
+            framed.preimages(targets, (None, lap, None), ctx, None)
+        assert str(info.value) == outcome
+    else:
+        assert framed.preimages(targets, (None, lap, None), ctx, None)[1] == outcome
+
+
+@pytest.mark.parametrize("text, kind", [
+    ("0,2,1,0", mpnum.PowerMap), ("0,2,3,4,0", mpnum.PowerMap), ("0,4,3,2,1,0", mpnum.PowerMap),
+    ("0,4,3,1,2,5", mpnum.Polynomial),
+])
+def test_passengers_and_pulled_back_points_share_one_kernel(text, kind):
+    # _lap_preimage, which places the passengers, inverts a lap by the map's own
+    # preimages: for the target, lap and start of every interior non-critical index
+    # of the first steps, the same bits as preimages on that one lap and as the
+    # point pullback_step pulled back
+    ctx, c = ctx40(), comb.parse(text)
+    x, normalized, critical = pullback.init_configuration(c, ctx), None, c.critical_points()
+    for _ in range(8):
+        normalized = pullback.normalize(c, pullback.mapmake(c, x, ctx, normalized), ctx, normalized)
+        f, new = normalized.polynomial, pullback.pullback_step(c, normalized, x, ctx)
+        assert type(f) is kind
+        targets = [x.points[k] for k in c.m]
+        for j in set(range(1, c.n)) - set(critical):
+            laps = [pullback._lap(c, j, new.points) if i == j else None for i in range(c.n + 1)]
+            want = f.preimages(targets, laps, ctx, x.points)[j]
+            got = pullback._lap_preimage(f, c, j, new.points, targets[j], x.points[j], ctx)
+            assert got._mpf_ == want._mpf_ == new.points[j]._mpf_, (j, got, want)
+        x = new
 
 
 @pytest.mark.parametrize("text", ["0,1,0", "0,2^4,1,0"])

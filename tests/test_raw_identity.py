@@ -657,6 +657,9 @@ def test_realization_bound_is_the_mpf_expression(digit_count, value, nudge):
     got = critvals._realization_bound(mpnum.to_pair(v._mpf_), ctx)
     want = 100 * ctx.newton_tol * max(1, abs(v))
     assert mpnum.to_raw(got) == want._mpf_
+    # and the lap solvers' 10 tau max(1, |v|), by the same scaled_bound
+    got = mpnum.scaled_bound(mpnum.to_pair(ctx.solve_tol), mpnum.to_pair(v._mpf_), ctx.mp.prec)
+    assert mpnum.to_raw(got) == (10 * ctx.tau * max(1, abs(v)))._mpf_
 
 
 @given(digits, gap, entry, st.integers(0, critvals.NEWTON_MAX_HALVINGS - 1))
