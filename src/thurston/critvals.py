@@ -125,6 +125,12 @@ class PhiProblem:
 
 
 @lru_cache(maxsize=None)
+def _power_lead(context, sigma: int, degree: int):
+    """sigma / degree in mpfs of ``context``, once per context."""
+    return context.mpf(sigma) / degree
+
+
+@lru_cache(maxsize=None)
 def _antiderivative_divisors(degree) -> tuple:
     """L / (j + 1) for j = 0..degree, L = lcm(1..degree + 1) first."""
     return tuple(lcm(*range(1, degree + 2)) // (j + 1) for j in range(degree + 1))
@@ -264,12 +270,6 @@ def _residual(problem, targets, ctx) -> tuple:
 def _pairs(rows, ctx: PrecisionContext) -> list:
     """Rows of mpfs (or of values ctx coerces) as rows of pairs."""
     return [[to_pair(v) for v in unboxed(ctx.mp.mpf, row)] for row in rows]
-
-
-def solve_linear(rows, rhs, ctx: PrecisionContext) -> list:
-    """Solve ``rows @ x = rhs`` in mpfs, by :func:`solve_pairs`."""
-    *rows, rhs = _pairs((*rows, rhs), ctx)
-    return [_rounded(ctx.mp, x) for x in solve_pairs(rows, rhs, ctx.mp.prec)]
 
 
 def solve_pairs(rows, rhs, prec) -> list:
@@ -464,8 +464,8 @@ def realize_critical_values(
 
     if r == 1:
         # the antiderivative of sigma * x**k through (0, v)
-        zero, degree = ctx.mp.mpf(0), mults[0] + 1
-        f = PowerMap(zero, values[0], ctx.mp.mpf(sigma) / degree, degree)
+        zero, degree = ctx.mp.zero, mults[0] + 1
+        f = PowerMap(zero, values[0], _power_lead(ctx.mp, sigma, degree), degree)
         return RealizedMap(f, (zero,), InversionResult((), 0, ()))
 
     prec, rounding = ctx.mp._prec_rounding
@@ -487,7 +487,7 @@ def realize_critical_values(
     f = _realized_map(problem, sigma, raw[0])
 
     # f at its critical points on its value grid, less the grid's error
-    unit, got, error = f.on_grid(points, ctx)
+    unit, got, error = f.on_grid([to_pair(p._mpf_) for p in points], ctx)
     for value, at in zip(map(to_pair, raw), got):
         miss = abs(at - to_block(value, unit))
         if miss > to_block(_realization_bound(value, ctx), unit) - error:

@@ -23,7 +23,7 @@ it once to nearest, ties to even, as mpmath's raw operations round.
 exponent (kept per polynomial) and x's mantissa, :func:`affine_substitute`
 a Taylor shift of the same integers, and ``PowerMap.__call__`` and
 :attr:`PowerMap.expanded` the binomial in integers; the gap map and
-``critvals.solve_linear`` (fraction-free elimination) keep the same rule.  So
+``critvals.solve_pairs`` (fraction-free elimination) keep the same rule.  So
 every such result is correctly rounded, with the same bits on either mpmath
 backend.  Between the kernels values stay pairs (``frame``'s B - A and moved
 points, and the residual bounds of :func:`scaled_bound`); inf and nan are
@@ -42,15 +42,18 @@ A ``PowerMap`` inverts in closed form, by ratios of integer roots on x's grid.
 With v the value and rho_t = |t - v|**(1/d) floored there (:func:`iroot`), the
 framing points of targets t_0 and t_n give the map
 v + sign(lead) (rho_0 + rho_n)**d (x - c)**d with c = rho_0 / (rho_0 + rho_n),
-and each other target pulls back to (rho_0 -+ rho_t) / (rho_0 + rho_n), - left
-of c and + right of it, each value rounded once: the lead's and the framing
-scale's d-th roots cancel.  A ``Polynomial`` inverts by :func:`solve_monotone`,
-which runs on the map's grid, each evaluation off by at most
-(d + 1) 2**(d - 31) times 10 tau.  Warm, from a point inside the lap such as a
-marked point's position one pull-back earlier, it is Newton alone; cold, or
-should that fail, a bisection/Newton hybrid on a bracket that doubles outward
-on laps extending to infinity (targets may sit arbitrarily close to critical
-values, where the derivative underflows and bare Newton crawls or escapes).
+and the framed map carries its framing: the precision, rho_0 and
+rho_0 + rho_n.  Its ``preimages`` reads those and takes the root of the
+targets on the given laps alone, each pulling back to (rho_0 -+ rho_t) /
+(rho_0 + rho_n), - left of c and + right of it, rounded once: the lead's and
+the framing scale's d-th roots cancel.  A ``Polynomial`` inverts by
+:func:`solve_monotone`, which runs on the map's grid, each evaluation off by at
+most (d + 1) 2**(d - 31) times 10 tau.  Warm, from a point inside the lap such
+as a marked point's position one pull-back earlier, it is Newton alone; cold,
+or should that fail, a bisection/Newton hybrid on a bracket that doubles
+outward on laps extending to infinity (targets may sit arbitrarily close to
+critical values, where the derivative underflows and bare Newton crawls or
+escapes).
 """
 
 from __future__ import annotations
@@ -223,9 +226,9 @@ class Polynomial:
         return grid
 
     def on_grid(self, points, ctx: PrecisionContext) -> tuple:
-        """``(unit, values, error)``: self at ``points`` as integers over 2**unit, by
-        :func:`block_horner` on the grid of the narrowest width holding the points,
-        each within ``error`` units of the exact value."""
+        """``(unit, values, error)``: self at the pairs ``points`` as integers over
+        2**unit, by :func:`block_horner` on the grid of the narrowest width holding the
+        points, each within ``error`` units of the exact value."""
         xs, shift, wide = x_grid(points, ctx)
         unit, values, _ = self.block(ctx, wide)
         return unit, [block_horner(values, x, shift) for x in xs], grid_error(self.degree, wide)
@@ -260,12 +263,16 @@ class PowerMap:
     come from one cached expansion, :attr:`expanded`, and whose ``derivative()``,
     ``frame`` and ``preimages`` stay in closed form: the derivative is
     ``degree * lead * (x - center)**(degree - 1)``, and ``frame`` and ``preimages``
-    invert by the module's one ratio of integer roots."""
+    invert by the module's one ratio of integer roots.  A map that ``frame`` returns
+    carries its ``framing``, the integers its ``preimages`` divide by; it takes no
+    part in equality, hashing or repr."""
 
     center: object
     value: object
     lead: object
     degree: int
+    # (prec, rho_0, rho_0 + rho_n) of the map as frame returns it, on x's grid at prec bits
+    framing: tuple | None = field(default=None, compare=False, repr=False)
 
     def __call__(self, x):
         kind, degree = type(self.lead), self.degree
@@ -299,7 +306,8 @@ class PowerMap:
         infinite or nan target or value, raises ValueError."""
         if self.degree % 2:
             raise ValueError(f"closed-form lap inversion needs an even degree, got {self.degree}")
-        (value, *points), shift, _ = x_grid((self.value, *targets), ctx)
+        (value, *points), shift, _ = x_grid(
+            [to_pair(v) for v in unboxed(ctx.mp.mpf, (self.value, *targets))], ctx)
         one, bound, sign = 1 << shift, to_block(to_pair(ctx.solve_tol), -shift), self._lead_sign
         rises = []
         for point, target in zip(points, targets):
@@ -331,29 +339,30 @@ class PowerMap:
             return self, (self.center,), A, B
         framed = PowerMap(box(to_raw(pair_div((low, 0), (total, 0), prec))), self.value,
                           box(to_raw(pair_round(self._lead_sign * total**degree,
-                                                -shift * degree, prec))), degree)
+                                                -shift * degree, prec))), degree,
+                          (prec, low, total))
         return framed, (framed.center,), A, B
 
     def preimages(self, targets, laps, ctx: PrecisionContext, starts) -> list:
         """:meth:`Polynomial.preimages` by the module's ratio of integer roots, for a map
         as :meth:`frame` returns it, so ``starts`` go unused: its laps end at 0, its
-        center and 1, and 0 and 1 pull back ``targets[0]`` and ``targets[-1]``.  Only
-        those and the targets on given laps are read.
+        center and 1, and it carries rho_0 and rho_0 + rho_n from its framing.  Only the
+        targets on given laps are read, one integer root each.
 
         The residual contract is :func:`solve_monotone`'s: a target within the bound of
         ``value`` returns the center, and a root past 0 or 1 that lap end, coerced into
         ctx, if the end meets the bound.  No root crosses the center.  Any other root
         past 0 or 1, or a target beyond the critical value, raises
-        :class:`RootBracketError`; an odd degree, or an infinite or nan target or value,
-        raises ValueError.
+        :class:`RootBracketError`; an odd degree, an infinite or nan target or value, or
+        a map without a framing at the precision of ctx raises ValueError.
         """
         prec, box, degree = ctx.mp.prec, ctx.mp.make_mpf, self.degree
         given = [j for j, lap in enumerate(laps) if lap is not None]
-        shift, (first, last, *rises) = self._rises(
-            (targets[0], targets[-1], *(targets[j] for j in given)), ctx)
+        shift, rises = self._rises([targets[j] for j in given], ctx)
+        if self.framing is None or self.framing[0] != prec:
+            raise ValueError(f"closed-form lap inversion needs a map framed at {prec} bits")
+        _, low, total = self.framing
         up, sign = shift * (degree - 1), self._lead_sign
-        low = iroot(first << up, degree)
-        total = low + iroot(last << up, degree)
         points = [None] * len(laps)
         for j, rise in zip(given, rises):
             (lo, hi, orientation), target = laps[j], targets[j]
@@ -522,10 +531,10 @@ def grid_error(degree: int, wide: int) -> int:
 
 
 def x_grid(points, ctx: PrecisionContext) -> tuple:
-    """``(xs, shift, wide)``: the mpfs ``points`` of ctx as integers over 2**-shift,
-    shift = prec + ``_GUARD_BITS``, and the least wide >= 0 with all |x| < 2**(wide + 1)."""
+    """``(xs, shift, wide)``: the pairs ``points`` as integers over 2**-shift, shift =
+    prec + ``_GUARD_BITS``, and the least wide >= 0 with all |x| < 2**(wide + 1)."""
     shift = ctx.mp.prec + _GUARD_BITS
-    xs = [to_block(to_pair(p), -shift) for p in unboxed(ctx.mp.mpf, points)]
+    xs = [to_block(p, -shift) for p in points]
     return xs, shift, max(0, (max(map(abs, xs)) >> shift).bit_length() - 1)
 
 

@@ -30,11 +30,13 @@ of integer d-th roots on one grid: with rho_k = |x_{m_k} - v|**(1/d) floored
 on x's grid (prec + 32 fractional bits), the framed map is
 v + sigma (rho_0 + rho_n)**d (x - c')**d with c' = rho_0 / (rho_0 + rho_n), and
 each other index pulls back to (rho_0 -+ rho_k) / (rho_0 + rho_n), - left of
-c' and + right of it, each rounded once.  The lead sigma/d and the framing
-scale's d-th root cancel, so no mpf root or division is left per point.  The
-run reports the map as it is, and its ``coefficients`` expand it when first
-read.  With two or more, f is a dense :class:`~thurston.mpnum.Polynomial`
-whose laps are searched from the previous step's solution.
+c' and + right of it, each rounded once.  The framed map carries rho_0 and
+rho_0 + rho_n, so each point takes the root of its own target alone.  The lead
+sigma/d and the framing scale's d-th root cancel, so no mpf root or division
+is left per point.  The run reports the map as it is, and its
+``coefficients`` expand it when first read.  With two or more, f is a dense
+:class:`~thurston.mpnum.Polynomial` whose laps are searched from the previous
+step's solution.
 
 Iterating contracts toward the unique polynomial realizing the
 combinatorics.  The core (:func:`~thurston.combinatorics.core_indices`)
@@ -42,9 +44,10 @@ alone determines f; the other marked points, passengers, feed nothing back
 and would converge only at 1/|f'| per step around their cycles.  So the run
 iterates until eps_core meets the tolerance, places the passengers on that
 map (:func:`place_passengers`), and converges once eps does too.  When
-eps_core stops improving the working precision doubles, and when marked
-points pile up (non-expansive edges of the model) they are merged, the
-combinatorics is simplified accordingly, and the run continues on it.
+eps_core stops improving near the rounding floor the working precision
+doubles, and when marked points pile up (non-expansive edges of the model)
+they are merged, the combinatorics is simplified accordingly, and the run
+continues on it.
 """
 
 from __future__ import annotations
@@ -56,8 +59,8 @@ from typing import Optional
 from . import combinatorics as comb
 from . import critvals
 from .mpnum import (
-    MIN_DIGITS, Polynomial, PowerMap, PrecisionContext, pair_div, pair_lt, pair_sub, to_block,
-    to_pair, to_raw
+    MIN_DIGITS, Polynomial, PowerMap, PrecisionContext, pair_add, pair_div, pair_lt, pair_sub,
+    to_block, to_pair, to_raw
 )
 
 STALL_WINDOW = 4
@@ -210,10 +213,9 @@ def _lap(c: comb.Combinatorics, j: int, bounds) -> tuple:
 def _lap_preimage(f, c: comb.Combinatorics, j: int, bounds, target, start, ctx: PrecisionContext):
     """The solution of f(x) = target on the lap of index j, between ``bounds``
     (marked points 0..n) at the lap's ends, by f's own ``preimages`` on that one
-    lap from ``start``: the inverse that pulls the marked points back, with the
-    framing targets ``bounds[m_0]`` and ``bounds[m_n]`` that a PowerMap reads."""
-    targets = (bounds[c.m[0]], target, bounds[c.m[-1]])
-    return f.preimages(targets, (None, _lap(c, j, bounds), None), ctx, (None, start, None))[1]
+    lap alone from ``start``: the inverse that pulls the marked points back.  A
+    PowerMap reads its framing from itself, so only this target is inverted."""
+    return f.preimages((target,), (_lap(c, j, bounds),), ctx, (start,))[0]
 
 
 def normalize(
@@ -284,7 +286,7 @@ def fit_error(c: comb.Combinatorics, f, x: MarkedConfiguration, ctx: PrecisionCo
     plus one unit in its last place.
     """
     prec = ctx.mp.prec
-    unit, values, _ = f.on_grid(x.points, ctx)
+    unit, values, _ = f.on_grid(x.pairs, ctx)
     targets = [to_block(p, unit) for p in x.pairs]
     squares = [(v - targets[m]) ** 2 for v, m in zip(values, c.m)]
 
@@ -304,14 +306,16 @@ def place_passengers(c: comb.Combinatorics, normalized: NormalizedMap, x: Marked
     core, with f and the core fixed; g_j is f's inverse branch on j's lap.
 
     Each passenger takes one lap inversion of its image by f's own
-    ``preimages`` (:func:`_lap_preimage`), warm-started where f searches,
-    images first.  Where the orbit walk closes a passenger cycle (j, m_j, ...,
-    last), x_j comes first, by scalar Newton on x = G(x), G = g_j o ... o g_last,
-    with slope the product of the 1/f' (0 where f' = 0), until the move is within
-    the solver's resolution 10 tau / |f'(x_j)| (tau where f' = 0) or stops
-    shrinking.  Every passenger is clamped between its nearest core points,
-    where one that collapses lands, and at the end, in index order, kept from
-    crossing the one before it.
+    ``preimages`` on that lap alone (:func:`_lap_preimage`), warm-started where
+    f searches, images first.  Where the orbit walk closes a passenger cycle
+    (j, m_j, ..., last), x_j comes first, by scalar Newton on x = G(x),
+    G = g_j o ... o g_last, with slope the product of the 1/f' (0 where f' = 0),
+    until the move is within the solver's resolution 10 tau / |f'(x_j)| (tau
+    where f' = 0) or stops shrinking.  The Newton works on integer pairs, each
+    operation rounded once where the mpf operation it stands for rounds.  Every
+    passenger is clamped between its nearest core points, where one that
+    collapses lands, and at the end, in index order, kept from crossing the one
+    before it.
     """
     m, points = c.m, list(x.points)
     core = comb.core_indices(c)
@@ -319,27 +323,33 @@ def place_passengers(c: comb.Combinatorics, normalized: NormalizedMap, x: Marked
     f = normalized.polynomial
     slope = f.derivative()
     ends = {j: (max(k for k in core if k < j), min(k for k in core if k > j)) for j in passengers}
+    prec, box = ctx.mp.prec, ctx.mp.make_mpf
+    tau, tol = to_pair(ctx.tau._mpf_), to_pair(ctx.solve_tol)  # tol = 10 tau, rounded once
 
     def place(j, value):
         a, b = ends[j]
         points[j] = min(max(value, points[a]), points[b])
 
     def newton(cycle):
-        j, previous = cycle[0], ctx.mp.inf
+        j, previous = cycle[0], None
         for _ in range(PLACEMENT_ITERATIONS):
-            y, gain = points[j], 1
+            y, gain = points[j], (1, 0)
             for i in reversed(cycle):
                 y = _lap_preimage(f, c, i, points, y, points[i], ctx)
-                df = slope(y)
-                gain = gain / df if df else 0
+                df = to_pair(slope(y)._mpf_)
+                gain = pair_div(gain, df, prec) if df[0] else (0, 0)
                 if i != j:
                     place(i, y)
-            move = y - points[j] if gain == 1 else (y - points[j]) / (1 - gain)
-            place(j, points[j] + move)
-            resolution = 10 * ctx.tau / abs(df) if df else ctx.tau
-            if abs(move) <= resolution or abs(move) >= previous:
+            at = to_pair(points[j]._mpf_)
+            move, damping = pair_sub(to_pair(y._mpf_), at, prec), pair_sub((1, 0), gain, prec)
+            if damping[0]:  # gain != 1
+                move = pair_div(move, damping, prec)
+            place(j, box(to_raw(pair_add(at, move, prec))))
+            size = abs(move[0]), move[1]
+            resolution = pair_div(tol, (abs(df[0]), df[1]), prec) if df[0] else tau
+            if not pair_lt(resolution, size) or previous and not pair_lt(size, previous):
                 break
-            previous = abs(move)
+            previous = size
 
     settled = set(core)  # the core and the passengers placed so far
     for j in passengers:
@@ -391,13 +401,16 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
     then place the passengers (:func:`place_passengers`), to convergence.
 
     Precision doubles (up to ``max_digits``) whenever eps_core fails to halve
-    over a four-step window.  Gaps that stay below the collapse threshold
+    over a four-step window while it lies below 10**(-digits/2): a stall there is
+    the rounding floor, while one above it is a slow linear rate that more
+    digits would not speed up.  Gaps that stay below the collapse threshold
     for ``COLLAPSE_PERSISTENCE`` consecutive steps trigger merging of the
     involved points and the run continues on the simplified combinatorics;
     reaching the fit tolerance while gaps sit below the threshold triggers
     the same merge, so a collapsing run never reports a degenerate
-    configuration as its answer.  The tolerance and the threshold
-    (``COLLAPSE_THRESHOLD / n``) are worked out again only on an escalation or merge.
+    configuration as its answer.  The tolerance, the threshold
+    (``COLLAPSE_THRESHOLD / n``) and the stall floor are worked out again only on an
+    escalation or merge.
     """
     report = comb.validate(c)
     if not report.passed:
@@ -406,7 +419,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
 
     original = c
     ctx = PrecisionContext(options.start_digits)
-    limits = None  # the context and combinatorics that tol and threshold were worked out for
+    limits = None  # the context and combinatorics that tol, threshold and floor were set for
     normalized = None  # the previous step's map, while the combinatorics holds
 
     x = init_configuration(c, ctx)
@@ -421,6 +434,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
         if limits != (ctx, c):
             limits = (ctx, c)
             tol, threshold = ctx.mpf(options.tol), ctx.mpf(COLLAPSE_THRESHOLD) / c.n
+            floor = ctx.mp.mpf(10) ** (ctx.mp.mpf(-ctx.digits) / 2)  # a stall below it escalates
         try:
             realized = mapmake(c, x, ctx, normalized)
             normalized = normalize(c, realized, ctx, normalized)
@@ -468,6 +482,7 @@ def run(c: comb.Combinatorics, options: RunOptions = RunOptions()) -> RunResult:
         if (
             len(window) > STALL_WINDOW
             and window[-1] > window[-1 - STALL_WINDOW] * STALL_FACTOR
+            and window[-1] < floor
             and ctx.digits < options.max_digits
         ):
             ctx = PrecisionContext(min(2 * ctx.digits, options.max_digits))

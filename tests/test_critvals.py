@@ -20,6 +20,12 @@ def ctx40():
     return mpnum.PrecisionContext(40)
 
 
+def solve_linear(rows, rhs, ctx):
+    """``rows @ x = rhs`` in mpfs of ctx, by :func:`critvals.solve_pairs`."""
+    *rows, rhs = ([mpnum.to_pair(ctx.mpf(v)._mpf_) for v in row] for row in (*rows, rhs))
+    return [ctx.mp.make_mpf(mpnum.to_raw(x)) for x in critvals.solve_pairs(rows, rhs, ctx.mp.prec)]
+
+
 def problem(ctx, gaps, mults):
     return critvals.PhiProblem(tuple(ctx.mpf(g) for g in gaps), tuple(mults))
 
@@ -372,7 +378,7 @@ def test_solve_linear_matches_lu_solve(digits):
         if n > 1:
             rows[0][0] = ctx.mp.mpf(0)
         rhs = [ctx.mpf(rng.uniform(-1, 1)) for _ in range(n)]
-        got = critvals.solve_linear(rows, rhs, ctx)
+        got = solve_linear(rows, rhs, ctx)
         want = ctx.mp.lu_solve(ctx.mp.matrix(rows), ctx.mp.matrix(rhs))
         assert all(abs(got[i] - want[i]) <= tol for i in range(n))
 
@@ -388,7 +394,7 @@ def test_solve_linear_rejects_singular(rows):
     ctx = ctx40()
     rows = [[ctx.mpf(v) for v in row] for row in rows]
     with pytest.raises(critvals.SingularJacobian):
-        critvals.solve_linear(rows, [ctx.mp.mpf(1)] * len(rows), ctx)
+        solve_linear(rows, [ctx.mp.mpf(1)] * len(rows), ctx)
 
 
 def test_warm_start_takes_at_least_one_correction():

@@ -1,5 +1,6 @@
 """Precision contexts, polynomial algebra, and the lap solvers."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -156,16 +157,18 @@ def test_non_finite_values_are_refused(bad):
                                   (1, 0, None, bad)):
         with pytest.raises(ValueError, match="finite"):
             mpnum.solve_monotone(p, target, lo, hi, 1, ctx, start=start)
-    # the one-critical-point path: 1 - 2 x**2, and its closed-form roots once framed
-    # by its zeros, as target or as framing target
+    # the one-critical-point path: 1 - 2 x**2, framed by its zeros (frame reads the
+    # framing targets), and its closed-form roots once framed
     zero, one = ctx.mp.mpf(0), ctx.mp.mpf(1)
     f = mpnum.PowerMap(zero, one, -2 * one, 2)
     with pytest.raises(ValueError, match="finite"):
         f(bad)
-    g = f.frame((zero, zero), None, (zero,), ctx, (None, None))[0]
-    for targets in ((zero, bad, zero), (bad, zero, zero)):
+    for targets in ((zero, bad), (bad, zero)):
         with pytest.raises(ValueError, match="finite"):
-            g.preimages(targets, (None, (zero, g.center, 1), None), ctx, None)
+            f.frame(targets, None, (zero,), ctx, (None, None))
+    g = f.frame((zero, zero), None, (zero,), ctx, (None, None))[0]
+    with pytest.raises(ValueError, match="finite"):
+        g.preimages((bad,), ((zero, g.center, 1),), ctx, (None,))
 
 
 def test_caches_leave_equality_hash_and_repr_alone():
@@ -602,9 +605,9 @@ def lap_on(ctx, g, side, orientation):
     return (g.center, ctx.mp.one, orientation) if side > 0 else (ctx.mp.zero, g.center, orientation)
 
 
-def preimage(g, ends, target, lap, ctx):
-    """The root of g(x) = target on ``lap`` by PowerMap.preimages, g framed by ``ends``."""
-    return g.preimages((ends[0], target, ends[1]), (None, lap, None), ctx, None)[1]
+def preimage(g, target, lap, ctx):
+    """The root of g(x) = target on ``lap`` by PowerMap.preimages on that lap alone."""
+    return g.preimages((target,), (lap,), ctx, (None,))[0]
 
 
 @given(power_maps())
@@ -612,7 +615,7 @@ def preimage(g, ends, target, lap, ctx):
 def test_closed_form_root_meets_the_contract_and_agrees_with_the_search(case):
     ctx, f, g, ends, side, orientation, _, r = case
     target, lap = f(f.center + side * r), lap_on(ctx, g, side, orientation)
-    root = preimage(g, ends, target, lap, ctx)
+    root = preimage(g, target, lap, ctx)
     bound = residual_bound(ctx, target)
     assert abs(g(root) - target) <= bound
     assert lap[0] <= root <= lap[1]
@@ -632,14 +635,14 @@ def test_closed_form_root_rejects_targets_outside_the_lap(case):
     # beyond the critical value: no preimage on either side
     beyond = value - (f(f.center + r) - value)
     with pytest.raises(mpnum.RootBracketError):
-        preimage(g, ends, beyond, lap, ctx)
+        preimage(g, beyond, lap, ctx)
     # twice the lap's extent out: the root lies past its end at 0 or 1
     target, end = f(f.center + 2 * side * extent), lap[1 if side > 0 else 0]
     if abs(g(end) - target) > residual_bound(ctx, target):
         with pytest.raises(mpnum.RootBracketError, match="beyond the lap end"):
-            preimage(g, ends, target, lap, ctx)
+            preimage(g, target, lap, ctx)
     # ... but a root on the lap is not stopped
-    root = preimage(g, ends, f(f.center + side * r), lap, ctx)
+    root = preimage(g, f(f.center + side * r), lap, ctx)
     assert lap[0] <= root <= lap[1]
 
 
@@ -647,10 +650,10 @@ def test_closed_form_root_rejects_targets_outside_the_lap(case):
 @settings(max_examples=50, deadline=None)
 def test_closed_form_root_of_the_critical_value_is_the_critical_point(case):
     # t = v, or t within the residual bound of v on either side
-    ctx, _, g, ends, side, orientation, _, _ = case
+    ctx, _, g, _, side, orientation, _, _ = case
     for shift in (0, 1, -1):
         target = g.value + shift * residual_bound(ctx, g.value) / 2
-        root = preimage(g, ends, target, lap_on(ctx, g, side, orientation), ctx)
+        root = preimage(g, target, lap_on(ctx, g, side, orientation), ctx)
         assert root._mpf_ == g.center._mpf_
 
 
@@ -663,16 +666,54 @@ def test_closed_form_root_returns_a_lap_end_within_tolerance():
     g = mpnum.PowerMap(zero, zero, one, 2).frame(ends, None, (zero,), ctx, (None, None))[0]
     assert (g.center, g.value, g.lead) == (0.5, 0, 4)
     target = 1 + ctx.mpf("1e-39")
-    assert preimage(g, ends, target, (g.center, one, 1), ctx) == 1
-    assert preimage(g, ends, ctx.mpf(Fraction(1, 4)), (zero, g.center, -1), ctx) == 0.25
+    assert preimage(g, target, (g.center, one, 1), ctx) == 1
+    assert preimage(g, ctx.mpf(Fraction(1, 4)), (zero, g.center, -1), ctx) == 0.25
 
 
 def test_closed_form_root_needs_an_even_degree():
+    # checked before the framing, which the line does not have either
     ctx = ctx40()
     zero, one = ctx.mp.mpf(0), ctx.mp.mpf(1)
     line = mpnum.PowerMap(zero, zero, one, 2).derivative()  # 2 x
     with pytest.raises(ValueError, match="even degree"):
         line.preimages((zero, one, zero), (None, (zero, one, 1), None), ctx, None)
+
+
+def test_closed_form_root_needs_a_map_framed_at_the_context_precision():
+    # preimages reads rho_0 and rho_0 + rho_n from the framing and never from the
+    # targets, so a map without one, or framed at another precision, is refused
+    ctx = ctx40()
+    zero, one = ctx.mp.mpf(0), ctx.mp.mpf(1)
+    f = mpnum.PowerMap(zero, zero, one, 2)
+    quarter, lap = ctx.mpf(Fraction(1, 4)), (zero, one, 1)
+    with pytest.raises(ValueError, match=f"framed at {ctx.mp.prec} bits"):
+        f.preimages((quarter,), (lap,), ctx, (None,))
+    g = f.frame((one, one), None, (zero,), ctx, (None, None))[0]
+    assert g.framing[0] == ctx.mp.prec and preimage(g, quarter, (g.center, one, 1), ctx) == 0.75
+    other = mpnum.PrecisionContext(80)
+    with pytest.raises(ValueError, match=f"framed at {other.mp.prec} bits"):
+        g.preimages((quarter,), (lap,), other, (None,))
+
+
+@given(power_maps())
+@settings(max_examples=100, deadline=None)
+def test_framed_map_carries_the_integer_roots_of_its_framing_targets(case):
+    # rho_t, the floor of |t - v|**(1/d) on x's grid: t and v each rounded to nearest
+    # on it (prec + 32 fractional bits), their difference's d-th root floored
+    ctx, f, g, ends, *_ = case
+    shift, d = ctx.mp.prec + 32, f.degree
+
+    def on_grid(v):
+        return math.floor(exact(v) * 2**shift + Fraction(1, 2))
+
+    rise = [abs(on_grid(t) - on_grid(f.value)) << shift * (d - 1) for t in ends]
+    prec, low, total = g.framing
+    assert prec == ctx.mp.prec
+    for rho, r in zip((low, total - low), rise):
+        assert rho**d <= r < (rho + 1) ** d
+        assert rho == mpnum.iroot(r, d)
+    # and they are what frame built the map from: its center rho_0 / (rho_0 + rho_n)
+    assert g.center._mpf_ == rounded(type(g.center), Fraction(low, total))._mpf_
 
 
 @given(st.integers(0, 2400).flatmap(lambda bits: st.integers(0, 2**bits)), st.integers(2, 12))

@@ -750,6 +750,31 @@ def test_passengers_and_pulled_back_points_share_one_kernel(text, kind):
         x = new
 
 
+def test_a_passenger_placement_takes_one_integer_root(monkeypatch):
+    # a framed PowerMap carries rho_0 and rho_0 + rho_n, so inverting one lap for a
+    # passenger takes the root of that one target and no framing root again
+    counts, inside = {"placements": 0, "roots": 0}, []
+    lap_preimage, iroot = pullback._lap_preimage, mpnum.iroot
+
+    def counted_placement(*args):
+        counts["placements"] += 1
+        inside.append(True)
+        try:
+            return lap_preimage(*args)
+        finally:
+            inside.pop()
+
+    def counted_root(n, d):
+        counts["roots"] += bool(inside)
+        return iroot(n, d)
+
+    monkeypatch.setattr(pullback, "_lap_preimage", counted_placement)
+    monkeypatch.setattr(mpnum, "iroot", counted_root)
+    for text in ("0,2,3,4,0", "0,4,3,2,1,0", "0,2,4,5,1,0"):
+        assert pullback.run(comb.parse(text)).converged
+    assert counts == {"placements": 33, "roots": 33}
+
+
 @pytest.mark.parametrize("text", ["0,1,0", "0,2^4,1,0"])
 def test_one_critical_point_results_carry_the_power_map(text):
     # the run reports the PowerMap it iterated; its coefficients are the expansion's
@@ -771,6 +796,19 @@ def test_escalation_leaves_shared_contexts_alone():
     assert result.converged and len(result.precision_history) > 1
     assert {d: (mp.dps, mp.prec) for d, mp in contexts.items()} == before
     assert all(mpnum.PrecisionContext(d).mp is mp for d, mp in contexts.items())
+
+
+@pytest.mark.parametrize("text, max_iter, steps", [
+    ("0,3,4,7,8,10,9,6,5,2,1,0", 400, 110),
+    ("0,3,4,5,6,7,8,9,10,2,1,0", 100, 96),
+])
+def test_slow_linear_convergence_stays_at_the_start_digits(text, max_iter, steps):
+    # census orbits of z**2 + c with period 10 near c = -2 contract at 0.84-0.89 a
+    # step, so eps_core fails to halve over four steps long before the rounding
+    # floor; more digits would not speed them up, and the run keeps its 40
+    result = pullback.run(comb.parse(text), pullback.RunOptions(max_iter=max_iter))
+    assert result.converged and result.iterations == steps
+    assert result.digits == 40 and result.precision_history == ((1, 40),)
 
 
 def small_sequences(largest, turning):

@@ -3,7 +3,7 @@
 One rule holds for every kernel that computes a value: it forms the exact
 result in integers and rounds it once, to nearest.  So the gap map, its
 Jacobian, the centered points, the realized map, the expansion of a power
-map, ``affine_substitute`` and ``solve_linear`` must each have the
+map, ``affine_substitute`` and ``solve_pairs`` must each have the
 ``_mpf_`` tuple of the exact value, worked out here in Fractions, rounded
 once to nearest at the context's precision.  A linear system is singular
 exactly when an exact pivot of Gaussian elimination with partial pivoting
@@ -211,6 +211,12 @@ def solve_monotone(p, target, lo, hi, orientation, ctx, start=None):
 # ---------------------------------------------------------------- helpers
 
 
+def solve_linear(rows, rhs, ctx):
+    """``rows @ x = rhs`` in mpfs of ctx, by :func:`critvals.solve_pairs`."""
+    *rows, rhs = ([mpnum.to_pair(ctx.mpf(v)._mpf_) for v in row] for row in (*rows, rhs))
+    return [ctx.mp.make_mpf(mpnum.to_raw(x)) for x in critvals.solve_pairs(rows, rhs, ctx.mp.prec)]
+
+
 def same(got, want):
     """Bit-identical mpfs (or nested tuples/lists of them)."""
     if isinstance(want, (tuple, list)):
@@ -282,7 +288,7 @@ def test_newton_system_solve_is_bit_identical(case, rhs):
     ctx, problem = case
     rows = critvals.phi_jacobian(problem)
     rhs = [ctx.mpf(v) for v in rhs[: len(rows)]]
-    assert_same_outcome(outcome(critvals.solve_linear, rows, rhs, ctx),
+    assert_same_outcome(outcome(solve_linear, rows, rhs, ctx),
                         outcome(exact_solve, rows, rhs, ctx))
 
 
@@ -305,7 +311,7 @@ def test_linear_solve_is_bit_identical(digit_count, n, data):
         for row in rows:
             row[-1] *= tiny
     rhs = [ctx.mpf(data.draw(entry)) for _ in range(n)]
-    assert_same_outcome(outcome(critvals.solve_linear, rows, rhs, ctx),
+    assert_same_outcome(outcome(solve_linear, rows, rhs, ctx),
                         outcome(exact_solve, rows, rhs, ctx))
 
 
@@ -320,7 +326,7 @@ def test_singular_matrices_raise_the_same_error(rows):
     ctx = mpnum.PrecisionContext(40)
     rows = [[ctx.mpf(v) for v in row] for row in rows]
     rhs = [ctx.mp.mpf(1)] * len(rows)
-    got = outcome(critvals.solve_linear, rows, rhs, ctx)
+    got = outcome(solve_linear, rows, rhs, ctx)
     assert got[0] == "raised"
     assert_same_outcome(got, outcome(exact_solve, rows, rhs, ctx))
 
@@ -492,7 +498,7 @@ def test_fit_error_is_within_its_grid_bound(digit_count, degree, n, power, data)
     core = frozenset(data.draw(st.sets(st.integers(0, n))))
     eps, eps_core = pullback.fit_error(c, f, pullback.MarkedConfiguration(points), ctx, core)
     assert same(eps, pullback.fit_error(c, f, pullback.MarkedConfiguration(points), ctx))
-    unit, _, error = f.on_grid(points, ctx)
+    unit, _, error = f.on_grid([mpnum.to_pair(p._mpf_) for p in points], ctx)
     x = [exact(p) for p in points]
     squares = [(exact_value(f, x[j]) - x[c.m[j]]) ** 2 for j in range(n + 1)]
     for got, total in ((eps, sum(squares)), (eps_core, sum(squares[j] for j in core))):
@@ -674,3 +680,69 @@ def test_damped_newton_candidate_is_the_mpf_expression(digit_count, g, d, k):
     (m, e), prec = mpnum.to_pair(d._mpf_), ctx.mp.prec
     got = mpnum.pair_sub(mpnum.to_pair(g._mpf_), (m, e - k), prec)
     assert mpnum.to_raw(got) == (g - damping * d)._mpf_
+
+
+def place_passengers_on_mpfs(c, normalized, x, ctx):
+    """:func:`pullback.place_passengers` with its cycle Newton on mpf objects."""
+    m, points = c.m, list(x.points)
+    core = comb.core_indices(c)
+    passengers = [j for j in range(c.n + 1) if j not in core]
+    f = normalized.polynomial
+    slope = f.derivative()
+    ends = {j: (max(k for k in core if k < j), min(k for k in core if k > j)) for j in passengers}
+
+    def place(j, value):
+        a, b = ends[j]
+        points[j] = min(max(value, points[a]), points[b])
+
+    def newton(cycle):
+        j, previous = cycle[0], ctx.mp.inf
+        for _ in range(pullback.PLACEMENT_ITERATIONS):
+            y, gain = points[j], 1
+            for i in reversed(cycle):
+                y = pullback._lap_preimage(f, c, i, points, y, points[i], ctx)
+                df = slope(y)
+                gain = gain / df if df else 0
+                if i != j:
+                    place(i, y)
+            move = y - points[j] if gain == 1 else (y - points[j]) / (1 - gain)
+            place(j, points[j] + move)
+            resolution = 10 * ctx.tau / abs(df) if df else ctx.tau
+            if abs(move) <= resolution or abs(move) >= previous:
+                break
+            previous = abs(move)
+
+    settled = set(core)
+    for j in passengers:
+        path = []
+        while j not in settled and j not in path:
+            path, j = path + [j], m[j]
+        if j not in settled:
+            newton(path[path.index(j):])
+            settled.add(j)
+        for i in reversed(path):
+            if i not in settled:
+                place(i, pullback._lap_preimage(f, c, i, points, points[m[i]], points[i], ctx))
+                settled.add(i)
+    for j in passengers:
+        if j - 1 in ends:
+            points[j] = max(points[j], points[j - 1])
+    return tuple(points)
+
+
+@pytest.mark.parametrize("text", [
+    "0,2,1,0", "0,2,3,4,0", "0,4,3,2,1,0", "0,4,3,1,2,5",  # no passenger cycle in three
+    "0,1,3,2,0", "0,3,2,1,4",  # a passenger cycle on each map kind
+])
+@pytest.mark.parametrize("digit_count", [40, 80])
+def test_passenger_cycle_newton_is_the_mpf_expression(text, digit_count):
+    # placement after each of the first steps, on every map the run meets there:
+    # the Newton on pairs (gain, damped move, x_j + move, resolution and both
+    # stopping tests) gives the bits of the mpf expressions it replaced
+    ctx, c = mpnum.PrecisionContext(digit_count), comb.parse(text)
+    x, normalized = pullback.init_configuration(c, ctx), None
+    for _ in range(12):
+        normalized = pullback.normalize(c, pullback.mapmake(c, x, ctx, normalized), ctx, normalized)
+        x = pullback.pullback_step(c, normalized, x, ctx)
+        placed = pullback.place_passengers(c, normalized, x, ctx)
+        assert same(placed.points, place_passengers_on_mpfs(c, normalized, x, ctx))
